@@ -74,7 +74,7 @@ fn bench_full_solve(c: &mut Criterion) {
 fn bench_dirty_batch(c: &mut Criterion) {
     let mut g = c.benchmark_group("alloc_parallel/dirty_all_racks");
     let (topo, flows) = rack_local_demands();
-    let dirty = vec![true; topo.num_hosts()];
+    let dirty: Vec<u32> = (0..topo.num_hosts() as u32).collect();
     g.throughput(Throughput::Elements(flows.len() as u64));
     for workers in WORKER_COUNTS {
         g.bench_with_input(
@@ -107,10 +107,7 @@ fn bench_dirty_batch(c: &mut Criterion) {
 fn bench_dirty_one_rack(c: &mut Criterion) {
     let mut g = c.benchmark_group("alloc_parallel/dirty_one_rack");
     let (topo, flows) = rack_local_demands();
-    let mut dirty = vec![false; topo.num_hosts()];
-    for h in 0..HOSTS_PER_RACK {
-        dirty[h as usize] = true;
-    }
+    let dirty: Vec<u32> = (0..HOSTS_PER_RACK).collect();
     for workers in [1usize, 8] {
         g.bench_with_input(
             BenchmarkId::new("racks_64", workers),

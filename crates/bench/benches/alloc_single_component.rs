@@ -85,7 +85,7 @@ fn bench_dirty_resolve(c: &mut Criterion) {
     let mut g = c.benchmark_group("alloc_single_component/dirty_resolve");
     g.sample_size(10);
     let (topo, flows) = giant_component_demands();
-    let dirty = vec![true; topo.num_hosts()];
+    let dirty: Vec<u32> = (0..topo.num_hosts() as u32).collect();
     g.throughput(Throughput::Elements(flows.len() as u64));
     for kernel in kernels() {
         for workers in WORKER_COUNTS {

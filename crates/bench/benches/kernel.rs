@@ -203,8 +203,7 @@ fn bench_churn(c: &mut Criterion) {
         let mut alloc = MaxMinAllocator::new();
         let mut rates = Vec::new();
         alloc.allocate_into(&topo, &flows, &mut rates);
-        let mut dirty = vec![false; n as usize];
-        dirty[..16].fill(true);
+        let dirty: Vec<u32> = (0..16).collect();
         let mut round = 0u8;
         b.iter(|| {
             round = round.wrapping_add(1);

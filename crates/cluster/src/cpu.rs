@@ -12,7 +12,7 @@
 //! ask for the next completion → advance/collect.
 
 use crate::host::HostSpec;
-use simcore::{SimDuration, SimTime};
+use simcore::{DirtySet, Profiler, SimDuration, SimTime};
 
 /// Identifier of a compute task within a [`CpuEngine`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -46,6 +46,9 @@ struct TaskState {
 /// Core-seconds below which a task counts as complete (ns-resolution slack).
 const DONE_EPS: f64 = 1e-7;
 
+/// Profiler slot timing the engine's public entry points.
+const PROFILE_SLOT: &str = "cpu.engine";
+
 /// Slab slot: the generation disambiguates reused slots so stale
 /// [`CpuTaskId`]s never alias a newer task.
 #[derive(Debug)]
@@ -58,7 +61,22 @@ fn slot_of(id: u64) -> usize {
     (id & 0xFFFF_FFFF) as usize
 }
 
+/// Retire a slot generation on recycle. Checked: a wrapped generation
+/// would let a CpuTaskId issued 2^32 reuses ago resolve to an unrelated
+/// task, so overflow fails loudly instead.
+fn bump_gen(gen: u32) -> u32 {
+    gen.checked_add(1)
+        .expect("task slot generation counter overflow — stale CpuTaskIds would alias")
+}
+
 fn make_id(gen: u32, slot: usize) -> u64 {
+    // The id packs the slot into the low 32 bits; a larger slot index
+    // would silently alias an existing CpuTaskId. `start_task` refuses to
+    // grow the slab past the boundary; this assert is the backstop.
+    assert!(
+        slot <= u32::MAX as usize,
+        "task slot {slot} does not fit the 32-bit id field"
+    );
     ((gen as u64) << 32) | slot as u64
 }
 
@@ -67,9 +85,11 @@ fn make_id(gen: u32, slot: usize) -> u64 {
 /// Tasks live in a generational slab (ids are `(generation << 32) | slot`),
 /// and shares are recomputed incrementally: hosts are independent, so a
 /// task arrival or completion only re-runs the water-filling pass on its
-/// own host. The next-completion time is cached between mutations — it is
-/// an absolute time, invariant under [`CpuEngine::advance`] while shares
-/// are unchanged.
+/// own host. Each host keeps its task list in creation order, and dirty
+/// hosts are queued on a worklist, so a refresh costs O(tasks on the
+/// changed hosts), not O(hosts). The next-completion time is cached
+/// between mutations — it is an absolute time, invariant under
+/// [`CpuEngine::advance`] while shares are unchanged.
 #[derive(Debug)]
 pub struct CpuEngine {
     specs: Vec<HostSpec>,
@@ -80,16 +100,21 @@ pub struct CpuEngine {
     active: Vec<u32>,
     last_advance: SimTime,
     /// Hosts whose shares must be recomputed before the next query.
-    dirty_hosts: Vec<bool>,
-    any_dirty: bool,
+    dirty: DirtySet,
     /// Cached `next_event_time` result; cleared on any mutation.
     next_cache: Option<Option<SimTime>>,
-    /// Reusable per-host task grouping for the water-filling pass.
+    /// Each host's active slots in creation order (the order of `active`
+    /// restricted to the host): appended on start, pruned on removal.
     per_host: Vec<Vec<u32>>,
     /// Reusable water-filling worklist.
     unfrozen: Vec<u32>,
+    /// Reusable list of hosts that lost tasks in one removal pass.
+    pruned: Vec<usize>,
     /// Cumulative busy core-seconds per host (for utilization).
     busy_core_secs: Vec<f64>,
+    /// Self-profiling handle (wall-times the public entry points);
+    /// disabled by default.
+    profiler: Profiler,
 }
 
 impl CpuEngine {
@@ -103,13 +128,21 @@ impl CpuEngine {
             free: Vec::new(),
             active: Vec::new(),
             last_advance: SimTime::ZERO,
-            dirty_hosts: vec![false; n],
-            any_dirty: false,
+            dirty: DirtySet::new(n),
             next_cache: None,
             per_host: vec![Vec::new(); n],
             unfrozen: Vec::new(),
+            pruned: Vec::new(),
             busy_core_secs: vec![0.0; n],
+            profiler: Profiler::disabled(),
         }
+    }
+
+    /// Attach a self-profiling handle; every public entry point is then
+    /// wall-timed under the `cpu.engine` slot (nested calls are not
+    /// double-counted). Costs one branch per call when disabled.
+    pub fn set_profiler(&mut self, profiler: Profiler) {
+        self.profiler = profiler;
     }
 
     /// Number of hosts.
@@ -143,7 +176,8 @@ impl CpuEngine {
             "invalid demand {core_secs}"
         );
         assert!(cap > 0.0 && cap.is_finite(), "invalid cap {cap}");
-        self.advance(now);
+        let timer = self.profiler.start();
+        self.advance_to(now);
         let state = TaskState {
             host,
             tag,
@@ -160,6 +194,13 @@ impl CpuEngine {
                 s as usize
             }
             None => {
+                // CpuTaskIds carry the slot in their low 32 bits; one more
+                // slot than fits would alias slot 0's ids.
+                assert!(
+                    self.slots.len() <= u32::MAX as usize,
+                    "task slot space exhausted: {} concurrent tasks",
+                    self.slots.len()
+                );
                 self.slots.push(SlotEntry {
                     gen: 0,
                     state: Some(state),
@@ -168,14 +209,21 @@ impl CpuEngine {
             }
         };
         self.active.push(slot as u32);
-        self.dirty_hosts[host] = true;
-        self.any_dirty = true;
-        self.next_cache = None;
-        CpuTaskId(make_id(self.slots[slot].gen, slot))
+        self.per_host[host].push(slot as u32);
+        self.mark_dirty(host);
+        let id = CpuTaskId(make_id(self.slots[slot].gen, slot));
+        self.profiler.stop(PROFILE_SLOT, timer);
+        id
     }
 
     /// Integrate progress up to `now`.
     pub fn advance(&mut self, now: SimTime) {
+        let timer = self.profiler.start();
+        self.advance_to(now);
+        self.profiler.stop(PROFILE_SLOT, timer);
+    }
+
+    fn advance_to(&mut self, now: SimTime) {
         assert!(
             now >= self.last_advance,
             "cpu engine cannot move backwards: {now} < {}",
@@ -211,6 +259,7 @@ impl CpuEngine {
         if let Some(cached) = self.next_cache {
             return cached;
         }
+        let timer = self.profiler.start();
         self.refresh_rates();
         let mut best: Option<f64> = None;
         for &slot in &self.active {
@@ -230,16 +279,18 @@ impl CpuEngine {
             self.last_advance + SimDuration::from_secs_f64(secs) + SimDuration::from_nanos(1)
         });
         self.next_cache = Some(when);
+        self.profiler.stop(PROFILE_SLOT, timer);
         when
     }
 
     /// Advance to `now` and drain finished tasks in creation order.
     pub fn take_completions(&mut self, now: SimTime) -> Vec<CompletedTask> {
-        self.advance(now);
+        let timer = self.profiler.start();
+        self.advance_to(now);
         let mut done = Vec::new();
         let slots = &mut self.slots;
         let free = &mut self.free;
-        let dirty_hosts = &mut self.dirty_hosts;
+        let pruned = &mut self.pruned;
         self.active.retain(|&slot| {
             let entry = &mut slots[slot as usize];
             let t = entry.state.as_ref().expect("active task missing");
@@ -252,18 +303,16 @@ impl CpuEngine {
                     started: t.started,
                     finished: now,
                 });
-                entry.gen = entry.gen.wrapping_add(1);
+                entry.gen = bump_gen(entry.gen);
                 free.push(slot);
-                dirty_hosts[t.host] = true;
+                pruned.push(t.host);
                 false
             } else {
                 true
             }
         });
-        if !done.is_empty() {
-            self.any_dirty = true;
-            self.next_cache = None;
-        }
+        self.prune_hosts();
+        self.profiler.stop(PROFILE_SLOT, timer);
         done
     }
 
@@ -273,11 +322,11 @@ impl CpuEngine {
     pub fn set_host_cores(&mut self, now: SimTime, host: usize, cores: f64) {
         assert!(host < self.specs.len(), "host {host} out of range");
         assert!(cores > 0.0 && cores.is_finite(), "invalid cores {cores}");
-        self.advance(now);
+        let timer = self.profiler.start();
+        self.advance_to(now);
         self.specs[host].cores = cores;
-        self.dirty_hosts[host] = true;
-        self.any_dirty = true;
-        self.next_cache = None;
+        self.mark_dirty(host);
+        self.profiler.stop(PROFILE_SLOT, timer);
     }
 
     /// Current core count of `host` (nominal or fault-degraded).
@@ -294,11 +343,12 @@ impl CpuEngine {
         now: SimTime,
         mut pred: impl FnMut(CpuTaskId, usize, u64) -> bool,
     ) -> Vec<(CpuTaskId, u64)> {
-        self.advance(now);
+        let timer = self.profiler.start();
+        self.advance_to(now);
         let mut aborted = Vec::new();
         let slots = &mut self.slots;
         let free = &mut self.free;
-        let dirty_hosts = &mut self.dirty_hosts;
+        let pruned = &mut self.pruned;
         self.active.retain(|&slot| {
             let entry = &mut slots[slot as usize];
             let id = CpuTaskId(make_id(entry.gen, slot as usize));
@@ -308,25 +358,25 @@ impl CpuEngine {
             };
             if pred(id, host, tag) {
                 entry.state = None;
-                entry.gen = entry.gen.wrapping_add(1);
+                entry.gen = bump_gen(entry.gen);
                 free.push(slot);
-                dirty_hosts[host] = true;
+                pruned.push(host);
                 aborted.push((id, tag));
                 false
             } else {
                 true
             }
         });
-        if !aborted.is_empty() {
-            self.any_dirty = true;
-            self.next_cache = None;
-        }
+        self.prune_hosts();
+        self.profiler.stop(PROFILE_SLOT, timer);
         aborted
     }
 
     /// Currently allocated cores for a task (None once completed).
     pub fn rate_of(&mut self, id: CpuTaskId) -> Option<f64> {
+        let timer = self.profiler.start();
         self.refresh_rates();
+        self.profiler.stop(PROFILE_SLOT, timer);
         let slot = slot_of(id.0);
         let entry = self.slots.get(slot)?;
         if make_id(entry.gen, slot) != id.0 {
@@ -335,34 +385,42 @@ impl CpuEngine {
         entry.state.as_ref().map(|t| t.rate)
     }
 
+    fn mark_dirty(&mut self, host: usize) {
+        self.dirty.mark(host);
+        self.next_cache = None;
+    }
+
+    /// Drop the slots freed by a removal pass from the task lists of the
+    /// hosts in `pruned` (each visited once; survivors keep creation
+    /// order) and queue those hosts for re-sharing. Must run before any
+    /// freed slot is reused, or a recycled slot could be mistaken for
+    /// the task it replaced.
+    fn prune_hosts(&mut self) {
+        let mut pruned = std::mem::take(&mut self.pruned);
+        pruned.sort_unstable();
+        pruned.dedup();
+        for &h in &pruned {
+            let slots = &self.slots;
+            self.per_host[h].retain(|&s| slots[s as usize].state.is_some());
+            self.mark_dirty(h);
+        }
+        pruned.clear();
+        self.pruned = pruned;
+    }
+
     /// Capped max-min share of each host's cores among its runnable tasks.
     ///
-    /// Hosts are independent, so only hosts marked dirty since the last
-    /// refresh are re-shared; everyone else keeps their rates.
+    /// Hosts are independent, so only the hosts queued on the dirty
+    /// worklist are re-shared; everyone else keeps their rates.
     fn refresh_rates(&mut self) {
-        if !self.any_dirty {
+        if self.dirty.is_empty() {
             return;
         }
-        // Group the dirty hosts' active tasks (creation order preserved).
-        let mut per_host = std::mem::take(&mut self.per_host);
-        for (h, list) in per_host.iter_mut().enumerate() {
-            if self.dirty_hosts[h] {
-                list.clear();
-            }
-        }
-        for &slot in &self.active {
-            let h = self.slots[slot as usize]
-                .state
-                .as_ref()
-                .expect("active task missing")
-                .host;
-            if self.dirty_hosts[h] {
-                per_host[h].push(slot);
-            }
-        }
         let mut unfrozen = std::mem::take(&mut self.unfrozen);
-        for (h, ids) in per_host.iter().enumerate() {
-            if !self.dirty_hosts[h] || ids.is_empty() {
+        for &h in self.dirty.as_slice() {
+            let h = h as usize;
+            let ids = &self.per_host[h];
+            if ids.is_empty() {
                 continue;
             }
             let mut remaining_cores = self.specs[h].cores;
@@ -400,15 +458,14 @@ impl CpuEngine {
             }
         }
         self.unfrozen = unfrozen;
-        self.per_host = per_host;
-        self.dirty_hosts.fill(false);
-        self.any_dirty = false;
+        self.dirty.clear();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn engine(hosts: usize, cores: f64) -> CpuEngine {
         CpuEngine::new(vec![HostSpec::with_cores(cores); hosts])
@@ -565,6 +622,61 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "generation counter overflow")]
+    fn generation_overflow_fails_loudly() {
+        // A slot generation at u32::MAX has handed out ids for 2^32 tasks;
+        // one more recycle would make the oldest id resolve to the newest
+        // task. The recycle must panic instead.
+        let mut e = engine(1, 1.0);
+        e.start_task(SimTime::ZERO, 0, 1.0, 1.0, 0);
+        e.slots[0].gen = u32::MAX;
+        e.abort_tasks_where(SimTime::ZERO, |_, _, _| true);
+    }
+
+    #[test]
+    #[should_panic(expected = "generation counter overflow")]
+    fn generation_overflow_fails_loudly_on_completion() {
+        let mut e = engine(1, 1.0);
+        e.start_task(SimTime::ZERO, 0, 1.0, 1.0, 0);
+        e.slots[0].gen = u32::MAX;
+        let t = e.next_event_time().unwrap();
+        e.take_completions(t);
+    }
+
+    #[test]
+    fn task_id_packing_roundtrips_at_the_slot_boundary() {
+        let slot = u32::MAX as usize;
+        let id = make_id(7, slot);
+        assert_eq!(slot_of(id), slot);
+        assert_eq!(id >> 32, 7);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit the 32-bit id field")]
+    fn task_id_packing_rejects_oversized_slots() {
+        let _ = make_id(0, (u32::MAX as usize) + 1);
+    }
+
+    #[test]
+    fn recycled_slot_on_another_host_keeps_lists_apart() {
+        // A slot freed on host 0 and reused on host 1 in the same instant
+        // must leave host 0's list and join host 1's exactly once.
+        let mut e = engine(2, 2.0);
+        let a = e.start_task(SimTime::ZERO, 0, 1.0, 1.0, 1);
+        e.start_task(SimTime::ZERO, 0, 5.0, 1.0, 2);
+        let t = SimTime::from_secs(1) + SimDuration::from_nanos(1);
+        let done = e.take_completions(t);
+        assert_eq!(done.len(), 1);
+        assert_eq!(done[0].id, a);
+        let c = e.start_task(t, 1, 1.0, 4.0, 3);
+        assert_eq!(slot_of(c.0), slot_of(a.0), "slot recycled");
+        assert_eq!(e.rate_of(a), None, "stale id no longer resolves");
+        assert_eq!(e.rate_of(c), Some(2.0));
+        assert_eq!(e.per_host[0].len(), 1);
+        assert_eq!(e.per_host[1], vec![slot_of(c.0) as u32]);
+    }
+
+    #[test]
     #[should_panic(expected = "out of range")]
     fn rejects_bad_host() {
         let mut e = engine(1, 1.0);
@@ -576,5 +688,306 @@ mod tests {
     fn rejects_zero_demand() {
         let mut e = engine(1, 1.0);
         e.start_task(SimTime::ZERO, 0, 0.0, 1.0, 0);
+    }
+
+    /// From-scratch reference for the churn proptest: the same slab id
+    /// allocation, but shares are recomputed for every host on every query
+    /// by regrouping the creation-ordered active list (the engine's
+    /// original, non-incremental refresh).
+    struct Oracle {
+        cores: Vec<f64>,
+        gens: Vec<u32>,
+        free: Vec<u32>,
+        /// (slot, host, tag, remaining, cap, started) in creation order.
+        active: Vec<(u32, usize, u64, f64, f64, SimTime)>,
+        rates: Vec<f64>,
+        last: SimTime,
+        busy: Vec<f64>,
+    }
+
+    impl Oracle {
+        fn new(hosts: usize, cores: f64) -> Self {
+            Oracle {
+                cores: vec![cores; hosts],
+                gens: Vec::new(),
+                free: Vec::new(),
+                active: Vec::new(),
+                rates: Vec::new(),
+                last: SimTime::ZERO,
+                busy: vec![0.0; hosts],
+            }
+        }
+
+        fn id(&self, slot: u32) -> CpuTaskId {
+            CpuTaskId(((self.gens[slot as usize] as u64) << 32) | slot as u64)
+        }
+
+        /// Capped water-filling of every host, regrouped from `active`.
+        fn recompute(&mut self) {
+            self.rates = vec![0.0; self.active.len()];
+            let mut per_host: Vec<Vec<usize>> = vec![Vec::new(); self.cores.len()];
+            for (k, t) in self.active.iter().enumerate() {
+                per_host[t.1].push(k);
+            }
+            for (h, ks) in per_host.iter().enumerate() {
+                let mut remaining_cores = self.cores[h];
+                let mut unfrozen = ks.clone();
+                while !unfrozen.is_empty() {
+                    let fair = remaining_cores / unfrozen.len() as f64;
+                    let before = unfrozen.len();
+                    unfrozen.retain(|&k| {
+                        let cap = self.active[k].4;
+                        if cap <= fair {
+                            self.rates[k] = cap;
+                            remaining_cores -= cap;
+                            false
+                        } else {
+                            true
+                        }
+                    });
+                    if unfrozen.len() == before {
+                        for &k in &unfrozen {
+                            self.rates[k] = fair;
+                        }
+                        break;
+                    }
+                }
+            }
+        }
+
+        fn advance(&mut self, now: SimTime) {
+            if now == self.last {
+                return;
+            }
+            self.recompute();
+            let dt = now.since(self.last).as_secs_f64();
+            for (k, t) in self.active.iter_mut().enumerate() {
+                if self.rates[k] > 0.0 {
+                    let done = (self.rates[k] * dt).min(t.3);
+                    t.3 -= done;
+                    self.busy[t.1] += done;
+                }
+            }
+            self.last = now;
+        }
+
+        fn start(
+            &mut self,
+            now: SimTime,
+            host: usize,
+            demand: f64,
+            cap: f64,
+            tag: u64,
+        ) -> CpuTaskId {
+            self.advance(now);
+            let slot = match self.free.pop() {
+                Some(s) => s,
+                None => {
+                    self.gens.push(0);
+                    (self.gens.len() - 1) as u32
+                }
+            };
+            self.active.push((slot, host, tag, demand, cap, now));
+            self.id(slot)
+        }
+
+        fn next_event_time(&mut self) -> Option<SimTime> {
+            self.recompute();
+            let mut best: Option<f64> = None;
+            for (k, t) in self.active.iter().enumerate() {
+                if self.rates[k] > 0.0 {
+                    let secs = (t.3 / self.rates[k]).max(0.0);
+                    best = Some(best.map_or(secs, |b: f64| b.min(secs)));
+                }
+            }
+            best.map(|secs| {
+                self.last + SimDuration::from_secs_f64(secs) + SimDuration::from_nanos(1)
+            })
+        }
+
+        /// Remove (in creation order) every task `pick` selects.
+        fn remove_where(
+            &mut self,
+            mut pick: impl FnMut(CpuTaskId, &(u32, usize, u64, f64, f64, SimTime)) -> bool,
+        ) -> Vec<(u32, usize, u64, SimTime)> {
+            let mut out = Vec::new();
+            let mut keep = Vec::new();
+            for t in std::mem::take(&mut self.active) {
+                let id = self.id(t.0);
+                if pick(id, &t) {
+                    out.push((t.0, t.1, t.2, t.5));
+                    self.gens[t.0 as usize] += 1;
+                    self.free.push(t.0);
+                } else {
+                    keep.push(t);
+                }
+            }
+            self.active = keep;
+            out
+        }
+
+        fn take_completions(&mut self, now: SimTime) -> Vec<CompletedTask> {
+            self.advance(now);
+            let removed = self.remove_where(|_, t| t.3 <= DONE_EPS);
+            removed
+                .into_iter()
+                .map(|(slot, host, tag, started)| CompletedTask {
+                    id: CpuTaskId(((self.gens[slot as usize] as u64 - 1) << 32) | slot as u64),
+                    tag,
+                    host,
+                    started,
+                    finished: now,
+                })
+                .collect()
+        }
+
+        fn abort(&mut self, now: SimTime, host: usize, tag: u64) -> Vec<(CpuTaskId, u64)> {
+            self.advance(now);
+            let mut ids = Vec::new();
+            self.remove_where(|id, t| {
+                let hit = t.1 == host || t.2 == tag;
+                if hit {
+                    ids.push((id, t.2));
+                }
+                hit
+            });
+            ids
+        }
+
+        fn rate_of(&mut self, id: CpuTaskId) -> Option<f64> {
+            self.recompute();
+            self.active
+                .iter()
+                .position(|t| self.id(t.0) == id)
+                .map(|k| self.rates[k])
+        }
+    }
+
+    #[derive(Debug, Clone, Copy)]
+    enum ChurnOp {
+        Start {
+            host: usize,
+            demand: f64,
+            cap: f64,
+            tag: u64,
+            dt_us: u64,
+        },
+        Collect {
+            dt_us: u64,
+        },
+        RunToNext,
+        Abort {
+            host: usize,
+            tag: u64,
+        },
+        SetCores {
+            host: usize,
+            cores: f64,
+            dt_us: u64,
+        },
+    }
+
+    const CHURN_HOSTS: usize = 9;
+
+    fn arb_churn() -> impl Strategy<Value = Vec<ChurnOp>> {
+        // Caps and core counts without exact binary sums, so the order in
+        // which water-filling subtracts caps shows in the rate bits.
+        let caps = [0.3, 0.7, 1.0, 1.1, 2.9, 16.0];
+        proptest::collection::vec(
+            (
+                (0u8..10, 0..CHURN_HOSTS, 0usize..6),
+                (0.01f64..3.0, 0u64..6, 0u64..400_000),
+                // Host indices past the range make the abort tag-only.
+                (0..CHURN_HOSTS + 4, 1u32..17),
+            )
+                .prop_map(
+                    move |((kind, host, cap), (demand, tag, dt_us), (abort_host, cores))| match kind
+                    {
+                        0..=4 => ChurnOp::Start {
+                            host,
+                            demand,
+                            cap: caps[cap],
+                            tag,
+                            dt_us,
+                        },
+                        5 => ChurnOp::Collect { dt_us },
+                        6 | 7 => ChurnOp::RunToNext,
+                        8 => ChurnOp::Abort {
+                            host: abort_host,
+                            tag: tag + 10 * (dt_us % 2),
+                        },
+                        _ => ChurnOp::SetCores {
+                            host,
+                            cores: cores as f64 / 3.0,
+                            dt_us,
+                        },
+                    },
+                ),
+            1..80,
+        )
+    }
+
+    fn check_churn(ops: &[ChurnOp]) -> Result<(), proptest::test_runner::TestCaseError> {
+        let mut e = engine(CHURN_HOSTS, 3.7);
+        let mut o = Oracle::new(CHURN_HOSTS, 3.7);
+        let mut now = SimTime::ZERO;
+        let mut ids: Vec<CpuTaskId> = Vec::new();
+        for op in ops {
+            match *op {
+                ChurnOp::Start {
+                    host,
+                    demand,
+                    cap,
+                    tag,
+                    dt_us,
+                } => {
+                    now += SimDuration::from_micros(dt_us);
+                    let a = e.start_task(now, host, demand, cap, tag);
+                    let b = o.start(now, host, demand, cap, tag);
+                    prop_assert_eq!(a, b, "task ids diverged");
+                    ids.push(a);
+                }
+                ChurnOp::Collect { dt_us } => {
+                    now += SimDuration::from_micros(dt_us);
+                    prop_assert_eq!(e.take_completions(now), o.take_completions(now));
+                }
+                ChurnOp::RunToNext => {
+                    if let Some(t) = e.next_event_time() {
+                        now = t;
+                    }
+                    prop_assert_eq!(e.take_completions(now), o.take_completions(now));
+                }
+                ChurnOp::Abort { host, tag } => {
+                    let a = e.abort_tasks_where(now, |_, h, t| h == host || t == tag);
+                    prop_assert_eq!(a, o.abort(now, host, tag));
+                }
+                ChurnOp::SetCores { host, cores, dt_us } => {
+                    now += SimDuration::from_micros(dt_us);
+                    e.set_host_cores(now, host, cores);
+                    o.advance(now);
+                    o.cores[host] = cores;
+                }
+            }
+            prop_assert_eq!(e.active_task_count(), o.active.len());
+            prop_assert_eq!(e.next_event_time(), o.next_event_time(), "after {:?}", op);
+            for &id in &ids {
+                let (a, b) = (e.rate_of(id), o.rate_of(id));
+                prop_assert_eq!(a.map(f64::to_bits), b.map(f64::to_bits), "rate of {:?}", id);
+            }
+            let busy_e: Vec<u64> = e.busy_core_secs().iter().map(|b| b.to_bits()).collect();
+            let busy_o: Vec<u64> = o.busy.iter().map(|b| b.to_bits()).collect();
+            prop_assert_eq!(busy_e, busy_o, "busy core-seconds after {:?}", op);
+        }
+        Ok(())
+    }
+
+    proptest::proptest! {
+        /// Random multi-host churn — arrivals, completions, aborts and core
+        /// changes — keeps the incremental per-host lists and dirty
+        /// worklist bit-identical to the from-scratch regroup: same ids,
+        /// rates, next-event instants, completion lists and busy time.
+        fn incremental_refresh_matches_scratch_under_churn(ops in arb_churn()) {
+            check_churn(&ops)?;
+        }
     }
 }

@@ -986,8 +986,10 @@ fn run_with_net<N: NetBackend>(
     net.set_telemetry(telemetry.clone());
     net.set_invariants(invariants.clone());
     net.set_profiler(profiler.clone());
+    let mut cpu = CpuEngine::new(cfg.host_specs(num_hosts));
+    cpu.set_profiler(profiler.clone());
     let sim = Sim {
-        cpu: CpuEngine::new(cfg.host_specs(num_hosts)),
+        cpu,
         net,
         cfg,
         queue,

@@ -723,6 +723,10 @@ fn main() {
                 100.0 * rep.share_of("alloc.solve", "engine.handlers").unwrap_or(0.0)
             );
             println!(
+                "cpu engine share of event handling: {:.1}%",
+                100.0 * rep.share_of("cpu.engine", "engine.handlers").unwrap_or(0.0)
+            );
+            println!(
                 "allocator kernel counters: rounds={} freeze_rounds={} heap_pops={} \
                  stale_key_skips={} links_touched={} parallel_dispatches={}",
                 alloc.rounds,

@@ -416,6 +416,7 @@ mod tests {
         let text = rep.render();
         for slot in [
             "alloc.solve",
+            "cpu.engine",
             "queue.heap",
             "telemetry.sink",
             "engine.handlers",

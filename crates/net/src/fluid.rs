@@ -46,10 +46,9 @@
 use crate::maxmin::{AllocKernel, AllocStats, FlowDemand, MaxMinAllocator};
 use crate::topology::Topology;
 use crate::types::{Band, Bandwidth, FlowId, HostId};
-use simcore::{InvariantChecker, SimDuration, SimTime};
+use simcore::{DirtySet, InvariantChecker, Profiler, SimDuration, SimTime};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use simcore::Profiler;
 use tl_telemetry::{ShareChangeCause, SimEvent, Telemetry};
 
 /// Everything needed to start a flow.
@@ -194,8 +193,7 @@ pub struct FluidNet {
     last_advance: SimTime,
     /// Hosts whose attached flow set or bands changed since the last rate
     /// refresh; the allocator re-solves only their components.
-    dirty_hosts: Vec<bool>,
-    any_dirty: bool,
+    dirty: DirtySet,
     /// Cached `next_event_time` result; cleared on any mutation.
     next_cache: Option<Option<SimTime>>,
     /// Flows harvested by `advance` at their exact depletion instant,
@@ -321,8 +319,7 @@ impl FluidNet {
             free: Vec::new(),
             active: Vec::new(),
             last_advance: SimTime::ZERO,
-            dirty_hosts: vec![false; n],
-            any_dirty: false,
+            dirty: DirtySet::new(n),
             next_cache: None,
             pending_done: Vec::new(),
             allocator,
@@ -435,8 +432,7 @@ impl FluidNet {
     }
 
     fn mark_dirty(&mut self, host: HostId) {
-        self.dirty_hosts[host.0 as usize] = true;
-        self.any_dirty = true;
+        self.dirty.mark(host.0 as usize);
         self.next_cache = None;
     }
 
@@ -584,8 +580,8 @@ impl FluidNet {
                 entry.state = None;
                 entry.gen = bump_gen(entry.gen);
                 self.free.push(slot);
-                self.dirty_hosts[spec.src.0 as usize] = true;
-                self.dirty_hosts[spec.dst.0 as usize] = true;
+                self.dirty.mark(spec.src.0 as usize);
+                self.dirty.mark(spec.dst.0 as usize);
                 bump_depl_ver(&mut self.depl_ver, slot as usize);
                 aborted.push((id, spec.tag));
             } else {
@@ -600,7 +596,6 @@ impl FluidNet {
             self.demands.truncate(w);
             self.rates.truncate(w);
             self.structure_dirty = true;
-            self.any_dirty = true;
             self.next_cache = None;
             self.pending_cause = ShareChangeCause::Fault;
         }
@@ -627,12 +622,11 @@ impl FluidNet {
                 // Bands are egress-scoped; marking the sender dirties the
                 // flow's whole component.
                 let src = f.spec.src;
-                self.dirty_hosts[src.0 as usize] = true;
+                self.dirty.mark(src.0 as usize);
                 any = true;
             }
         }
         if any {
-            self.any_dirty = true;
             self.next_cache = None;
             self.pending_cause = ShareChangeCause::Rotation;
             self.telemetry.emit_with(now, || SimEvent::PriorityRotation {
@@ -733,8 +727,8 @@ impl FluidNet {
                     finished: at,
                     bytes: f.spec.bytes,
                 });
-                self.dirty_hosts[f.spec.src.0 as usize] = true;
-                self.dirty_hosts[f.spec.dst.0 as usize] = true;
+                self.dirty.mark(f.spec.src.0 as usize);
+                self.dirty.mark(f.spec.dst.0 as usize);
                 self.free.push(slot);
                 bump_depl_ver(&mut self.depl_ver, slot as usize);
             } else {
@@ -751,7 +745,6 @@ impl FluidNet {
         self.demands.truncate(w);
         self.rates.truncate(w);
         self.structure_dirty = true;
-        self.any_dirty = true;
         self.next_cache = None;
         self.pending_cause = ShareChangeCause::CompetitorFinished;
         if self.telemetry.is_enabled() {
@@ -853,7 +846,7 @@ impl FluidNet {
     }
 
     fn refresh_rates(&mut self) {
-        if !self.any_dirty {
+        if self.dirty.is_empty() {
             return;
         }
         debug_assert_eq!(self.demands.len(), self.active.len());
@@ -870,7 +863,7 @@ impl FluidNet {
         self.allocator.allocate_dirty_reuse(
             &self.topo,
             &self.demands,
-            &self.dirty_hosts,
+            self.dirty.as_slice(),
             &mut self.rates,
             !self.structure_dirty,
         );
@@ -950,8 +943,7 @@ impl FluidNet {
             entries.retain(|&Reverse(e)| self.depl_ver[e.slot as usize] == e.ver);
             self.depl_heap = entries.into();
         }
-        self.dirty_hosts.fill(false);
-        self.any_dirty = false;
+        self.dirty.clear();
         if self.invariants.is_enabled() {
             self.check_allocation();
         }

@@ -1619,6 +1619,10 @@ pub struct MaxMinAllocator {
     // Union-find over hosts + fabric links, rebuilt per structure change
     // and kept for O(α) host→component lookups between rebuilds.
     parent: Vec<u32>,
+    // Nodes linked under another root since the last rebuild — exactly
+    // the nodes with `parent[x] != x` — so a rebuild resets only them
+    // instead of every host.
+    uf_linked: Vec<u32>,
     // Dense component ids in order of first appearance along `flows`,
     // keyed by union-find root (always a host; roots are minima).
     host_comp: Vec<u32>,
@@ -1791,18 +1795,19 @@ impl MaxMinAllocator {
         self.stats.wall_nanos += started.elapsed().as_nanos() as u64;
     }
 
-    /// Re-solve only the components that contain a host flagged in
-    /// `dirty_hosts`; for every flow of an untouched component, `rates[i]`
-    /// is left exactly as passed in (the caller supplies the previous
-    /// allocation). Produces bit-identical results to
-    /// [`MaxMinAllocator::allocate_into`] provided the rates of clean
-    /// components are indeed unchanged — which the dirty-host contract
-    /// guarantees: any input change to a component marks one of its hosts.
+    /// Re-solve only the components that contain a host listed in
+    /// `dirty_hosts` (host ids; order and duplicates do not matter); for
+    /// every flow of an untouched component, `rates[i]` is left exactly as
+    /// passed in (the caller supplies the previous allocation). Produces
+    /// bit-identical results to [`MaxMinAllocator::allocate_into`]
+    /// provided the rates of clean components are indeed unchanged — which
+    /// the dirty-host contract guarantees: any input change to a component
+    /// lists one of its hosts.
     pub fn allocate_dirty_into(
         &mut self,
         topo: &Topology,
         flows: &[FlowDemand],
-        dirty_hosts: &[bool],
+        dirty_hosts: &[u32],
         rates: &mut [f64],
     ) {
         self.allocate_dirty_reuse(topo, flows, dirty_hosts, rates, false);
@@ -1824,7 +1829,7 @@ impl MaxMinAllocator {
         &mut self,
         topo: &Topology,
         flows: &[FlowDemand],
-        dirty_hosts: &[bool],
+        dirty_hosts: &[u32],
         rates: &mut [f64],
         structure_unchanged: bool,
     ) {
@@ -1834,10 +1839,9 @@ impl MaxMinAllocator {
             flows.len(),
             "partial solve needs the previous rate for every flow"
         );
-        assert_eq!(
-            dirty_hosts.len(),
-            topo.num_hosts(),
-            "dirty set / topology mismatch"
+        assert!(
+            dirty_hosts.iter().all(|&h| topo.contains(HostId(h))),
+            "dirty host outside topology"
         );
         self.stats.invocations += 1;
         self.touched.clear();
@@ -1894,20 +1898,29 @@ impl MaxMinAllocator {
             // set containing a fabric node always contains a host (unions
             // only arise from flows) and roots are minima, so every root
             // is a host id.
-            self.parent.clear();
-            self.parent.extend(0..(n + nf) as u32);
+            if self.parent.len() == n + nf {
+                for &x in &self.uf_linked {
+                    self.parent[x as usize] = x;
+                }
+            } else {
+                self.parent.clear();
+                self.parent.extend(0..(n + nf) as u32);
+            }
+            self.uf_linked.clear();
             for f in flows {
                 if f.src != f.dst {
                     let a = uf_find(&mut self.parent, f.src.0);
                     let b = uf_find(&mut self.parent, f.dst.0);
                     if a != b {
                         self.parent[a.max(b) as usize] = a.min(b);
+                        self.uf_linked.push(a.max(b));
                     }
                     for l in topo.route(f.src, f.dst).into_iter().flatten() {
                         let a = uf_find(&mut self.parent, f.src.0);
                         let b = uf_find(&mut self.parent, n as u32 + l.0);
                         if a != b {
                             self.parent[a.max(b) as usize] = a.min(b);
+                            self.uf_linked.push(a.max(b));
                         }
                     }
                 }
@@ -1951,27 +1964,29 @@ impl MaxMinAllocator {
         comp_count
     }
 
-    /// Mark the components reachable from dirty hosts. O(dirty·α) via the
-    /// persistent union-find instead of a scan over every flow: a dirty
-    /// host resolves to its component through its root, and dirtiness is
-    /// lifted onto the fabric tier by probing the host's rack links — two
-    /// flows can share a rack uplink without sharing a host, so a
-    /// host-only check would wrongly retain the neighbour's component.
-    fn mark_dirty_components(&mut self, topo: &Topology, dirty: &[bool], comp_count: usize) {
+    /// Mark the components reachable from the listed dirty hosts, in
+    /// O(listed·α) via the persistent union-find — neither the flows nor
+    /// the clean hosts are visited: a dirty host resolves to its component
+    /// through its root, and dirtiness is lifted onto the fabric tier by
+    /// probing the host's rack links — two flows can share a rack uplink
+    /// without sharing a host, so a host-only check would wrongly retain
+    /// the neighbour's component. Marking is idempotent, so duplicate ids
+    /// and list order do not matter.
+    fn mark_dirty_components(&mut self, topo: &Topology, dirty: &[u32], comp_count: usize) {
         let n = topo.num_hosts();
         if topo.core_capacity().is_some() {
             // A core capacity couples every flow: bandwidth freed by a
             // departed flow (whose hosts may appear in no surviving
             // demand) can raise other flows' rates through the shared core
             // link. Any dirtiness at all re-solves the single component.
-            if dirty.iter().any(|&d| d) {
+            if !dirty.is_empty() {
                 self.comp_dirty[..comp_count].fill(true);
             }
             return;
         }
         let has_fabric = topo.num_fabric_links() > 0;
-        for (h, _) in dirty.iter().enumerate().filter(|(_, &d)| d) {
-            let root = uf_find(&mut self.parent, h as u32) as usize;
+        for &h in dirty {
+            let root = uf_find(&mut self.parent, h) as usize;
             // A root outside the host range or with a stale stamp belongs
             // to no current component (e.g. both endpoints of a departed
             // flow): nothing to re-solve there.
@@ -1979,11 +1994,7 @@ impl MaxMinAllocator {
                 self.comp_dirty[self.host_comp[root] as usize] = true;
             }
             if has_fabric {
-                for l in topo
-                    .host_fabric_links(HostId(h as u32))
-                    .into_iter()
-                    .flatten()
-                {
+                for l in topo.host_fabric_links(HostId(h)).into_iter().flatten() {
                     let root = uf_find(&mut self.parent, (n + l.0 as usize) as u32) as usize;
                     if root < n && self.host_comp_stamp[root] == self.comp_stamp {
                         self.comp_dirty[self.host_comp[root] as usize] = true;
@@ -1999,7 +2010,7 @@ impl MaxMinAllocator {
         flows: &[FlowDemand],
         rates: &mut [f64],
         comp_count: usize,
-        dirty_hosts: Option<&[bool]>,
+        dirty_hosts: Option<&[u32]>,
     ) {
         let n = topo.num_hosts();
         let num_links =
@@ -2609,8 +2620,7 @@ mod tests {
         let mut rates = a.allocate(&t, &flows);
         assert_eq!(a.last_touched(), &[0, 1, 2], "full solve touches all");
 
-        let mut dirty = vec![false; 6];
-        dirty[2] = true;
+        let dirty = [2];
         a.allocate_dirty_into(&t, &flows, &dirty, &mut rates);
         assert_eq!(a.last_touched(), &[1], "only the dirty component");
     }
@@ -2699,8 +2709,7 @@ mod tests {
             demand(6, 7, 0, 1.0), // rack1-local
         ];
         let mut rates = a.allocate(&t, &flows);
-        let mut dirty = vec![false; 8];
-        dirty[0] = true;
+        let dirty = [0];
         a.allocate_dirty_into(&t, &flows, &dirty, &mut rates);
         assert_eq!(
             a.last_touched(),
@@ -2724,9 +2733,7 @@ mod tests {
         for f in &mut flows {
             f.band = Band((f.band.0 + 1) % 3);
         }
-        let mut dirty = vec![false; 9];
-        dirty[0] = true;
-        dirty[1] = true;
+        let dirty = [0, 1];
         a.allocate_dirty_reuse(&t, &flows, &dirty, &mut rates, true);
         let fresh = MaxMinAllocator::new().allocate(&t, &flows);
         assert_eq!(rates, fresh, "fabric dirty-reuse diverged");
@@ -2751,9 +2758,7 @@ mod tests {
 
         let survivor = [both[1]];
         let mut partial = vec![rates[1]];
-        let mut dirty = vec![false; 4];
-        dirty[0] = true;
-        dirty[2] = true;
+        let dirty = [0, 2];
         a.allocate_dirty_into(&t, &survivor, &dirty, &mut partial);
         let fresh = MaxMinAllocator::new().allocate(&t, &survivor);
         assert!(
@@ -2769,6 +2774,90 @@ mod tests {
             fresh[0]
         );
         assert_eq!(a.last_touched(), &[0], "survivor's component re-solved");
+    }
+
+    /// `rates` after a dirty-list solve must equal a fresh full solve bit
+    /// for bit.
+    fn assert_matches_full_solve(t: &Topology, flows: &[FlowDemand], rates: &[f64]) {
+        let fresh = MaxMinAllocator::new().allocate(t, flows);
+        let bits = |r: &[f64]| r.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(rates), bits(&fresh), "dirty-list solve diverged");
+    }
+
+    #[test]
+    fn duplicate_dirty_hosts_match_a_deduplicated_list() {
+        let t = topo(6, 10.0);
+        let flows = [
+            demand(0, 1, 0, 1.0),
+            demand(2, 3, 1, 0.5),
+            demand(2, 4, 0, 2.0),
+            demand(5, 5, 0, 1.0),
+        ];
+        let mut a = MaxMinAllocator::new();
+        let mut b = MaxMinAllocator::new();
+        let mut ra = a.allocate(&t, &flows);
+        let mut rb = b.allocate(&t, &flows);
+        a.allocate_dirty_into(&t, &flows, &[3, 2, 3, 3, 2], &mut ra);
+        b.allocate_dirty_into(&t, &flows, &[2, 3], &mut rb);
+        assert_eq!(a.last_touched(), &[1, 2]);
+        assert_eq!(a.last_touched(), b.last_touched());
+        assert_eq!(a.stats().components_solved, b.stats().components_solved);
+        assert_matches_full_solve(&t, &flows, &ra);
+        assert_matches_full_solve(&t, &flows, &rb);
+    }
+
+    #[test]
+    fn dirty_hosts_with_no_surviving_flows_solve_nothing() {
+        // Flow 2→3 departs: its endpoints are listed dirty but appear in
+        // no surviving demand, so their union-find roots carry a stale
+        // stamp. No component may be marked for them — the neighbours'
+        // rates are kept verbatim — and the result still equals a full
+        // solve.
+        let t = topo(6, 10.0);
+        let before = [
+            demand(0, 1, 0, 1.0),
+            demand(2, 3, 0, 1.0),
+            demand(4, 5, 0, 1.0),
+        ];
+        let mut a = MaxMinAllocator::new();
+        let rates = a.allocate(&t, &before);
+        let after = [before[0], before[2]];
+        let mut partial = vec![rates[0], rates[2]];
+        a.allocate_dirty_reuse(&t, &after, &[2, 3], &mut partial, false);
+        assert!(a.last_touched().is_empty(), "no live component was dirty");
+        assert_matches_full_solve(&t, &after, &partial);
+        // The same departure with a live neighbour listed re-solves only
+        // that neighbour's component.
+        a.allocate_dirty_reuse(&t, &after, &[3, 4, 2], &mut partial, true);
+        assert_eq!(a.last_touched(), &[1]);
+        assert_matches_full_solve(&t, &after, &partial);
+    }
+
+    #[test]
+    fn rack_link_lifts_dirtiness_from_an_idle_host() {
+        // Host 0 carries no flow, but its rack uplink carries 1→5. Listing
+        // host 0 must lift onto that uplink and re-solve 1→5's component,
+        // while the rack-1-local pair 6→7 stays cached.
+        let t = crate::topology::TopologyBuilder::leaf_spine(2, 4, 2.0)
+            .link(Bandwidth::from_gbps(10.0))
+            .build();
+        let mut flows = [demand(1, 5, 0, 1.0), demand(6, 7, 0, 1.0)];
+        let mut a = MaxMinAllocator::new();
+        let mut rates = a.allocate(&t, &flows);
+        flows[0].band = Band(1);
+        a.allocate_dirty_reuse(&t, &flows, &[0], &mut rates, true);
+        assert_eq!(a.last_touched(), &[0], "lifted via the shared uplink");
+        assert_matches_full_solve(&t, &flows, &rates);
+    }
+
+    #[test]
+    #[should_panic(expected = "dirty host outside topology")]
+    fn rejects_dirty_host_outside_topology() {
+        let t = topo(2, 10.0);
+        let flows = [demand(0, 1, 0, 1.0)];
+        let mut a = MaxMinAllocator::new();
+        let mut rates = a.allocate(&t, &flows);
+        a.allocate_dirty_into(&t, &flows, &[2], &mut rates);
     }
 
     #[test]
@@ -2788,8 +2877,7 @@ mod tests {
         for f in &mut flows {
             f.band = Band((f.band.0 + 1) % 3);
         }
-        let mut dirty = vec![false; 6];
-        dirty[0] = true;
+        let dirty = [0];
         a.allocate_dirty_reuse(&t, &flows, &dirty, &mut rates, true);
 
         let fresh = MaxMinAllocator::new().allocate(&t, &flows);
@@ -2799,9 +2887,7 @@ mod tests {
         // A stale hint with a different flow count is ignored, not trusted.
         flows.push(demand(1, 4, 0, 1.0));
         rates.push(0.0);
-        let mut dirty = vec![false; 6];
-        dirty[1] = true;
-        dirty[4] = true;
+        let dirty = [1, 4];
         a.allocate_dirty_reuse(&t, &flows, &dirty, &mut rates, true);
         let fresh = MaxMinAllocator::new().allocate(&t, &flows);
         assert_eq!(rates, fresh, "count mismatch must force a rebuild");
@@ -2876,14 +2962,14 @@ mod tests {
     }
 
     /// Apply one tick's ops to (flows, rates) in lockstep, returning the
-    /// dirty-host set and whether membership changed.
+    /// dirty-host list — raw, so a host touched twice is listed twice —
+    /// and whether membership changed.
     fn apply_ops(
         ops: &[ChurnOp],
         flows: &mut Vec<FlowDemand>,
         rates: &mut Vec<f64>,
-        hosts: usize,
-    ) -> (Vec<bool>, bool) {
-        let mut dirty = vec![false; hosts];
+    ) -> (Vec<u32>, bool) {
+        let mut dirty = Vec::new();
         let mut structural = false;
         for op in ops {
             match *op {
@@ -2891,13 +2977,11 @@ mod tests {
                     let k = k.min(flows.len() - 1);
                     let f = flows.remove(k);
                     rates.remove(k);
-                    dirty[f.src.0 as usize] = true;
-                    dirty[f.dst.0 as usize] = true;
+                    dirty.extend([f.src.0, f.dst.0]);
                     structural = true;
                 }
                 ChurnOp::Add(f) => {
-                    dirty[f.src.0 as usize] = true;
-                    dirty[f.dst.0 as usize] = true;
+                    dirty.extend([f.src.0, f.dst.0]);
                     flows.push(f);
                     rates.push(0.0);
                     structural = true;
@@ -2905,7 +2989,7 @@ mod tests {
                 ChurnOp::Rotate(k) => {
                     let k = k.min(flows.len() - 1);
                     flows[k].band = Band((flows[k].band.0 + 1) % 3);
-                    dirty[flows[k].src.0 as usize] = true;
+                    dirty.push(flows[k].src.0);
                 }
             }
         }
@@ -2932,7 +3016,7 @@ mod tests {
             for (step, ops) in churn_schedule(seed, hosts as u32, 40, 8, 0, false)
                 .iter()
                 .enumerate() {
-                let (dirty, structural) = apply_ops(ops, &mut flows, &mut rates, hosts);
+                let (dirty, structural) = apply_ops(ops, &mut flows, &mut rates);
                 a.allocate_dirty_reuse(&t, &flows, &dirty, &mut rates, !structural);
                 let fresh = MaxMinAllocator::new().allocate(&t, &flows);
                 assert_eq!(
@@ -2965,7 +3049,7 @@ mod tests {
             let mut ref_rates: Vec<f64> = Vec::new();
             let mut ref_results = Vec::new();
             for ops in &schedule {
-                let (dirty, structural) = apply_ops(ops, &mut ref_flows, &mut ref_rates, hosts);
+                let (dirty, structural) = apply_ops(ops, &mut ref_flows, &mut ref_rates);
                 reference.allocate_dirty_reuse(&t, &ref_flows, &dirty, &mut ref_rates, !structural);
                 ref_results.push(ref_rates.clone());
             }
@@ -2975,7 +3059,7 @@ mod tests {
                 let mut flows: Vec<FlowDemand> = Vec::new();
                 let mut rates: Vec<f64> = Vec::new();
                 for (step, ops) in schedule.iter().enumerate() {
-                    let (dirty, structural) = apply_ops(ops, &mut flows, &mut rates, hosts);
+                    let (dirty, structural) = apply_ops(ops, &mut flows, &mut rates);
                     a.allocate_dirty_reuse(&t, &flows, &dirty, &mut rates, !structural);
                     let same = rates
                         .iter()
@@ -3070,7 +3154,6 @@ mod tests {
     /// allocator in lockstep, asserting bitwise-equal rates at every step
     /// and equal round/freeze tallies at the end.
     fn assert_kernels_lockstep(t: &Topology, schedule: &[Vec<ChurnOp>], label: &str) {
-        let hosts = t.num_hosts();
         let mut legacy = MaxMinAllocator::new();
         legacy.set_kernel(AllocKernel::Legacy);
         let mut bn = MaxMinAllocator::new();
@@ -3080,8 +3163,8 @@ mod tests {
         let mut bf: Vec<FlowDemand> = Vec::new();
         let mut br: Vec<f64> = Vec::new();
         for (step, ops) in schedule.iter().enumerate() {
-            let (dirty, structural) = apply_ops(ops, &mut lf, &mut lr, hosts);
-            apply_ops(ops, &mut bf, &mut br, hosts);
+            let (dirty, structural) = apply_ops(ops, &mut lf, &mut lr);
+            apply_ops(ops, &mut bf, &mut br);
             legacy.allocate_dirty_reuse(t, &lf, &dirty, &mut lr, !structural);
             bn.allocate_dirty_reuse(t, &bf, &dirty, &mut br, !structural);
             let same = lr.iter().zip(&br).all(|(x, y)| x.to_bits() == y.to_bits());
@@ -3210,7 +3293,6 @@ mod tests {
         // kernel, single-threaded.
         let t = topo(16, 10.0);
         let schedule = churn_schedule(13, 16, 30, 20, 0, true);
-        let hosts = t.num_hosts();
         let mut legacy = MaxMinAllocator::new();
         legacy.set_kernel(AllocKernel::Legacy);
         let mut bn = MaxMinAllocator::new();
@@ -3222,8 +3304,8 @@ mod tests {
         let mut bf: Vec<FlowDemand> = Vec::new();
         let mut br: Vec<f64> = Vec::new();
         for (step, ops) in schedule.iter().enumerate() {
-            let (dirty, structural) = apply_ops(ops, &mut lf, &mut lr, hosts);
-            apply_ops(ops, &mut bf, &mut br, hosts);
+            let (dirty, structural) = apply_ops(ops, &mut lf, &mut lr);
+            apply_ops(ops, &mut bf, &mut br);
             legacy.allocate_dirty_reuse(&t, &lf, &dirty, &mut lr, !structural);
             bn.allocate_dirty_reuse(&t, &bf, &dirty, &mut br, !structural);
             let same = lr.iter().zip(&br).all(|(x, y)| x.to_bits() == y.to_bits());

@@ -28,6 +28,7 @@
 
 #![warn(missing_docs)]
 
+pub mod dirty;
 pub mod event;
 pub mod invariant;
 pub mod outcome;
@@ -38,6 +39,7 @@ pub mod stats;
 pub mod time;
 pub mod trace;
 
+pub use dirty::DirtySet;
 pub use event::{EventHandle, EventQueue};
 pub use invariant::{InvariantChecker, InvariantViolation};
 pub use outcome::CellOutcome;

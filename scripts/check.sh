@@ -6,11 +6,11 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# --workspace: the root manifest is both a workspace and a package, so a
-# bare `cargo build` compiles only the root package and leaves member
-# binaries (./target/release/repro) stale.
-echo "==> cargo build --release --workspace"
-cargo build --release --workspace
+# The root manifest's default-members include every crate, so a bare
+# build also rebuilds member binaries (./target/release/repro) and a bare
+# test runs every crate's tests.
+echo "==> cargo build --release"
+cargo build --release
 
 echo "==> cargo test -q"
 cargo test -q
