@@ -3,18 +3,16 @@
 //! component, so PR 9's component-level dispatch cannot help and the
 //! kernel itself is what's measured.
 //!
-//! Dimensions: kernel {legacy, bottleneck} × worker count {1, 2, 4, 8}.
-//! Output is bitwise-identical across every cell (the determinism tests
-//! pin that); only wall time may move. The legacy kernel ignores the
-//! worker count on a single component, so its rows should coincide; the
-//! bottleneck kernel shards its per-round reductions when the component
-//! exceeds `PAR_MIN_COMPONENT_FLOWS`. On a single-core machine the
-//! multi-worker rows measure dispatch overhead, not speedup — a skip-note
-//! is printed so the numbers aren't misread.
+//! Dimensions: worker count {1, 2, 4, 8}. Output is bitwise-identical
+//! across every cell (the determinism tests pin that); only wall time may
+//! move. Component-level dispatch needs at least two dirty components, so
+//! on this one component the worker rows should coincide: they show what
+//! the pool costs when it cannot help. On a single-core machine a note is
+//! printed so the numbers aren't misread.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
-use tl_net::{AllocKernel, Band, Bandwidth, FlowDemand, HostId, MaxMinAllocator, Topology};
+use tl_net::{Band, Bandwidth, FlowDemand, HostId, MaxMinAllocator, Topology};
 
 const HOSTS: u32 = 500;
 const JOBS: u32 = 200;
@@ -41,11 +39,7 @@ fn giant_component_demands() -> (Topology, Vec<FlowDemand>) {
     (topo, flows)
 }
 
-fn kernels() -> [AllocKernel; 2] {
-    [AllocKernel::Legacy, AllocKernel::Bottleneck]
-}
-
-/// Full solve of the giant component at each kernel × worker-pool size.
+/// Full solve of the giant component at each worker-pool size.
 fn bench_full_solve(c: &mut Criterion) {
     if std::thread::available_parallelism().map_or(1, |p| p.get()) == 1 {
         eprintln!(
@@ -57,23 +51,20 @@ fn bench_full_solve(c: &mut Criterion) {
     g.sample_size(10);
     let (topo, flows) = giant_component_demands();
     g.throughput(Throughput::Elements(flows.len() as u64));
-    for kernel in kernels() {
-        for workers in WORKER_COUNTS {
-            g.bench_with_input(
-                BenchmarkId::new(kernel.label(), workers),
-                &workers,
-                |b, &workers| {
-                    let mut alloc = MaxMinAllocator::new();
-                    alloc.set_kernel(kernel);
-                    alloc.set_workers(workers);
-                    let mut rates = Vec::new();
-                    b.iter(|| {
-                        alloc.allocate_into(&topo, black_box(&flows), &mut rates);
-                        black_box(rates.len())
-                    });
-                },
-            );
-        }
+    for workers in WORKER_COUNTS {
+        g.bench_with_input(
+            BenchmarkId::new("workers", workers),
+            &workers,
+            |b, &workers| {
+                let mut alloc = MaxMinAllocator::new();
+                alloc.set_workers(workers);
+                let mut rates = Vec::new();
+                b.iter(|| {
+                    alloc.allocate_into(&topo, black_box(&flows), &mut rates);
+                    black_box(rates.len())
+                });
+            },
+        );
     }
     g.finish();
 }
@@ -87,42 +78,33 @@ fn bench_dirty_resolve(c: &mut Criterion) {
     let (topo, flows) = giant_component_demands();
     let dirty: Vec<u32> = (0..topo.num_hosts() as u32).collect();
     g.throughput(Throughput::Elements(flows.len() as u64));
-    for kernel in kernels() {
-        for workers in WORKER_COUNTS {
-            g.bench_with_input(
-                BenchmarkId::new(kernel.label(), workers),
-                &workers,
-                |b, &workers| {
-                    let mut alloc = MaxMinAllocator::new();
-                    alloc.set_kernel(kernel);
-                    alloc.set_workers(workers);
-                    let mut rates = Vec::new();
-                    alloc.allocate_into(&topo, &flows, &mut rates);
-                    b.iter(|| {
-                        alloc.allocate_dirty_reuse(
-                            &topo,
-                            black_box(&flows),
-                            &dirty,
-                            &mut rates,
-                            true,
-                        );
-                        black_box(rates.len())
-                    });
-                },
-            );
-        }
+    for workers in WORKER_COUNTS {
+        g.bench_with_input(
+            BenchmarkId::new("workers", workers),
+            &workers,
+            |b, &workers| {
+                let mut alloc = MaxMinAllocator::new();
+                alloc.set_workers(workers);
+                let mut rates = Vec::new();
+                alloc.allocate_into(&topo, &flows, &mut rates);
+                b.iter(|| {
+                    alloc.allocate_dirty_reuse(&topo, black_box(&flows), &dirty, &mut rates, true);
+                    black_box(rates.len())
+                });
+            },
+        );
     }
     g.finish();
 }
 
 /// The freeze-ladder regime: one giant chain-coupled component where every
 /// egress saturates at a *distinct* water level, so the solve takes ~one
-/// freeze round per link (R ≈ L) — the O(rounds × links) rescan bill the
-/// bottleneck ordering exists to eliminate. The PS-star shapes above
-/// terminate in single-digit rounds (colocated PS groups make a handful
-/// of links the simultaneous bottleneck for everything) and cannot show
-/// this; here the legacy kernel pays ~R × L scans and the heap kernel
-/// pays ~R pops.
+/// freeze round per link (R ≈ L) and the kernel pays its full
+/// O(rounds × links) rescan bill. The PS-star shapes above terminate in
+/// single-digit rounds (colocated PS groups make a handful of links the
+/// simultaneous bottleneck for everything) and cannot show this. It is
+/// the one regime where a bottleneck-ordered (heap) kernel would win; no
+/// simulator workload reaches it.
 fn ladder_demands() -> (Topology, Vec<FlowDemand>) {
     let topo = Topology::uniform(HOSTS as usize, Bandwidth::from_gbps(10.0));
     let mut flows = Vec::new();
@@ -140,18 +122,15 @@ fn bench_freeze_ladder(c: &mut Criterion) {
     g.sample_size(10);
     let (topo, flows) = ladder_demands();
     g.throughput(Throughput::Elements(flows.len() as u64));
-    for kernel in kernels() {
-        g.bench_with_input(BenchmarkId::new(kernel.label(), 1), &(), |b, _| {
-            let mut alloc = MaxMinAllocator::new();
-            alloc.set_kernel(kernel);
-            alloc.set_workers(1);
-            let mut rates = Vec::new();
-            b.iter(|| {
-                alloc.allocate_into(&topo, black_box(&flows), &mut rates);
-                black_box(rates.len())
-            });
+    g.bench_with_input(BenchmarkId::new("workers", 1), &(), |b, _| {
+        let mut alloc = MaxMinAllocator::new();
+        alloc.set_workers(1);
+        let mut rates = Vec::new();
+        b.iter(|| {
+            alloc.allocate_into(&topo, black_box(&flows), &mut rates);
+            black_box(rates.len())
         });
-    }
+    });
     g.finish();
 }
 

@@ -31,7 +31,7 @@ use tl_cluster::{
 };
 use tl_faults::{BarrierLossPolicy, FaultAction, FaultPlan, RetryConfig, TimedFault};
 use tl_net::{
-    AllocKernel, AllocStats, Bandwidth, FlowId, FlowSpec, FluidNet, HostId, LinkId, PacketNet,
+    AllocStats, Bandwidth, FlowId, FlowSpec, FluidNet, HostId, LinkId, PacketNet,
 };
 
 /// Tag prefix distinguishing gradient flows from model-update flows in the
@@ -119,20 +119,10 @@ pub struct SimConfig {
     /// setting — only wall time changes — so this is safe to leave
     /// unpinned even for reproducibility-sensitive runs.
     pub alloc_workers: Option<usize>,
-    /// Max-min kernel for the fluid backend. `None` (default) defers to
-    /// the `TL_KERNEL` environment variable, falling back to the
-    /// bottleneck-ordered kernel. Both kernels are bitwise-identical;
-    /// `Legacy` keeps the round-based full-rescan water-filling for
-    /// A/B comparison and as a fallback.
-    pub alloc_kernel: Option<AllocKernel>,
     /// Minimum total dirty flows before the allocator dispatches
     /// components to the worker pool. `None` defers to
     /// `TL_PAR_MIN_FLOWS` (default 128). Must be positive.
     pub par_min_flows: Option<usize>,
-    /// Minimum flows in a single component before the bottleneck kernel
-    /// shards its per-round reductions across workers. `None` defers to
-    /// `TL_PAR_MIN_COMPONENT_FLOWS` (default 4096). Must be positive.
-    pub par_min_component_flows: Option<usize>,
 }
 
 impl Default for SimConfig {
@@ -160,9 +150,7 @@ impl Default for SimConfig {
             invariants: cfg!(debug_assertions),
             profile: false,
             alloc_workers: None,
-            alloc_kernel: None,
             par_min_flows: None,
-            par_min_component_flows: None,
         }
     }
 }
@@ -365,13 +353,9 @@ struct RetryState {
 #[derive(Debug, Clone, Copy)]
 enum FlowKind {
     /// PS shard → worker, carrying the shard's slice of the model for step
-    /// `round`. (The shard index matters only for debugging: the worker
-    /// counts received shards without distinguishing them.)
-    ModelUpdate {
-        round: u64,
-        #[allow(dead_code)]
-        shard: u32,
-    },
+    /// `round`. The worker counts received shards without distinguishing
+    /// them; the shard index routes retries after a crash.
+    ModelUpdate { round: u64, shard: u32 },
     /// Worker → PS shard, carrying the shard's slice of the gradients of
     /// step `round`.
     GradUpdate { round: u64, shard: u32 },
@@ -381,14 +365,11 @@ enum FlowKind {
     RingShift { round: u64, step: u32 },
     /// Hierarchical: a group member's full gradient → its rack leader
     /// (`ctx.worker` is the sending member).
-    HierGrad { round: u64 },
+    HierGrad,
     /// Hierarchical: a rack leader's reduced gradient → the PS
-    /// (`ctx.worker` is the leader; the round is for debugging — the PS
-    /// counts leader gradients without distinguishing rounds).
-    HierGradToPs {
-        #[allow(dead_code)]
-        round: u64,
-    },
+    /// (`ctx.worker` is the leader; the PS counts leader gradients without
+    /// distinguishing rounds).
+    HierGradToPs,
     /// Hierarchical: the PS's model → a rack leader (`ctx.worker` is the
     /// leader).
     HierModelToLeader { round: u64 },
@@ -729,24 +710,10 @@ impl<'p> Simulation<'p> {
         self
     }
 
-    /// Pin the fluid backend's max-min kernel (overrides
-    /// `cfg.alloc_kernel`; both kernels are bitwise-identical).
-    pub fn alloc_kernel(mut self, kernel: AllocKernel) -> Self {
-        self.cfg.alloc_kernel = Some(kernel);
-        self
-    }
-
     /// Pin the component-dispatch parallelism threshold (overrides
     /// `cfg.par_min_flows`). Must be positive.
     pub fn par_min_flows(mut self, min_flows: usize) -> Self {
         self.cfg.par_min_flows = Some(min_flows);
-        self
-    }
-
-    /// Pin the intra-component sharding threshold (overrides
-    /// `cfg.par_min_component_flows`). Must be positive.
-    pub fn par_min_component_flows(mut self, min_flows: usize) -> Self {
-        self.cfg.par_min_component_flows = Some(min_flows);
         self
     }
 
@@ -820,14 +787,8 @@ fn run_inner(
             if let Some(workers) = cfg.alloc_workers {
                 net.set_alloc_workers(workers);
             }
-            if let Some(kernel) = cfg.alloc_kernel {
-                net.set_alloc_kernel(kernel);
-            }
             if let Some(min_flows) = cfg.par_min_flows {
                 net.set_par_min_flows(min_flows);
-            }
-            if let Some(min_flows) = cfg.par_min_component_flows {
-                net.set_par_min_component_flows(min_flows);
             }
             run_with_net(cfg, setups, policy, net)
         }
@@ -1153,10 +1114,8 @@ impl<'a, N: NetBackend> Sim<'a, N> {
                 FlowKind::RingShift { round, step } => {
                     self.on_ring_shift(now, ctx.job, round, step)
                 }
-                FlowKind::HierGrad { round } => {
-                    self.on_hier_grad(now, ctx.job, ctx.worker, round)
-                }
-                FlowKind::HierGradToPs { .. } => self.on_hier_ps_grad(now, ctx.job),
+                FlowKind::HierGrad => self.on_hier_grad(now, ctx.job, ctx.worker),
+                FlowKind::HierGradToPs => self.on_hier_ps_grad(now, ctx.job),
                 FlowKind::HierModelToLeader { round } => {
                     self.on_hier_model_at_leader(now, ctx.job, ctx.worker, round)
                 }
@@ -1645,19 +1604,19 @@ impl<'a, N: NetBackend> Sim<'a, N> {
                 let ctx = FlowCtx {
                     job: j,
                     worker: w,
-                    kind: FlowKind::HierGrad { round },
+                    kind: FlowKind::HierGrad,
                 };
                 let id = self.net.start_flow(now, spec);
                 self.flows.insert(id, ctx);
             }
-            None if group_complete => self.send_leader_gradient(now, j, leader, round),
+            None if group_complete => self.send_leader_gradient(now, j, leader),
             None => {}
         }
     }
 
     /// A member's gradient reached its rack leader. Once the whole group
     /// reported, the leader forwards one reduced gradient to the PS.
-    fn on_hier_grad(&mut self, now: SimTime, j: usize, member: u32, round: u64) {
+    fn on_hier_grad(&mut self, now: SimTime, j: usize, member: u32) {
         let (leader, complete) = {
             let job = &mut self.jobs[j];
             let g = job.worker_group[member as usize];
@@ -1665,12 +1624,12 @@ impl<'a, N: NetBackend> Sim<'a, N> {
             (job.groups[g][0], job.group_recv[g] == job.groups[g].len() as u32)
         };
         if complete {
-            self.send_leader_gradient(now, j, leader, round);
+            self.send_leader_gradient(now, j, leader);
         }
     }
 
     /// A rack leader sends its group's reduced gradient to the PS.
-    fn send_leader_gradient(&mut self, now: SimTime, j: usize, leader: u32, round: u64) {
+    fn send_leader_gradient(&mut self, now: SimTime, j: usize, leader: u32) {
         let spec = {
             let job = &mut self.jobs[j];
             let src = job.placement.worker_hosts[leader as usize];
@@ -1687,7 +1646,7 @@ impl<'a, N: NetBackend> Sim<'a, N> {
         let ctx = FlowCtx {
             job: j,
             worker: leader,
-            kind: FlowKind::HierGradToPs { round },
+            kind: FlowKind::HierGradToPs,
         };
         let id = self.net.start_flow(now, spec);
         self.flows.insert(id, ctx);
@@ -1974,8 +1933,6 @@ impl<'a, N: NetBackend> Sim<'a, N> {
                 ("alloc.components_retained", alloc.components_retained),
                 ("alloc.rounds", alloc.rounds),
                 ("alloc.freeze_rounds", alloc.freeze_rounds),
-                ("alloc.heap_pops", alloc.heap_pops),
-                ("alloc.stale_key_skips", alloc.stale_key_skips),
                 ("alloc.links_touched", alloc.links_touched),
                 ("alloc.flows_touched", alloc.flows_touched),
                 ("alloc.parallel_dispatches", alloc.parallel_dispatches),

@@ -31,7 +31,6 @@ pub mod pattern;
 pub use backend::{NetBackend, NetBackendKind};
 pub use compute::ComputeModel;
 pub use engine::{JobResult, JobSetup, SimConfig, SimError, SimOutput, Simulation};
-pub use tl_net::AllocKernel;
 pub use tl_faults::{BarrierLossPolicy, FaultPlan, FaultSpec, RetryConfig};
 pub use job::{JobId, JobSpec, TrainingMode};
 pub use metrics::BarrierTracker;

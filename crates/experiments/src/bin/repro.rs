@@ -102,7 +102,6 @@ fn parse_args() -> Args {
     let mut markdown: Option<PathBuf> = None;
     let mut topology: Option<tl_dl::TopologySpec> = None;
     let mut pattern: Option<tl_dl::TrafficPattern> = None;
-    let mut kernel: Option<tl_dl::AllocKernel> = None;
     let mut ledger_dir: Option<PathBuf> = None;
     let mut resume = false;
     let mut cell_timeout = None;
@@ -146,14 +145,6 @@ fn parse_args() -> Args {
                 let p = v.parse::<tl_dl::TrafficPattern>();
                 pattern = Some(p.unwrap_or_else(|e| usage_error(&e.to_string())));
             }
-            "--kernel" => {
-                let v = next(&mut i);
-                kernel = Some(tl_dl::AllocKernel::parse(&v).unwrap_or_else(|| {
-                    usage_error(&format!(
-                        "bad --kernel value {v:?} (expected legacy or bottleneck)"
-                    ))
-                }));
-            }
             "--csv" => csv_dir = Some(PathBuf::from(next(&mut i))),
             "--json" => json_dir = Some(PathBuf::from(next(&mut i))),
             "--ledger-dir" => ledger_dir = Some(PathBuf::from(next(&mut i))),
@@ -195,8 +186,6 @@ fn parse_args() -> Args {
                      --seed S         master seed\n\
                      --topology SPEC  single-switch (default) or leaf-spine:<racks>x<hosts>[@<oversub>]\n\
                      --pattern NAME   ps-star (default), ring, or hierarchical\n\
-                     --kernel NAME    max-min kernel: bottleneck (default) or legacy;\n\
-                     \x20                    bitwise-identical output, wall time only\n\
                      --csv DIR        also write each table as CSV\n\
                      --json DIR       also write each result as JSON\n\
                      --ledger-dir DIR sweep checkpoint ledgers (default: the --json DIR)\n\
@@ -227,9 +216,6 @@ fn parse_args() -> Args {
     if let Some(p) = pattern {
         cfg.pattern = p;
     }
-    if let Some(k) = kernel {
-        cfg.alloc_kernel = Some(k);
-    }
     // The ledger rides with the JSON output unless placed explicitly.
     let ledger_dir = ledger_dir.or_else(|| json_dir.clone());
     if resume && ledger_dir.is_none() {
@@ -258,14 +244,14 @@ fn parse_args() -> Args {
 /// metadata ("M"), span ("X"), and instant ("i") phases the exporter emits.
 /// Returns the process exit code (0 valid, 2 invalid).
 fn check_trace(path: &std::path::Path) -> i32 {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
+    let bytes = match std::fs::read(path) {
+        Ok(b) => b,
         Err(e) => {
             eprintln!("check-trace: cannot read {}: {e}", path.display());
             return 2;
         }
     };
-    let doc: serde::Value = match serde_json::from_str_value(&text) {
+    let doc: serde::Value = match serde_json::from_slice_value(&bytes) {
         Ok(v) => v,
         Err(e) => {
             eprintln!("check-trace: {} is not valid JSON: {e}", path.display());
@@ -727,14 +713,9 @@ fn main() {
                 100.0 * rep.share_of("cpu.engine", "engine.handlers").unwrap_or(0.0)
             );
             println!(
-                "allocator kernel counters: rounds={} freeze_rounds={} heap_pops={} \
-                 stale_key_skips={} links_touched={} parallel_dispatches={}",
-                alloc.rounds,
-                alloc.freeze_rounds,
-                alloc.heap_pops,
-                alloc.stale_key_skips,
-                alloc.links_touched,
-                alloc.parallel_dispatches,
+                "allocator kernel counters: rounds={} freeze_rounds={} \
+                 links_touched={} parallel_dispatches={}",
+                alloc.rounds, alloc.freeze_rounds, alloc.links_touched, alloc.parallel_dispatches,
             );
             if let Some(dir) = &args.json_dir {
                 std::fs::create_dir_all(dir).expect("create json dir");
@@ -750,13 +731,7 @@ fn main() {
         // allocator performance counters (SimOutput::alloc_stats).
         use tl_experiments::{run_table1, PolicyKind};
         isolated!("perf", {
-            let kernel = cfg
-                .alloc_kernel
-                .unwrap_or_else(tl_net::default_alloc_kernel);
-            println!(
-                "allocator perf counters, Table I placement #8 (kernel={}):",
-                kernel.label()
-            );
+            println!("allocator perf counters, Table I placement #8:");
             for policy in PolicyKind::all() {
                 let t = std::time::Instant::now();
                 let out = run_table1(cfg, Table1Index(8), policy);
@@ -766,8 +741,7 @@ fn main() {
                     "  {:<8} events={} sim_wall={:.2?} | alloc: invocations={} \
                      full_solves={} components_solved={} components_retained={} \
                      rounds={} flows_touched={} alloc_wall={:.2?}\n\
-                     \x20          kernel: freeze_rounds={} heap_pops={} \
-                     stale_key_skips={} links_touched={}",
+                     \x20          kernel: freeze_rounds={} links_touched={}",
                     policy.label(),
                     out.events,
                     wall,
@@ -779,8 +753,6 @@ fn main() {
                     s.flows_touched,
                     std::time::Duration::from_nanos(s.wall_nanos),
                     s.freeze_rounds,
-                    s.heap_pops,
-                    s.stale_key_skips,
                     s.links_touched,
                 );
             }

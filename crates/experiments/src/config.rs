@@ -46,19 +46,10 @@ pub struct ExperimentConfig {
     /// bitwise-identical at every setting; this only moves wall time.
     #[serde(default)]
     pub alloc_workers: Option<usize>,
-    /// Max-min kernel (`repro --kernel`). `None` defers to the engine
-    /// default (`TL_KERNEL`, else the bottleneck-ordered kernel). Both
-    /// kernels are bitwise-identical; this only moves wall time.
-    #[serde(default)]
-    pub alloc_kernel: Option<tl_dl::AllocKernel>,
     /// Component-dispatch parallelism threshold. `None` defers to the
     /// engine default (`TL_PAR_MIN_FLOWS`, else 128).
     #[serde(default)]
     pub par_min_flows: Option<usize>,
-    /// Intra-component sharding threshold. `None` defers to the engine
-    /// default (`TL_PAR_MIN_COMPONENT_FLOWS`, else 4096).
-    #[serde(default)]
-    pub par_min_component_flows: Option<usize>,
 }
 
 impl Default for ExperimentConfig {
@@ -87,9 +78,7 @@ impl ExperimentConfig {
             topology: TopologySpec::SingleSwitch,
             pattern: TrafficPattern::PsStar,
             alloc_workers: None,
-            alloc_kernel: None,
             par_min_flows: None,
-            par_min_component_flows: None,
         }
     }
 
@@ -129,9 +118,7 @@ impl ExperimentConfig {
             topology: self.topology,
             pattern: self.pattern,
             alloc_workers: self.alloc_workers,
-            alloc_kernel: self.alloc_kernel,
             par_min_flows: self.par_min_flows,
-            par_min_component_flows: self.par_min_component_flows,
             ..SimConfig::default()
         }
     }
@@ -167,5 +154,21 @@ mod tests {
         assert!((s.link.gbps() - 10.0).abs() < 1e-9);
         assert_eq!(s.topology, e.topology);
         assert_eq!(s.pattern, TrafficPattern::Ring);
+    }
+
+    #[test]
+    fn config_naming_removed_allocator_knobs_loads_with_them_ignored() {
+        // Configs written while the allocator had two kernels carry
+        // `alloc_kernel` and `par_min_component_flows`. Both knobs are gone;
+        // such a file still loads, and the stale fields change nothing.
+        let current = serde_json::to_string(&ExperimentConfig::default()).unwrap();
+        let old = current.replacen(
+            '{',
+            r#"{"alloc_kernel":"Bottleneck","par_min_component_flows":4096,"#,
+            1,
+        );
+        assert_ne!(old, current);
+        let loaded: ExperimentConfig = serde_json::from_str(&old).expect("old config loads");
+        assert_eq!(serde_json::to_string(&loaded).unwrap(), current);
     }
 }

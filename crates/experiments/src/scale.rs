@@ -608,21 +608,16 @@ mod tests {
     }
 
     #[test]
-    fn canonical_output_is_identical_across_kernels() {
-        // The PR 10 tentpole guarantee at the experiment level: the
-        // max-min kernel (`ExperimentConfig::alloc_kernel`, `TL_KERNEL`
-        // in the shell) may only move wall time, never results — the
-        // canonical JSON (rates, completions, *and* the shared round
-        // counters) must match byte for byte. The check-script kernel
-        // A/B smoke repeats this cross-process on `scale.canonical.json`.
-        use tl_dl::AllocKernel;
-        let cell = |kernel: AllocKernel, topo: TopologySpec| {
+    fn canonical_output_is_identical_across_dispatch_thresholds() {
+        // The pool's dispatch threshold (`ExperimentConfig::par_min_flows`,
+        // `TL_PAR_MIN_FLOWS` in the shell) decides which solves go to the
+        // pool; like the worker count it may only move wall time. A
+        // threshold of one sends every multi-component solve to the pool,
+        // an unreachable one keeps them all sequential.
+        let cell = |min_flows: usize, topo: TopologySpec| {
             let cfg = ExperimentConfig {
-                alloc_kernel: Some(kernel),
-                // Force intra-component sharding onto the bottleneck
-                // kernel's parallel path even at quick-cell sizes.
-                par_min_component_flows: Some(8),
                 alloc_workers: Some(4),
+                par_min_flows: Some(min_flows),
                 topology: topo,
                 ..tiny_cfg()
             };
@@ -634,13 +629,9 @@ mod tests {
             oversub: 2.0,
         };
         for topo in [TopologySpec::SingleSwitch, spine] {
-            let legacy = cell(AllocKernel::Legacy, topo);
-            assert!(legacy.contains("\"alloc\":["));
-            assert_eq!(
-                legacy,
-                cell(AllocKernel::Bottleneck, topo),
-                "kernel changed results on {topo:?}"
-            );
+            let sequential = cell(usize::MAX >> 1, topo);
+            assert!(sequential.contains("\"alloc\":["));
+            assert_eq!(sequential, cell(1, topo), "par_min_flows changed results on {topo:?}");
         }
     }
 

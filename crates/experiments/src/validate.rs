@@ -202,9 +202,7 @@ fn scenario_cfg(master: &ExperimentConfig) -> ExperimentConfig {
         topology: TopologySpec::SingleSwitch,
         pattern: TrafficPattern::PsStar,
         alloc_workers: master.alloc_workers,
-        alloc_kernel: master.alloc_kernel,
         par_min_flows: master.par_min_flows,
-        par_min_component_flows: master.par_min_component_flows,
     }
 }
 

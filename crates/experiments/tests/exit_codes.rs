@@ -35,6 +35,25 @@ fn usage_errors_exit_2() {
 
     let out = repro().arg("--iterations").output().unwrap();
     assert_eq!(out.status.code(), Some(2), "missing flag value is a usage error");
+
+    // The max-min kernel is no longer selectable.
+    let out = repro().args(["--kernel", "legacy"]).output().unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown argument"));
+}
+
+#[test]
+fn check_trace_rejects_invalid_utf8_with_exit_2() {
+    let dir = temp_dir("utf8");
+    let path = dir.join("trace.json");
+    let mut bytes = br#"{"traceEvents":[{"ph":"M","name":"ab"#.to_vec();
+    bytes.push(0xFF);
+    bytes.extend_from_slice(br#"cd"}]}"#);
+    std::fs::write(&path, &bytes).unwrap();
+    let out = repro().arg("--check-trace").arg(&path).output().unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("invalid utf-8"));
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -43,7 +43,7 @@
 //! assert_eq!(net.take_completions(done_at).len(), 1);
 //! ```
 
-use crate::maxmin::{AllocKernel, AllocStats, FlowDemand, MaxMinAllocator};
+use crate::maxmin::{AllocStats, FlowDemand, MaxMinAllocator};
 use crate::topology::Topology;
 use crate::types::{Band, Bandwidth, FlowId, HostId};
 use simcore::{DirtySet, InvariantChecker, Profiler, SimDuration, SimTime};
@@ -151,6 +151,15 @@ const DONE_EPS: f64 = 64.0;
 /// Rates below this (bytes/sec) are treated as fully starved.
 const RATE_EPS: f64 = 1e-6;
 
+/// The instant, one tick after `from + secs`, at which a flow crosses the
+/// completion threshold. A rate just above [`RATE_EPS`] can put that
+/// crossing past the last representable instant; it saturates to
+/// [`SimTime::MAX`] (never) instead of overflowing.
+fn crossing(from: SimTime, secs: f64) -> SimTime {
+    from.saturating_add(SimDuration::from_secs_f64(secs))
+        .saturating_add(SimDuration::from_nanos(1))
+}
+
 /// One lazy-heap entry: the absolute instant `slot`'s flow crosses the
 /// completion threshold under the rate it held when the entry was pushed.
 /// `ver` must match the slot's current [`FluidNet::depl_ver`] for the entry
@@ -256,49 +265,22 @@ pub fn default_alloc_workers() -> usize {
         })
 }
 
-/// The default single-component kernel: the `TL_KERNEL` environment
-/// variable when set (`legacy` | `bottleneck`), else
-/// [`AllocKernel::Bottleneck`]. Both kernels are bitwise-identical, so
-/// the choice only affects wall time. Panics on an unrecognized value —
-/// a typo silently falling back would invalidate an A/B measurement.
-pub fn default_alloc_kernel() -> AllocKernel {
-    match std::env::var("TL_KERNEL") {
-        Ok(v) if !v.trim().is_empty() => AllocKernel::parse(&v)
-            .unwrap_or_else(|| panic!("TL_KERNEL must be 'legacy' or 'bottleneck', got {v:?}")),
-        _ => AllocKernel::default(),
-    }
-}
-
-fn env_threshold(var: &str, default: usize) -> usize {
-    match std::env::var(var) {
-        Ok(v) if !v.trim().is_empty() => {
-            let parsed = v
-                .trim()
-                .parse::<usize>()
-                .unwrap_or_else(|_| panic!("{var} must be a positive integer, got {v:?}"));
-            assert!(parsed > 0, "{var} must be positive, got {v:?}");
-            parsed
-        }
-        _ => default,
-    }
-}
-
 /// The default component-dispatch threshold: `TL_PAR_MIN_FLOWS` when set
 /// (positive integer), else [`crate::maxmin::DEFAULT_PAR_MIN_FLOWS`].
 /// Panics on an unparseable or zero value.
 pub fn default_par_min_flows() -> usize {
-    env_threshold("TL_PAR_MIN_FLOWS", crate::maxmin::DEFAULT_PAR_MIN_FLOWS)
-}
-
-/// The default intra-component sharding threshold:
-/// `TL_PAR_MIN_COMPONENT_FLOWS` when set (positive integer), else
-/// [`crate::maxmin::DEFAULT_PAR_MIN_COMPONENT_FLOWS`]. Panics on an
-/// unparseable or zero value.
-pub fn default_par_min_component_flows() -> usize {
-    env_threshold(
-        "TL_PAR_MIN_COMPONENT_FLOWS",
-        crate::maxmin::DEFAULT_PAR_MIN_COMPONENT_FLOWS,
-    )
+    const VAR: &str = "TL_PAR_MIN_FLOWS";
+    match std::env::var(VAR) {
+        Ok(v) if !v.trim().is_empty() => {
+            let parsed = v
+                .trim()
+                .parse::<usize>()
+                .unwrap_or_else(|_| panic!("{VAR} must be a positive integer, got {v:?}"));
+            assert!(parsed > 0, "{VAR} must be positive, got {v:?}");
+            parsed
+        }
+        _ => crate::maxmin::DEFAULT_PAR_MIN_FLOWS,
+    }
 }
 
 impl FluidNet {
@@ -310,9 +292,7 @@ impl FluidNet {
         let nf = topo.num_fabric_links();
         let mut allocator = MaxMinAllocator::new();
         allocator.set_workers(default_alloc_workers());
-        allocator.set_kernel(default_alloc_kernel());
         allocator.set_par_min_flows(default_par_min_flows());
-        allocator.set_par_min_component_flows(default_par_min_component_flows());
         FluidNet {
             topo,
             flows: Vec::new(),
@@ -372,29 +352,10 @@ impl FluidNet {
         self.allocator.workers()
     }
 
-    /// Select the single-component allocation kernel. Both kernels are
-    /// bitwise-identical (see [`MaxMinAllocator::set_kernel`]); the
-    /// default comes from [`default_alloc_kernel`] (`TL_KERNEL`).
-    pub fn set_alloc_kernel(&mut self, kernel: AllocKernel) {
-        self.allocator.set_kernel(kernel);
-    }
-
-    /// The active single-component allocation kernel.
-    pub fn alloc_kernel(&self) -> AllocKernel {
-        self.allocator.kernel()
-    }
-
     /// Set the component-dispatch threshold (panics on 0); the default
     /// comes from [`default_par_min_flows`] (`TL_PAR_MIN_FLOWS`).
     pub fn set_par_min_flows(&mut self, min_flows: usize) {
         self.allocator.set_par_min_flows(min_flows);
-    }
-
-    /// Set the intra-component sharding threshold (panics on 0); the
-    /// default comes from [`default_par_min_component_flows`]
-    /// (`TL_PAR_MIN_COMPONENT_FLOWS`).
-    pub fn set_par_min_component_flows(&mut self, min_flows: usize) {
-        self.allocator.set_par_min_component_flows(min_flows);
     }
 
     /// The topology this engine runs over.
@@ -805,7 +766,7 @@ impl FluidNet {
             Some(&Reverse(e)) => e,
             None => return None,
         };
-        let limit = top.at + CAND_WINDOW;
+        let limit = top.at.saturating_add(CAND_WINDOW);
         let mut best: Option<f64> = None;
         let mut live = std::mem::take(&mut self.depl_scratch);
         while let Some(&Reverse(e)) = self.depl_heap.peek() {
@@ -831,7 +792,7 @@ impl FluidNet {
         // Round up by one tick so that at the returned instant the winning
         // flow has provably crossed the completion threshold.
         best.map(|secs| {
-            self.last_advance + SimDuration::from_secs_f64(secs) + SimDuration::from_nanos(1)
+            crossing(self.last_advance, secs)
         })
     }
 
@@ -925,9 +886,7 @@ impl FluidNet {
                 bump_depl_ver(&mut self.depl_ver, slot);
                 if new_rate > RATE_EPS {
                     let secs = (remaining / new_rate).max(0.0);
-                    let at = self.last_advance
-                        + SimDuration::from_secs_f64(secs)
-                        + SimDuration::from_nanos(1);
+                    let at = crossing(self.last_advance, secs);
                     self.depl_heap.push(Reverse(DeplEntry {
                         at,
                         slot: slot as u32,
@@ -1291,6 +1250,25 @@ mod tests {
         let t = net.next_event_time().unwrap();
         assert!((t.as_secs_f64() - 4.0).abs() < 1e-6, "got {t}");
         assert_eq!(net.take_completions(t).len(), 1);
+    }
+
+    #[test]
+    fn crossing_past_the_time_horizon_saturates() {
+        // 1 GB at 2 µB/s — just above the starvation threshold — would
+        // finish ~1.6e7 years out, past the last representable instant.
+        // The crossing saturates to "never" instead of overflowing, both
+        // when the flow's rate is first set and when the next event is
+        // asked for.
+        let mut net = FluidNet::new(topo(3));
+        let slow = net.start_flow_with_cap(SimTime::ZERO, spec(0, 1, 1e9, 0, 1), 2e-6);
+        assert_eq!(net.rate_of(slow), Some(2e-6));
+        assert_eq!(net.next_event_time(), Some(SimTime::MAX));
+        // A finite flow beside it still completes on time.
+        net.start_flow(SimTime::ZERO, spec(0, 2, 1.25e9, 0, 2));
+        let t = net.next_event_time().unwrap();
+        assert!((t.as_secs_f64() - 1.0).abs() < 1e-6, "got {t}");
+        assert_eq!(net.take_completions(t).len(), 1);
+        assert_eq!(net.active_flow_count(), 1);
     }
 
     #[test]

@@ -50,48 +50,8 @@
 //! the scale experiment's canonical-JSON comparison both assert it.
 
 use crate::topology::Topology;
-use crate::types::{Band, HostId, LinkId};
+use crate::types::{Band, HostId};
 use simcore::WorkerPool;
-
-/// Which single-component water-filling kernel the allocator runs. Both
-/// kernels produce **bitwise-identical** rates (proven by proptests and
-/// the cross-kernel canonical-JSON `cmp` in `scripts/check.sh`); they
-/// differ only in how much work each round costs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
-pub enum AllocKernel {
-    /// The PR 1–9 kernel: every round rescans all active links for the
-    /// minimum saturation step θ and retains the whole unfrozen list.
-    /// O(rounds × (links + flows)).
-    Legacy,
-    /// Bottleneck-ordered kernel (default): a lazy min-heap of links
-    /// keyed by projected saturation level pops the true bottleneck,
-    /// its flows freeze, and only the links those flows traverse are
-    /// decremented; per-flow rates are reconstructed at the end of the
-    /// solve by replaying the θ history over each flow's eligible span.
-    /// O((F + L) log L) heap traffic instead of per-round rescans.
-    #[default]
-    Bottleneck,
-}
-
-impl AllocKernel {
-    /// Parse a kernel name as used by the `TL_KERNEL` environment
-    /// variable and `repro --kernel`.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "legacy" => Some(AllocKernel::Legacy),
-            "bottleneck" => Some(AllocKernel::Bottleneck),
-            _ => None,
-        }
-    }
-
-    /// Stable lowercase label (inverse of [`AllocKernel::parse`]).
-    pub fn label(self) -> &'static str {
-        match self {
-            AllocKernel::Legacy => "legacy",
-            AllocKernel::Bottleneck => "bottleneck",
-        }
-    }
-}
 
 /// One flow's demand as seen by the allocator.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -152,51 +112,31 @@ pub struct AllocStats {
     /// Wall-clock time spent inside the solver, in nanoseconds.
     pub wall_nanos: u64,
     /// Solver calls whose dirty components were dispatched to the worker
-    /// pool, plus single-component solves that engaged intra-component
-    /// sharding (always 0 with a single worker).
+    /// pool (always 0 with a single worker).
     pub parallel_dispatches: u64,
     /// Wall-clock nanoseconds spent inside pool dispatch (a subset of
     /// `wall_nanos`; includes worker wake/join overhead).
     pub parallel_wall_nanos: u64,
-    /// Rounds that froze at least one flow. Identical across kernels (both
-    /// kernels execute the same round sequence), so a divergence here is a
-    /// kernel bug, not tuning noise.
+    /// Rounds that froze at least one flow.
     pub freeze_rounds: u64,
-    /// Heap entries popped by the bottleneck kernel (0 under `legacy`).
-    pub heap_pops: u64,
-    /// Popped heap entries discarded because the link was re-keyed or
-    /// retired after the entry was pushed (0 under `legacy`).
-    pub stale_key_skips: u64,
-    /// Per-link work units: for `legacy`, one per active link per round
-    /// (the full rescan); for `bottleneck`, one per deferred-θ replay step
-    /// or candidate recompute. Comparable across runs of one kernel, not
-    /// between kernels.
+    /// Per-link work units: one per active link per round (the θ rescan).
     pub links_touched: u64,
 }
 
-/// Per-solve round/work tally returned by both kernels and folded into
+/// Per-solve round/work tally returned by the kernel and folded into
 /// [`AllocStats`] by the dispatcher.
 #[derive(Debug, Default, Clone, Copy)]
 struct KernelTally {
     rounds: u64,
     freeze_rounds: u64,
-    heap_pops: u64,
-    stale_key_skips: u64,
     links_touched: u64,
-    /// 1 when this solve sharded rounds across the worker pool.
-    par_dispatches: u64,
-    par_nanos: u64,
 }
 
 impl KernelTally {
     fn add(&mut self, o: KernelTally) {
         self.rounds += o.rounds;
         self.freeze_rounds += o.freeze_rounds;
-        self.heap_pops += o.heap_pops;
-        self.stale_key_skips += o.stale_key_skips;
         self.links_touched += o.links_touched;
-        self.par_dispatches += o.par_dispatches;
-        self.par_nanos += o.par_nanos;
     }
 }
 
@@ -204,11 +144,7 @@ impl AllocStats {
     fn absorb(&mut self, t: KernelTally) {
         self.rounds += t.rounds;
         self.freeze_rounds += t.freeze_rounds;
-        self.heap_pops += t.heap_pops;
-        self.stale_key_skips += t.stale_key_skips;
         self.links_touched += t.links_touched;
-        self.parallel_dispatches += t.par_dispatches;
-        self.parallel_wall_nanos += t.par_nanos;
     }
 }
 
@@ -221,11 +157,6 @@ const NO_LINK: u32 = u32::MAX;
 /// boxing). Runtime-tunable via [`MaxMinAllocator::set_par_min_flows`]
 /// (`TL_PAR_MIN_FLOWS` at the `FluidNet` level).
 pub const DEFAULT_PAR_MIN_FLOWS: usize = 128;
-/// Default minimum flow count of a single component before the bottleneck
-/// kernel shards its gather/weight-sum/fill phases across the worker pool.
-/// Runtime-tunable via [`MaxMinAllocator::set_par_min_component_flows`]
-/// (`TL_PAR_MIN_COMPONENT_FLOWS` at the `FluidNet` level).
-pub const DEFAULT_PAR_MIN_COMPONENT_FLOWS: usize = 4096;
 
 /// Per-worker scratch for the dense component solve. Link accumulators
 /// (`cap`, `weight_sum`, per-egress band minima) are sharded here — one
@@ -274,86 +205,6 @@ struct SolveScratch {
     // Cached link ids per flow in water-filling order
     // [egress, ingress, uplink, downlink, core]; `NO_LINK` where absent.
     g_links: Vec<[u32; 5]>,
-
-    // --- bottleneck-kernel state (see `solve_component_bottleneck`) ---
-    // Positive θ increments of the current solve, in round order. Per-flow
-    // rates are Σ θ·weight over each flow's eligible span — the same
-    // left-to-right fold the legacy kernel performs incrementally, so the
-    // deferred reconstruction is bit-identical.
-    thetas: Vec<f64>,
-    // Per link: number of `thetas` entries already charged against `cap`.
-    // Replaying the pending suffix before any weight-sum change keeps the
-    // per-link subtraction sequence identical to the legacy kernel's
-    // (the weight sum is constant across a deferred segment by
-    // construction).
-    replayed: Vec<u32>,
-    // Per link: version of its newest heap entry; older entries are stale.
-    link_ver: Vec<u32>,
-    // Per link: flows admitted at this link during the current solve, in
-    // admission order (global creation order within each admission wave).
-    link_flows: Vec<Vec<u32>>,
-    // Lazy min-heap of links keyed by projected saturation level.
-    heap: std::collections::BinaryHeap<HeapEntry>,
-    // Per flow: [start, end) span into `thetas` while eligible.
-    span_start: Vec<u32>,
-    span_end: Vec<u32>,
-    frozen: Vec<bool>,
-    freeze_mark: Vec<bool>,
-    // Eligible unfrozen flows with a finite rate ceiling, admission order.
-    // These stay eager (their running rate feeds the θ ceiling fold).
-    capped: Vec<u32>,
-    // Candidate bottleneck links of the current round, pop order.
-    cand: Vec<u32>,
-    // Flows freezing this round, sorted ascending (creation order).
-    freeze_set: Vec<u32>,
-    // Links whose weight sum / membership changed this round, dedup'd.
-    touch_list: Vec<u32>,
-    touch_stamp: Vec<u64>,
-    touch_ctr: u64,
-    // Links stamped this solve; drives the debug-only full-scan θ check.
-    stamped: Vec<u32>,
-    // Per-egress flow lists for band promotion (multi-band solves only):
-    // distinct egresses in first-appearance order, host → dense slot, and
-    // per-slot creation-order flow lists (frozen flows filtered at use).
-    egr_list: Vec<u32>,
-    egr_pos: Vec<u32>,
-    egr_seen: Vec<u64>,
-    egr_flows: Vec<Vec<u32>>,
-    // Merged unfrozen flows of this round's promoted egresses.
-    promo_flows: Vec<u32>,
-    // Per-link weight sums produced by the sharded D2 reduction, aligned
-    // with `touch_list`.
-    ws_out: Vec<f64>,
-}
-
-/// Heap entry of the bottleneck kernel: a link and its projected
-/// saturation level (Λ at push time + remaining capacity ÷ weight sum).
-/// Ordered as a **min**-heap on the key inside `std`'s max-heap, with ties
-/// broken by canonical link id so pop order is a deterministic function of
-/// the component's input. Keys are never NaN (capacities are finite,
-/// weight sums positive), so `total_cmp` agrees with numeric order.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct HeapEntry {
-    key: f64,
-    link: u32,
-    ver: u32,
-}
-
-impl Eq for HeapEntry {}
-
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        other
-            .key
-            .total_cmp(&self.key)
-            .then_with(|| other.link.cmp(&self.link))
-    }
-}
-
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
 }
 
 impl SolveScratch {
@@ -372,60 +223,18 @@ impl SolveScratch {
         self.eligible
             .resize(max_flows.max(self.eligible.len()), false);
     }
-
-    /// Additional sizing for the bottleneck kernel's lazy state.
-    fn ensure_bn(&mut self, num_links: usize, num_hosts: usize, max_flows: usize) {
-        self.replayed.resize(num_links.max(self.replayed.len()), 0);
-        self.link_ver.resize(num_links.max(self.link_ver.len()), 0);
-        if self.link_flows.len() < num_links {
-            self.link_flows.resize_with(num_links, Vec::new);
-        }
-        self.touch_stamp
-            .resize(num_links.max(self.touch_stamp.len()), 0);
-        self.span_start
-            .resize(max_flows.max(self.span_start.len()), 0);
-        self.span_end.resize(max_flows.max(self.span_end.len()), 0);
-        self.frozen.resize(max_flows.max(self.frozen.len()), false);
-        self.freeze_mark
-            .resize(max_flows.max(self.freeze_mark.len()), false);
-        self.egr_pos.resize(num_hosts.max(self.egr_pos.len()), 0);
-        self.egr_seen.resize(num_hosts.max(self.egr_seen.len()), 0);
-    }
 }
 
-/// Per-worker shard for intra-component parallel phases: partial
-/// per-egress band minima (stamped, with a touched list for the
-/// deterministic merge) plus scalar reductions of the gather pass.
-#[derive(Debug, Default)]
-struct IntraShard {
-    min_band: Vec<u16>,
-    seen: Vec<u64>,
-    touched: Vec<u32>,
-    ctr: u64,
-    band_lo: u16,
-    band_hi: u16,
-    has_caps: bool,
-    nonloop: u64,
-    w_min: f64,
-}
-
-impl IntraShard {
-    fn ensure(&mut self, num_hosts: usize) {
-        self.min_band
-            .resize(num_hosts.max(self.min_band.len()), NO_BAND);
-        self.seen.resize(num_hosts.max(self.seen.len()), 0);
-    }
-}
-
-/// Progressive filling restricted to one component — the round-based
-/// full-rescan kernel ([`AllocKernel::Legacy`]). `idxs` lists the
+/// Progressive filling restricted to one component: every round rescans
+/// the component's active links for the minimum saturation step θ.
+/// O(rounds × (links + flows)). `idxs` lists the
 /// component's flows in creation order; the flows' rates are written
 /// densely into `out` (same order as `idxs`). Returns the round tally.
 ///
 /// This is a free function over a [`SolveScratch`] so worker threads can
 /// run disjoint components concurrently; it touches nothing outside the
 /// scratch and its output slice.
-fn solve_component_legacy(
+fn solve_component(
     s: &mut SolveScratch,
     topo: &Topology,
     flows: &[FlowDemand],
@@ -708,901 +517,6 @@ fn solve_component_legacy(
     tally
 }
 
-/// Capacity of link id `l` under the canonical link layout
-/// [egress 0..n) ++ [ingress n..2n) ++ [fabric 2n..2n+F) ++ [core].
-/// The bottleneck kernel initializes capacities lazily at link activation
-/// (instead of during gather like the legacy kernel); both read the same
-/// topology accessors, so the initial values are bit-identical.
-#[inline]
-fn link_capacity(topo: &Topology, n: usize, fab_base: usize, l: usize) -> f64 {
-    if l < n {
-        topo.egress(HostId(l as u32)).bytes_per_sec()
-    } else if l < fab_base {
-        topo.ingress(HostId((l - n) as u32)).bytes_per_sec()
-    } else if l < fab_base + topo.num_fabric_links() {
-        topo.fabric_capacity(LinkId((l - fab_base) as u32)).bytes_per_sec()
-    } else {
-        topo.core_capacity()
-            .expect("core link id implies a configured core")
-            .bytes_per_sec()
-    }
-}
-
-/// Charge link `l` with every θ it missed since its last exact update.
-/// The link's weight sum is constant across the deferred segment (every
-/// weight-sum change replays first), so the subtraction sequence is
-/// bit-identical to the legacy kernel's per-round updates. Returns the
-/// number of replay steps (a `links_touched` contribution).
-#[inline]
-fn replay_link(cap: &mut [f64], replayed: &mut [u32], thetas: &[f64], ws: f64, l: usize) -> u64 {
-    let from = replayed[l] as usize;
-    let to = thetas.len();
-    if from == to {
-        return 0;
-    }
-    let mut c = cap[l];
-    for &th in &thetas[from..to] {
-        c -= th * ws;
-    }
-    cap[l] = c;
-    replayed[l] = to as u32;
-    (to - from) as u64
-}
-
-#[inline]
-fn touch_link(touch_stamp: &mut [u64], touch_list: &mut Vec<u32>, ctr: u64, l: usize) {
-    if touch_stamp[l] != ctr {
-        touch_stamp[l] = ctr;
-        touch_list.push(l as u32);
-    }
-}
-
-/// Candidate window half-width for the bottleneck pop: stored heap keys
-/// drift from a link's true projected level by at most the rounding error
-/// accumulated across its deferred updates (≲ rounds · ε · scale, about
-/// seven orders of magnitude below the relative term here), and a link
-/// whose post-round capacity could fall within `CAP_EPS` of saturation
-/// sits within `CAP_EPS / weight_sum ≤ CAP_EPS / w_min` of the popped
-/// key. Everything inside the window is recomputed exactly, so the window
-/// only has to be sound (never exclude the true bottleneck or a
-/// saturating link), not tight — an over-wide window costs speed, never
-/// correctness.
-#[inline]
-fn key_window(k0: f64, level: f64, w_min: f64) -> f64 {
-    1e-6 * (k0.abs() + level.abs()) + 1.0 + CAP_EPS / w_min
-}
-
-/// Gather one contiguous range of a component's flows into the dense
-/// per-flow arrays (all slices are range-local). Returns the range's
-/// scalar reductions `(band_lo, band_hi, has_caps, nonloop, w_min)`;
-/// per-egress band minima accumulate into `shard` when given (the
-/// intra-parallel path; the sequential caller folds bands in a separate
-/// pass, matching the legacy kernel's order exactly).
-#[allow(clippy::too_many_arguments)]
-fn gather_range(
-    topo: &Topology,
-    flows: &[FlowDemand],
-    idxs: &[u32],
-    n: usize,
-    fab_base: usize,
-    core_link: u32,
-    loopback: f64,
-    g_weight: &mut [f64],
-    g_band: &mut [u16],
-    g_egress: &mut [u32],
-    g_max_rate: &mut [f64],
-    g_links: &mut [[u32; 5]],
-    frozen: &mut [bool],
-    freeze_mark: &mut [bool],
-    span_start: &mut [u32],
-    span_end: &mut [u32],
-    out: &mut [f64],
-    mut shard: Option<&mut IntraShard>,
-) -> (u16, u16, bool, u64, f64) {
-    let mut band_lo = u16::MAX;
-    let mut band_hi = 0u16;
-    let mut has_caps = false;
-    let mut nonloop = 0u64;
-    let mut w_min = f64::INFINITY;
-    for (q, &i) in idxs.iter().enumerate() {
-        let f = &flows[i as usize];
-        let band = f.band.0 as u16;
-        g_weight[q] = f.weight;
-        g_band[q] = band;
-        g_egress[q] = f.src.0;
-        g_max_rate[q] = f.max_rate;
-        frozen[q] = false;
-        freeze_mark[q] = false;
-        span_start[q] = 0;
-        span_end[q] = 0;
-        if f.src == f.dst {
-            // Loopback traffic never touches the NIC.
-            out[q] = loopback;
-            g_links[q] = [NO_LINK; 5];
-            continue;
-        }
-        out[q] = 0.0;
-        band_lo = band_lo.min(band);
-        band_hi = band_hi.max(band);
-        has_caps |= f.max_rate.is_finite();
-        w_min = w_min.min(f.weight);
-        nonloop += 1;
-        let egress = f.src.0;
-        let ingress = (n + f.dst.0 as usize) as u32;
-        let [up, down] = topo.route(f.src, f.dst);
-        let up = up.map_or(NO_LINK, |l| (fab_base + l.0 as usize) as u32);
-        let down = down.map_or(NO_LINK, |l| (fab_base + l.0 as usize) as u32);
-        g_links[q] = [egress, ingress, up, down, core_link];
-        if let Some(sh) = shard.as_deref_mut() {
-            let e = f.src.0 as usize;
-            if sh.seen[e] != sh.ctr {
-                sh.seen[e] = sh.ctr;
-                sh.min_band[e] = band;
-                sh.touched.push(e as u32);
-            } else {
-                sh.min_band[e] = sh.min_band[e].min(band);
-            }
-        }
-    }
-    (band_lo, band_hi, has_caps, nonloop, w_min)
-}
-
-/// Re-key every link whose weight sum or membership changed this round:
-/// bump its version (invalidating any outstanding heap entry) and, if it
-/// still carries eligible flows, push a fresh projected-saturation key.
-/// Runs after *all* of the round's decrements and admissions so a key
-/// always reflects the link's final weight sum — a stale too-large key
-/// could otherwise escape the next round's candidate window.
-fn rekey_touched(s: &mut SolveScratch, level: f64) {
-    for ti in 0..s.touch_list.len() {
-        let l = s.touch_list[ti] as usize;
-        s.link_ver[l] = s.link_ver[l].wrapping_add(1);
-        if s.link_count[l] > 0 {
-            debug_assert_eq!(
-                s.replayed[l] as usize,
-                s.thetas.len(),
-                "re-keying a link with pending θ replay"
-            );
-            s.heap.push(HeapEntry {
-                key: level + s.cap[l].max(0.0) / s.weight_sum[l],
-                link: l as u32,
-                ver: s.link_ver[l],
-            });
-        }
-    }
-}
-
-/// Progressive filling restricted to one component — the bottleneck-ordered
-/// kernel ([`AllocKernel::Bottleneck`]). Produces **bit-identical** output
-/// to [`solve_component_legacy`] (including the round count) by executing
-/// the exact same round sequence while avoiding its per-round full rescans:
-///
-/// - A lazy min-heap keys every active link by its projected saturation
-///   level `Λ + cap/Σw` (ties broken by canonical link id). Each round pops
-///   the minimum plus every live entry within a sound drift window and
-///   recomputes those candidates exactly, so θ is the same `min` fold over
-///   the same values the legacy kernel folds — just over a provably
-///   sufficient subset.
-/// - Link capacities are charged lazily: each link remembers how far into
-///   the θ history it is exact and replays the pending suffix before any
-///   weight-sum change (the sum is constant across the deferred segment, so
-///   the subtraction sequence is identical to eager per-round updates).
-/// - Per-flow rates are reconstructed at the end as `Σ θ·w` over the flow's
-///   eligible span — the same left-to-right fold, deferred. Flows with a
-///   finite rate ceiling stay eager because their running rate feeds the θ
-///   ceiling fold and the freeze check.
-/// - Freezes and band promotions process flows in ascending dense index
-///   (creation order), matching the legacy `retain`/two-pass order, so
-///   every weight-sum add/subtract sequence is bit-identical.
-///
-/// When `par` is given (worker pool + per-worker shards), the gather,
-/// initial weight-sum, and final fill phases shard across workers: flows
-/// split into contiguous ranges with disjoint output slices, per-egress
-/// band minima merge from per-worker stamped partials in worker order
-/// (`u16::min` is exact, so the merge is order-insensitive anyway), and
-/// weight sums shard **by link** over creation-ordered per-link flow lists
-/// — each link's fp addition sequence is then identical to the sequential
-/// interleaved fold, which flow-sharded partial sums could not guarantee.
-/// Debug builds cross-check every round's windowed θ against a full scan.
-fn solve_component_bottleneck(
-    s: &mut SolveScratch,
-    topo: &Topology,
-    flows: &[FlowDemand],
-    idxs: &[u32],
-    out: &mut [f64],
-    mut par: Option<(&WorkerPool, &mut [IntraShard])>,
-) -> KernelTally {
-    let mut tally = KernelTally::default();
-    let n = topo.num_hosts();
-    let fab_base = 2 * n;
-    let core_link = if topo.core_capacity().is_some() {
-        (fab_base + topo.num_fabric_links()) as u32
-    } else {
-        NO_LINK
-    };
-    let loopback = topo.loopback().bytes_per_sec();
-    let nf = idxs.len();
-    if s.g_weight.len() < nf {
-        s.g_weight.resize(nf, 0.0);
-        s.g_band.resize(nf, 0);
-        s.g_egress.resize(nf, 0);
-        s.g_max_rate.resize(nf, 0.0);
-        s.g_links.resize(nf, [NO_LINK; 5]);
-    }
-
-    // --- Gather (sharded D1 when parallel) ---------------------------------
-    let mut band_lo = u16::MAX;
-    let mut band_hi = 0u16;
-    let mut has_caps = false;
-    let mut nonloop = 0u64;
-    let mut w_min = f64::INFINITY;
-    let mut used_shards = 0usize;
-    if let Some((pool, shards)) = par.as_mut() {
-        tally.par_dispatches = 1;
-        let workers = shards.len();
-        let chunk = nf.div_ceil(workers).max(1);
-        let SolveScratch {
-            g_weight,
-            g_band,
-            g_egress,
-            g_max_rate,
-            g_links,
-            frozen,
-            freeze_mark,
-            span_start,
-            span_end,
-            ..
-        } = &mut *s;
-        let t0 = std::time::Instant::now();
-        {
-            let mut jobs: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::with_capacity(workers);
-            let mut gw = &mut g_weight[..nf];
-            let mut gb = &mut g_band[..nf];
-            let mut ge = &mut g_egress[..nf];
-            let mut gm = &mut g_max_rate[..nf];
-            let mut gl = &mut g_links[..nf];
-            let mut fz = &mut frozen[..nf];
-            let mut fm = &mut freeze_mark[..nf];
-            let mut ss = &mut span_start[..nf];
-            let mut se = &mut span_end[..nf];
-            let mut ou = &mut out[..nf];
-            let mut base = 0usize;
-            for sh in shards.iter_mut() {
-                if base >= nf {
-                    break;
-                }
-                let len = chunk.min(nf - base);
-                let (a_gw, r) = gw.split_at_mut(len);
-                gw = r;
-                let (a_gb, r) = gb.split_at_mut(len);
-                gb = r;
-                let (a_ge, r) = ge.split_at_mut(len);
-                ge = r;
-                let (a_gm, r) = gm.split_at_mut(len);
-                gm = r;
-                let (a_gl, r) = gl.split_at_mut(len);
-                gl = r;
-                let (a_fz, r) = fz.split_at_mut(len);
-                fz = r;
-                let (a_fm, r) = fm.split_at_mut(len);
-                fm = r;
-                let (a_ss, r) = ss.split_at_mut(len);
-                ss = r;
-                let (a_se, r) = se.split_at_mut(len);
-                se = r;
-                let (a_ou, r) = ou.split_at_mut(len);
-                ou = r;
-                sh.ensure(n);
-                sh.ctr += 1;
-                sh.touched.clear();
-                let sub = &idxs[base..base + len];
-                jobs.push(Box::new(move || {
-                    let (lo, hi, hc, nl, wm) = gather_range(
-                        topo,
-                        flows,
-                        sub,
-                        n,
-                        fab_base,
-                        core_link,
-                        loopback,
-                        a_gw,
-                        a_gb,
-                        a_ge,
-                        a_gm,
-                        a_gl,
-                        a_fz,
-                        a_fm,
-                        a_ss,
-                        a_se,
-                        a_ou,
-                        Some(&mut *sh),
-                    );
-                    sh.band_lo = lo;
-                    sh.band_hi = hi;
-                    sh.has_caps = hc;
-                    sh.nonloop = nl;
-                    sh.w_min = wm;
-                }));
-                base += len;
-            }
-            used_shards = jobs.len();
-            pool.run(jobs);
-        }
-        tally.par_nanos += t0.elapsed().as_nanos() as u64;
-        for sh in shards[..used_shards].iter() {
-            band_lo = band_lo.min(sh.band_lo);
-            band_hi = band_hi.max(sh.band_hi);
-            has_caps |= sh.has_caps;
-            nonloop += sh.nonloop;
-            w_min = w_min.min(sh.w_min);
-        }
-    } else {
-        let SolveScratch {
-            g_weight,
-            g_band,
-            g_egress,
-            g_max_rate,
-            g_links,
-            frozen,
-            freeze_mark,
-            span_start,
-            span_end,
-            ..
-        } = &mut *s;
-        (band_lo, band_hi, has_caps, nonloop, w_min) = gather_range(
-            topo,
-            flows,
-            idxs,
-            n,
-            fab_base,
-            core_link,
-            loopback,
-            &mut g_weight[..nf],
-            &mut g_band[..nf],
-            &mut g_egress[..nf],
-            &mut g_max_rate[..nf],
-            &mut g_links[..nf],
-            &mut frozen[..nf],
-            &mut freeze_mark[..nf],
-            &mut span_start[..nf],
-            &mut span_end[..nf],
-            out,
-            None,
-        );
-    }
-
-    s.solve_stamp += 1;
-    let solve = s.solve_stamp;
-    let single_band = band_lo >= band_hi;
-    let max_links: usize = if core_link != NO_LINK {
-        5
-    } else if topo.num_fabric_links() > 0 {
-        4
-    } else {
-        2
-    };
-    s.heap.clear();
-    s.thetas.clear();
-    s.capped.clear();
-    s.stamped.clear();
-    s.egr_list.clear();
-    let mut level = 0.0f64;
-    let mut unfrozen_count = nonloop;
-
-    // --- Per-egress band minima: shard merge or the legacy scan order ------
-    if !single_band {
-        if let Some((_, shards)) = par.as_mut() {
-            for sh in shards[..used_shards].iter() {
-                for &e in &sh.touched {
-                    let e = e as usize;
-                    if s.mb_stamp[e] != solve {
-                        s.mb_stamp[e] = solve;
-                        s.min_band[e] = sh.min_band[e];
-                        s.egr_count[e] = 0;
-                    } else {
-                        s.min_band[e] = s.min_band[e].min(sh.min_band[e]);
-                    }
-                }
-            }
-        } else {
-            for j in 0..nf {
-                if s.g_links[j][0] == NO_LINK {
-                    continue;
-                }
-                let e = s.g_egress[j] as usize;
-                let band = s.g_band[j];
-                if s.mb_stamp[e] != solve {
-                    s.mb_stamp[e] = solve;
-                    s.min_band[e] = band;
-                    s.egr_count[e] = 0;
-                } else {
-                    s.min_band[e] = s.min_band[e].min(band);
-                }
-            }
-        }
-    }
-
-    // --- Eligibility init: link membership, per-egress CSR, capped list ----
-    s.touch_ctr += 1;
-    let tc = s.touch_ctr;
-    s.touch_list.clear();
-    for j in 0..nf {
-        if s.g_links[j][0] == NO_LINK {
-            continue;
-        }
-        let e = s.g_egress[j] as usize;
-        if !single_band {
-            if s.egr_seen[e] != solve {
-                s.egr_seen[e] = solve;
-                let p = s.egr_list.len();
-                s.egr_pos[e] = p as u32;
-                if s.egr_flows.len() == p {
-                    s.egr_flows.push(Vec::new());
-                } else {
-                    s.egr_flows[p].clear();
-                }
-                s.egr_list.push(e as u32);
-            }
-            s.egr_flows[s.egr_pos[e] as usize].push(j as u32);
-            if s.g_band[j] != s.min_band[e] {
-                continue;
-            }
-            s.egr_count[e] += 1;
-        }
-        if has_caps && s.g_max_rate[j].is_finite() {
-            s.capped.push(j as u32);
-        }
-        for &l in &s.g_links[j][..max_links] {
-            if l == NO_LINK {
-                continue;
-            }
-            let l = l as usize;
-            if s.ws_stamp[l] != solve {
-                s.ws_stamp[l] = solve;
-                s.weight_sum[l] = 0.0;
-                s.link_count[l] = 0;
-                s.cap[l] = link_capacity(topo, n, fab_base, l);
-                s.replayed[l] = 0;
-                s.link_flows[l].clear();
-                if cfg!(debug_assertions) {
-                    s.stamped.push(l as u32);
-                }
-            }
-            s.link_count[l] += 1;
-            s.link_flows[l].push(j as u32);
-            touch_link(&mut s.touch_stamp, &mut s.touch_list, tc, l);
-        }
-    }
-
-    // --- Initial weight sums (sharded-by-link D2 when parallel) ------------
-    // Each link's sum folds its admitted flows in creation order — exactly
-    // the per-slot addition subsequence the legacy interleaved loop runs.
-    if let Some((pool, _)) = par.as_mut() {
-        let tl = s.touch_list.len();
-        s.ws_out.clear();
-        s.ws_out.resize(tl, 0.0);
-        let workers = pool.size();
-        let chunk = tl.div_ceil(workers.max(1)).max(1);
-        let SolveScratch {
-            touch_list,
-            link_flows,
-            g_weight,
-            ws_out,
-            ..
-        } = &mut *s;
-        let link_flows = &*link_flows;
-        let g_weight = &*g_weight;
-        let t0 = std::time::Instant::now();
-        {
-            let mut jobs: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::new();
-            let mut rest = &mut ws_out[..];
-            let mut base = 0usize;
-            while base < tl {
-                let len = chunk.min(tl - base);
-                let (slot, r) = rest.split_at_mut(len);
-                rest = r;
-                let links = &touch_list[base..base + len];
-                jobs.push(Box::new(move || {
-                    for (i, &l) in links.iter().enumerate() {
-                        let mut acc = 0.0;
-                        for &j in &link_flows[l as usize] {
-                            acc += g_weight[j as usize];
-                        }
-                        slot[i] = acc;
-                    }
-                }));
-                base += len;
-            }
-            pool.run(jobs);
-        }
-        tally.par_nanos += t0.elapsed().as_nanos() as u64;
-        for i in 0..tl {
-            let l = s.touch_list[i] as usize;
-            s.weight_sum[l] = s.ws_out[i];
-        }
-    } else {
-        for ti in 0..s.touch_list.len() {
-            let l = s.touch_list[ti] as usize;
-            let mut acc = 0.0;
-            for &j in &s.link_flows[l] {
-                acc += s.g_weight[j as usize];
-            }
-            s.weight_sum[l] = acc;
-        }
-    }
-    rekey_touched(s, level);
-
-    // --- Rounds ------------------------------------------------------------
-    while unfrozen_count > 0 {
-        tally.rounds += 1;
-        s.touch_ctr += 1;
-        let tc = s.touch_ctr;
-        s.touch_list.clear();
-
-        // Pop the bottleneck and every live key within the sound window.
-        s.cand.clear();
-        let mut cutoff = f64::INFINITY;
-        while let Some(&top) = s.heap.peek() {
-            let l = top.link as usize;
-            let live =
-                s.ws_stamp[l] == solve && s.link_count[l] > 0 && s.link_ver[l] == top.ver;
-            if !live {
-                s.heap.pop();
-                tally.heap_pops += 1;
-                tally.stale_key_skips += 1;
-                continue;
-            }
-            if s.cand.is_empty() {
-                cutoff = top.key + key_window(top.key, level, w_min);
-            } else if top.key > cutoff {
-                break;
-            }
-            s.heap.pop();
-            tally.heap_pops += 1;
-            s.cand.push(top.link);
-        }
-
-        // Exact θ over the candidates (plus the eager ceiling fold) — the
-        // same `min` the legacy kernel folds over all active links.
-        let mut theta = f64::INFINITY;
-        for ci in 0..s.cand.len() {
-            let l = s.cand[ci] as usize;
-            tally.links_touched +=
-                replay_link(&mut s.cap, &mut s.replayed, &s.thetas, s.weight_sum[l], l);
-            theta = theta.min(s.cap[l].max(0.0) / s.weight_sum[l]);
-        }
-        if has_caps {
-            for &j in &s.capped {
-                let j = j as usize;
-                theta = theta.min(((s.g_max_rate[j] - out[j]).max(0.0)) / s.g_weight[j]);
-            }
-        }
-        debug_assert!(theta.is_finite(), "eligible flows but no constrained link");
-        #[cfg(debug_assertions)]
-        {
-            // Full-scan cross-check: the windowed θ must equal the θ a
-            // legacy-style scan over every active link would compute.
-            // Replays are simulated locally so counters stay untouched.
-            let mut full = f64::INFINITY;
-            for &l in &s.stamped {
-                let l = l as usize;
-                if s.ws_stamp[l] != solve || s.link_count[l] == 0 {
-                    continue;
-                }
-                let ws = s.weight_sum[l];
-                let mut c = s.cap[l];
-                for &th in &s.thetas[s.replayed[l] as usize..] {
-                    c -= th * ws;
-                }
-                full = full.min(c.max(0.0) / ws);
-            }
-            if has_caps {
-                for &j in &s.capped {
-                    let j = j as usize;
-                    full = full.min(((s.g_max_rate[j] - out[j]).max(0.0)) / s.g_weight[j]);
-                }
-            }
-            debug_assert!(
-                full == theta,
-                "candidate window missed the true θ: full-scan {full:e} vs windowed {theta:e}"
-            );
-        }
-
-        // Raise the level: eager flows advance, candidate links get charged.
-        if theta > 0.0 {
-            s.thetas.push(theta);
-            level += theta;
-            for &j in &s.capped {
-                let j = j as usize;
-                out[j] += theta * s.g_weight[j];
-            }
-            let now = s.thetas.len() as u32;
-            for ci in 0..s.cand.len() {
-                let l = s.cand[ci] as usize;
-                s.cap[l] -= theta * s.weight_sum[l];
-                s.replayed[l] = now;
-                tally.links_touched += 1;
-            }
-        }
-
-        // Collect this round's freeze set: eligible flows on a saturated
-        // candidate (the window guarantees every link that can reach
-        // `CAP_EPS` this round is a candidate) plus ceiling-frozen flows.
-        s.promote.clear();
-        {
-            let SolveScratch {
-                cand,
-                cap,
-                link_flows,
-                frozen,
-                freeze_mark,
-                freeze_set,
-                touch_stamp,
-                touch_list,
-                ..
-            } = &mut *s;
-            freeze_set.clear();
-            for &l in cand.iter() {
-                let l = l as usize;
-                touch_link(touch_stamp, touch_list, tc, l);
-                if cap[l] <= CAP_EPS {
-                    for &j in &link_flows[l] {
-                        let ju = j as usize;
-                        if !frozen[ju] && !freeze_mark[ju] {
-                            freeze_mark[ju] = true;
-                            freeze_set.push(j);
-                        }
-                    }
-                }
-            }
-        }
-        if has_caps {
-            let SolveScratch {
-                capped,
-                g_max_rate,
-                freeze_mark,
-                freeze_set,
-                ..
-            } = &mut *s;
-            for &j in capped.iter() {
-                let ju = j as usize;
-                if out[ju] >= g_max_rate[ju] * (1.0 - 1e-12) && !freeze_mark[ju] {
-                    freeze_mark[ju] = true;
-                    freeze_set.push(j);
-                }
-            }
-        }
-
-        if !s.freeze_set.is_empty() {
-            tally.freeze_rounds += 1;
-            s.freeze_set.sort_unstable();
-            let now = s.thetas.len() as u32;
-            {
-                let SolveScratch {
-                    freeze_set,
-                    freeze_mark,
-                    frozen,
-                    span_end,
-                    g_weight,
-                    g_links,
-                    g_egress,
-                    cap,
-                    replayed,
-                    thetas,
-                    link_count,
-                    weight_sum,
-                    egr_count,
-                    promote,
-                    touch_stamp,
-                    touch_list,
-                    ..
-                } = &mut *s;
-                for &j in freeze_set.iter() {
-                    let ju = j as usize;
-                    freeze_mark[ju] = false;
-                    frozen[ju] = true;
-                    span_end[ju] = now;
-                    unfrozen_count -= 1;
-                    let w = g_weight[ju];
-                    for &l in &g_links[ju][..max_links] {
-                        if l == NO_LINK {
-                            continue;
-                        }
-                        let l = l as usize;
-                        tally.links_touched +=
-                            replay_link(cap, replayed, thetas, weight_sum[l], l);
-                        link_count[l] -= 1;
-                        weight_sum[l] = if link_count[l] == 0 {
-                            0.0
-                        } else {
-                            weight_sum[l] - w
-                        };
-                        touch_link(touch_stamp, touch_list, tc, l);
-                    }
-                    if !single_band {
-                        let e = g_egress[ju] as usize;
-                        egr_count[e] -= 1;
-                        if egr_count[e] == 0 {
-                            promote.push(g_egress[ju]);
-                        }
-                    }
-                }
-            }
-            if has_caps {
-                let frozen = &s.frozen;
-                s.capped.retain(|&j| !frozen[j as usize]);
-            }
-        }
-
-        if !single_band && !s.promote.is_empty() {
-            // Band promotion, replicating the legacy two-pass structure
-            // over exactly the promoted egresses' unfrozen flows, merged
-            // into global creation order (admitted flows from different
-            // egresses can share an ingress link, so the weight-sum add
-            // order must be global, not per-egress).
-            s.promo_ctr += 1;
-            let pc = s.promo_ctr;
-            let SolveScratch {
-                promote,
-                promo_stamp,
-                promo_flows,
-                min_band,
-                egr_pos,
-                egr_flows,
-                frozen,
-                g_band,
-                g_egress,
-                g_weight,
-                g_max_rate,
-                g_links,
-                capped,
-                span_start,
-                egr_count,
-                ws_stamp,
-                weight_sum,
-                link_count,
-                cap,
-                replayed,
-                thetas,
-                link_flows,
-                stamped,
-                touch_stamp,
-                touch_list,
-                ..
-            } = &mut *s;
-            for &e in promote.iter() {
-                promo_stamp[e as usize] = pc;
-                min_band[e as usize] = NO_BAND;
-            }
-            promo_flows.clear();
-            for &e in promote.iter() {
-                let p = egr_pos[e as usize] as usize;
-                for &j in &egr_flows[p] {
-                    if !frozen[j as usize] {
-                        promo_flows.push(j);
-                    }
-                }
-            }
-            if promote.len() > 1 {
-                promo_flows.sort_unstable();
-            }
-            for &j in promo_flows.iter() {
-                let ju = j as usize;
-                let e = g_egress[ju] as usize;
-                min_band[e] = min_band[e].min(g_band[ju]);
-            }
-            let now = thetas.len() as u32;
-            for &j in promo_flows.iter() {
-                let ju = j as usize;
-                let e = g_egress[ju] as usize;
-                if g_band[ju] != min_band[e] {
-                    continue;
-                }
-                egr_count[e] += 1;
-                span_start[ju] = now;
-                if has_caps && g_max_rate[ju].is_finite() {
-                    capped.push(j);
-                }
-                let w = g_weight[ju];
-                for &l in &g_links[ju][..max_links] {
-                    if l == NO_LINK {
-                        continue;
-                    }
-                    let l = l as usize;
-                    if ws_stamp[l] != solve {
-                        ws_stamp[l] = solve;
-                        weight_sum[l] = 0.0;
-                        link_count[l] = 0;
-                        cap[l] = link_capacity(topo, n, fab_base, l);
-                        link_flows[l].clear();
-                        replayed[l] = now;
-                        if cfg!(debug_assertions) {
-                            stamped.push(l as u32);
-                        }
-                    } else if link_count[l] == 0 {
-                        // Re-activation: the link's capacity was frozen at
-                        // its retirement value while inactive (the legacy
-                        // kernel never charges inactive links), so pending
-                        // θs from the inactive period must be skipped.
-                        replayed[l] = now;
-                    } else {
-                        tally.links_touched +=
-                            replay_link(cap, replayed, thetas, weight_sum[l], l);
-                    }
-                    weight_sum[l] += w;
-                    link_count[l] += 1;
-                    link_flows[l].push(j);
-                    touch_link(touch_stamp, touch_list, tc, l);
-                }
-            }
-        }
-
-        rekey_touched(s, level);
-    }
-
-    // --- Deferred fill (sharded D3 when parallel) --------------------------
-    if let Some((pool, _)) = par.as_mut() {
-        let workers = pool.size();
-        let chunk = nf.div_ceil(workers.max(1)).max(1);
-        let SolveScratch {
-            g_links,
-            g_weight,
-            g_max_rate,
-            span_start,
-            span_end,
-            thetas,
-            ..
-        } = &*s;
-        let t0 = std::time::Instant::now();
-        {
-            let mut jobs: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::new();
-            let mut rest = &mut out[..nf];
-            let mut base = 0usize;
-            while base < nf {
-                let len = chunk.min(nf - base);
-                let (slot, r) = rest.split_at_mut(len);
-                rest = r;
-                jobs.push(Box::new(move || {
-                    for (q, slot_q) in slot.iter_mut().enumerate() {
-                        let j = base + q;
-                        if g_links[j][0] == NO_LINK {
-                            continue;
-                        }
-                        if has_caps && g_max_rate[j].is_finite() {
-                            continue;
-                        }
-                        let w = g_weight[j];
-                        let mut x = 0.0;
-                        for &th in &thetas[span_start[j] as usize..span_end[j] as usize] {
-                            x += th * w;
-                        }
-                        *slot_q = x;
-                    }
-                }));
-                base += len;
-            }
-            pool.run(jobs);
-        }
-        tally.par_nanos += t0.elapsed().as_nanos() as u64;
-    } else {
-        for (j, slot) in out.iter_mut().enumerate().take(nf) {
-            if s.g_links[j][0] == NO_LINK {
-                continue;
-            }
-            if has_caps && s.g_max_rate[j].is_finite() {
-                continue;
-            }
-            let w = s.g_weight[j];
-            let mut x = 0.0;
-            for &th in &s.thetas[s.span_start[j] as usize..s.span_end[j] as usize] {
-                x += th * w;
-            }
-            *slot = x;
-        }
-    }
-    tally
-}
-
 /// Reusable allocator scratch space. Allocation runs on every network
 /// event, so all working buffers are kept and reused across calls, and the
 /// solve is decomposed by connected component of the flow/link graph: a
@@ -1652,14 +566,9 @@ pub struct MaxMinAllocator {
     // Worker pool, created lazily on the first dispatch that wants it.
     pool: Option<WorkerPool>,
     workers: usize,
-    // Per-worker shards for intra-component parallel phases.
-    intra: Vec<IntraShard>,
-    // Which single-component kernel to run (both are bit-identical).
-    kernel: AllocKernel,
-    // Tunable dispatch thresholds; 0 = unset (use the defaults). The
+    // Tunable dispatch threshold; 0 = unset (use the default). The
     // zero-sentinel keeps `Default` derivable.
     par_min_flows: usize,
-    par_min_component_flows: usize,
     stats: AllocStats,
 }
 
@@ -1691,18 +600,6 @@ impl MaxMinAllocator {
         self.workers.max(1)
     }
 
-    /// Select the single-component kernel. Both produce bitwise-identical
-    /// rates (and round counts); `legacy` exists as an A/B reference and
-    /// escape hatch.
-    pub fn set_kernel(&mut self, kernel: AllocKernel) {
-        self.kernel = kernel;
-    }
-
-    /// The active single-component kernel.
-    pub fn kernel(&self) -> AllocKernel {
-        self.kernel
-    }
-
     /// Set the minimum total flow count (across dirty components) before a
     /// multi-worker solve dispatches components to the pool. Panics on 0 —
     /// use 1 to always dispatch.
@@ -1718,24 +615,6 @@ impl MaxMinAllocator {
             DEFAULT_PAR_MIN_FLOWS
         } else {
             self.par_min_flows
-        }
-    }
-
-    /// Set the minimum flow count of a single component before the
-    /// bottleneck kernel shards its gather/weight-sum/fill phases across
-    /// the pool. Panics on 0 — use 1 to always shard.
-    pub fn set_par_min_component_flows(&mut self, min_flows: usize) {
-        assert!(min_flows > 0, "par_min_component_flows must be positive");
-        self.par_min_component_flows = min_flows;
-    }
-
-    /// The intra-component sharding threshold
-    /// ([`DEFAULT_PAR_MIN_COMPONENT_FLOWS`] unless overridden).
-    pub fn par_min_component_flows(&self) -> usize {
-        if self.par_min_component_flows == 0 {
-            DEFAULT_PAR_MIN_COMPONENT_FLOWS
-        } else {
-            self.par_min_component_flows
         }
     }
 
@@ -2042,55 +921,20 @@ impl MaxMinAllocator {
         self.stats.flows_touched += solved_flows as u64;
 
         let workers = self.workers.max(1);
-        let kernel = self.kernel;
         let use_pool = workers > 1 && to_solve.len() >= 2 && solved_flows >= self.par_min_flows();
         if self.scratches.is_empty() {
             self.scratches.push(SolveScratch::default());
         }
 
         if !use_pool {
-            let par_min_comp = self.par_min_component_flows();
-            let comp_range = |c: usize| comp_start[c] as usize..comp_start[c + 1] as usize;
-            // Intra-component sharding: only the bottleneck kernel supports
-            // it, and only for components at/above the threshold (a giant
-            // coupled component is exactly the case pool dispatch can't
-            // help with — there is only one component to dispatch).
-            let want_intra = kernel == AllocKernel::Bottleneck
-                && workers > 1
-                && to_solve.iter().any(|&c| {
-                    (comp_start[c as usize + 1] - comp_start[c as usize]) as usize >= par_min_comp
-                });
-            if want_intra {
-                if self.pool.as_ref().is_none_or(|p| p.size() != workers) {
-                    self.pool = Some(WorkerPool::new(workers));
-                }
-                if self.intra.len() < workers {
-                    self.intra.resize_with(workers, IntraShard::default);
-                }
-            }
             for &c in &to_solve {
-                let idxs = &comp_flows[comp_range(c as usize)];
+                let c = c as usize;
+                let idxs = &comp_flows[comp_start[c] as usize..comp_start[c + 1] as usize];
                 par_out.clear();
                 par_out.resize(idxs.len(), 0.0);
                 let s = &mut self.scratches[0];
                 s.ensure(num_links, n, flows.len());
-                let tally = match kernel {
-                    AllocKernel::Legacy => {
-                        solve_component_legacy(s, topo, flows, idxs, &mut par_out)
-                    }
-                    AllocKernel::Bottleneck => {
-                        s.ensure_bn(num_links, n, flows.len());
-                        let par = if want_intra && idxs.len() >= par_min_comp {
-                            Some((
-                                self.pool.as_ref().expect("pool built above"),
-                                &mut self.intra[..workers],
-                            ))
-                        } else {
-                            None
-                        };
-                        solve_component_bottleneck(s, topo, flows, idxs, &mut par_out, par)
-                    }
-                };
+                let tally = solve_component(s, topo, flows, idxs, &mut par_out);
                 self.stats.absorb(tally);
                 for (j, &i) in idxs.iter().enumerate() {
                     rates[i as usize] = par_out[j];
@@ -2104,9 +948,6 @@ impl MaxMinAllocator {
             }
             for s in &mut self.scratches[..chunks] {
                 s.ensure(num_links, n, flows.len());
-                if kernel == AllocKernel::Bottleneck {
-                    s.ensure_bn(num_links, n, flows.len());
-                }
             }
             if self
                 .pool
@@ -2183,14 +1024,7 @@ impl MaxMinAllocator {
                                 &comp_flows[comp_start[c] as usize..comp_start[c + 1] as usize];
                             let off = offsets[p0 + q] - chunk_base;
                             let chunk_out = &mut chunk_out[off..off + idxs.len()];
-                            local.add(match kernel {
-                                AllocKernel::Legacy => {
-                                    solve_component_legacy(s, topo, flows, idxs, chunk_out)
-                                }
-                                AllocKernel::Bottleneck => solve_component_bottleneck(
-                                    s, topo, flows, idxs, chunk_out, None,
-                                ),
-                            });
+                            local.add(solve_component(s, topo, flows, idxs, chunk_out));
                         }
                         *r = local;
                     }));
@@ -2911,8 +1745,7 @@ mod tests {
     /// `rack` 0 draws endpoints anywhere (cross-rack flows merge into few
     /// large components); `rack = k` keeps each flow inside one k-host
     /// rack, yielding many small components (the parallel-dispatch shape).
-    /// With `caps`, a fraction of arrivals carry a finite rate ceiling
-    /// (exercising the eager-flow path of the bottleneck kernel).
+    /// With `caps`, a fraction of arrivals carry a finite rate ceiling.
     fn churn_schedule(
         seed: u64,
         hosts: u32,
@@ -3120,22 +1953,10 @@ mod tests {
 
     #[test]
     fn defaults_unchanged() {
-        // Guards the satellite contract: making the thresholds tunable must
-        // not move the defaults, and the bottleneck kernel is the default.
         let a = MaxMinAllocator::new();
-        assert_eq!(a.kernel(), AllocKernel::Bottleneck);
         assert_eq!(a.par_min_flows(), 128);
-        assert_eq!(a.par_min_component_flows(), 4096);
         assert_eq!(DEFAULT_PAR_MIN_FLOWS, 128);
-        assert_eq!(DEFAULT_PAR_MIN_COMPONENT_FLOWS, 4096);
-        assert_eq!(AllocKernel::parse("legacy"), Some(AllocKernel::Legacy));
-        assert_eq!(
-            AllocKernel::parse(" Bottleneck "),
-            Some(AllocKernel::Bottleneck)
-        );
-        assert_eq!(AllocKernel::parse("fast"), None);
-        assert_eq!(AllocKernel::Legacy.label(), "legacy");
-        assert_eq!(AllocKernel::Bottleneck.label(), "bottleneck");
+        assert_eq!(a.workers(), 1);
     }
 
     #[test]
@@ -3144,175 +1965,496 @@ mod tests {
         MaxMinAllocator::new().set_par_min_flows(0);
     }
 
-    #[test]
-    #[should_panic(expected = "par_min_component_flows must be positive")]
-    fn par_min_component_flows_rejects_zero() {
-        MaxMinAllocator::new().set_par_min_component_flows(0);
+    // --- Independent oracle -------------------------------------------------
+    //
+    // The evidence that the kernel is right comes from code that shares none
+    // of its machinery: a slow water-filling written from the module docs,
+    // and a certificate that checks a rate vector without solving anything.
+
+    /// A link as the module docs name it, independent of the kernel's dense
+    /// link ids.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+    enum SpecLink {
+        Egress(u32),
+        Ingress(u32),
+        Fabric(u32),
+        Core,
     }
 
-    /// Drive one churn schedule through a legacy and a bottleneck
-    /// allocator in lockstep, asserting bitwise-equal rates at every step
-    /// and equal round/freeze tallies at the end.
-    fn assert_kernels_lockstep(t: &Topology, schedule: &[Vec<ChurnOp>], label: &str) {
-        let mut legacy = MaxMinAllocator::new();
-        legacy.set_kernel(AllocKernel::Legacy);
-        let mut bn = MaxMinAllocator::new();
-        bn.set_kernel(AllocKernel::Bottleneck);
-        let mut lf: Vec<FlowDemand> = Vec::new();
-        let mut lr: Vec<f64> = Vec::new();
-        let mut bf: Vec<FlowDemand> = Vec::new();
-        let mut br: Vec<f64> = Vec::new();
-        for (step, ops) in schedule.iter().enumerate() {
-            let (dirty, structural) = apply_ops(ops, &mut lf, &mut lr);
-            apply_ops(ops, &mut bf, &mut br);
-            legacy.allocate_dirty_reuse(t, &lf, &dirty, &mut lr, !structural);
-            bn.allocate_dirty_reuse(t, &bf, &dirty, &mut br, !structural);
-            let same = lr.iter().zip(&br).all(|(x, y)| x.to_bits() == y.to_bits());
-            assert!(
-                same,
-                "{label} step {step}: kernels diverged at {} flows",
-                lf.len()
-            );
+    /// The links flow `f` crosses (none for loopback).
+    fn spec_links(t: &Topology, f: &FlowDemand) -> Vec<SpecLink> {
+        if f.src == f.dst {
+            return Vec::new();
         }
-        // Both kernels execute the identical round sequence.
-        assert_eq!(legacy.stats().rounds, bn.stats().rounds, "{label}: rounds");
-        assert_eq!(
-            legacy.stats().freeze_rounds,
-            bn.stats().freeze_rounds,
-            "{label}: freeze rounds"
-        );
-        assert_eq!(legacy.stats().heap_pops, 0);
-        assert!(bn.stats().heap_pops > 0, "{label}: heap never engaged");
+        let mut links = vec![SpecLink::Egress(f.src.0), SpecLink::Ingress(f.dst.0)];
+        let route = t.route(f.src, f.dst).into_iter().flatten();
+        links.extend(route.map(|l| SpecLink::Fabric(l.0)));
+        if t.core_capacity().is_some() {
+            links.push(SpecLink::Core);
+        }
+        links
     }
 
-    #[test]
-    fn kernels_are_bitwise_identical_under_churn_single_switch() {
-        let t = topo(12, 10.0);
-        for seed in [2u64, 7, 19, 41] {
-            let schedule = churn_schedule(seed, 12, 40, 10, 0, true);
-            assert_kernels_lockstep(&t, &schedule, &format!("single-switch seed {seed}"));
+    fn spec_capacity(t: &Topology, l: SpecLink) -> f64 {
+        match l {
+            SpecLink::Egress(h) => t.egress(HostId(h)).bytes_per_sec(),
+            SpecLink::Ingress(h) => t.ingress(HostId(h)).bytes_per_sec(),
+            SpecLink::Fabric(l) => t.fabric_capacity(crate::types::LinkId(l)).bytes_per_sec(),
+            SpecLink::Core => t.core_capacity().expect("core link").bytes_per_sec(),
         }
     }
 
-    #[test]
-    fn kernels_are_bitwise_identical_under_churn_leaf_spine() {
-        let t = crate::topology::TopologyBuilder::leaf_spine(4, 4, 2.0)
-            .link(Bandwidth::from_gbps(10.0))
-            .build();
-        for seed in [3u64, 11, 29] {
-            let schedule = churn_schedule(seed, 16, 40, 12, 0, true);
-            assert_kernels_lockstep(&t, &schedule, &format!("leaf-spine seed {seed}"));
-        }
-    }
-
-    #[test]
-    fn kernels_match_with_aggregate_core() {
-        // The core couples everything into one component (the giant-
-        // component shape, in miniature) and adds the fifth link slot.
-        let t = crate::topology::TopologyBuilder::single_switch(10)
-            .link(Bandwidth::from_gbps(10.0))
-            .core_capacity(Bandwidth::from_gbps(25.0))
-            .build();
-        for seed in [5u64, 17] {
-            let schedule = churn_schedule(seed, 10, 30, 8, 0, true);
-            assert_kernels_lockstep(&t, &schedule, &format!("core seed {seed}"));
-        }
-    }
-
-    /// One giant coupled component (colocated PS stars): every group's
-    /// workers fan into a PS on a shared host set, so all jobs join one
-    /// component — the 500h×200j shape in miniature.
-    fn giant_component_flows(hosts: u32, jobs: u32, workers_per_job: u32) -> Vec<FlowDemand> {
-        let mut flows = Vec::new();
-        for job in 0..jobs {
-            let ps = job % 3; // colocated PS hosts couple all jobs
-            for w in 0..workers_per_job {
-                let src = 3 + (job * workers_per_job + w) % (hosts - 3);
-                flows.push(demand(src, ps, (job % 3) as u8, 1.0 + (w as f64) * 0.13));
+    /// Rate carried by every link: the sum over the flows that cross it,
+    /// summed from scratch.
+    fn link_loads(
+        t: &Topology,
+        flows: &[FlowDemand],
+        rates: &[f64],
+    ) -> std::collections::BTreeMap<SpecLink, f64> {
+        let mut load = std::collections::BTreeMap::new();
+        for (f, &x) in flows.iter().zip(rates) {
+            for l in spec_links(t, f) {
+                *load.entry(l).or_insert(0.0) += x;
             }
         }
-        flows
+        load
+    }
+
+    /// Reference water-filling, straight from the module docs: every round,
+    /// the eligible flows are the unfrozen ones in the lowest unfrozen band
+    /// at their egress; every link's residual capacity and eligible weight
+    /// sum are recomputed from scratch; the common level rises by the
+    /// smallest step that saturates a link or brings a flow to its ceiling;
+    /// then eligible flows on a saturated link or at their ceiling freeze.
+    fn reference_rates(t: &Topology, flows: &[FlowDemand]) -> Vec<f64> {
+        use std::collections::BTreeMap;
+        // A link is saturated once its residual is below this share of its
+        // capacity: far above the rounding of a from-scratch sum, far below
+        // any rate the comparison resolves.
+        const SAT_REL: f64 = 1e-12;
+        let links: Vec<Vec<SpecLink>> = flows.iter().map(|f| spec_links(t, f)).collect();
+        let loopback = t.loopback().bytes_per_sec();
+        let mut rate: Vec<f64> = links
+            .iter()
+            .map(|ls| if ls.is_empty() { loopback } else { 0.0 })
+            .collect();
+        let mut frozen: Vec<bool> = links.iter().map(|ls| ls.is_empty()).collect();
+        let mut rounds = 0;
+        while frozen.contains(&false) {
+            rounds += 1;
+            assert!(rounds <= flows.len(), "reference water-filling did not converge");
+            let mut top_band: BTreeMap<u32, u8> = BTreeMap::new();
+            for (f, _) in flows.iter().zip(&frozen).filter(|(_, &z)| !z) {
+                let b = top_band.entry(f.src.0).or_insert(f.band.0);
+                *b = (*b).min(f.band.0);
+            }
+            let eligible: Vec<bool> = flows
+                .iter()
+                .zip(&frozen)
+                .map(|(f, &z)| !z && f.band.0 == top_band[&f.src.0])
+                .collect();
+            let mut weight: BTreeMap<SpecLink, f64> = BTreeMap::new();
+            for (i, ls) in links.iter().enumerate().filter(|&(i, _)| eligible[i]) {
+                for &l in ls {
+                    *weight.entry(l).or_insert(0.0) += flows[i].weight;
+                }
+            }
+            let load = link_loads(t, flows, &rate);
+            let mut theta = f64::INFINITY;
+            for (l, w) in &weight {
+                theta = theta.min((spec_capacity(t, *l) - load[l]).max(0.0) / w);
+            }
+            for (i, f) in flows.iter().enumerate().filter(|&(i, _)| eligible[i]) {
+                theta = theta.min((f.max_rate - rate[i]).max(0.0) / f.weight);
+            }
+            assert!(theta.is_finite(), "eligible flows but no constraint");
+            for (i, f) in flows.iter().enumerate().filter(|&(i, _)| eligible[i]) {
+                rate[i] += theta * f.weight;
+            }
+            let load = link_loads(t, flows, &rate);
+            let saturated = |l: &SpecLink| load[l] >= spec_capacity(t, *l) * (1.0 - SAT_REL);
+            for (i, f) in flows.iter().enumerate().filter(|&(i, _)| eligible[i]) {
+                let at_ceiling = rate[i] >= f.max_rate * (1.0 - SAT_REL);
+                if at_ceiling || links[i].iter().any(saturated) {
+                    frozen[i] = true;
+                }
+            }
+        }
+        rate
+    }
+
+    /// Relative slack of the certificate's capacity comparisons.
+    const CERT_REL: f64 = 1e-9;
+
+    /// Optimality certificate, checked without solving anything:
+    ///
+    /// 1. feasibility: rates are non-negative and within their ceilings,
+    ///    loopback flows run at loopback speed, and no link carries more
+    ///    than its capacity;
+    /// 2. bottlenecks: every non-loopback flow below its ceiling crosses a
+    ///    saturated link;
+    /// 3. `net.band_order`: a flow below its ceiling whose egress also
+    ///    serves a lower-priority (higher band) flow at a non-zero rate
+    ///    crosses a saturated link other than that egress — had the egress
+    ///    been its bottleneck, the lower band would never have been served.
+    fn check_certificate(t: &Topology, flows: &[FlowDemand], rates: &[f64]) -> Result<(), String> {
+        let load = link_loads(t, flows, rates);
+        let cap = |l: SpecLink| spec_capacity(t, l);
+        for (l, &x) in &load {
+            if x > cap(*l) * (1.0 + CERT_REL) {
+                return Err(format!("{l:?} carries {x} B/s > capacity {}", cap(*l)));
+            }
+        }
+        let saturated = |l: &SpecLink| load[l] >= cap(*l) * (1.0 - CERT_REL);
+        let below_ceiling = |i: usize| rates[i] < flows[i].max_rate * (1.0 - CERT_REL);
+        for (i, f) in flows.iter().enumerate() {
+            let x = rates[i];
+            let links = spec_links(t, f);
+            if links.is_empty() {
+                // Loopback never touches the NIC, and ceilings shape only
+                // NIC traffic.
+                if x != t.loopback().bytes_per_sec() {
+                    return Err(format!("loopback flow {i} runs at {x} B/s"));
+                }
+                continue;
+            }
+            if !(x >= 0.0 && x <= f.max_rate * (1.0 + CERT_REL)) {
+                return Err(format!("flow {i} rate {x} outside [0, {}]", f.max_rate));
+            }
+            if below_ceiling(i) && !links.iter().any(saturated) {
+                return Err(format!("flow {i} ({f:?}) at {x} B/s crosses no saturated link"));
+            }
+        }
+        for (i, f) in flows.iter().enumerate() {
+            if f.src == f.dst || !below_ceiling(i) {
+                continue;
+            }
+            let floor = CERT_REL * cap(SpecLink::Egress(f.src.0));
+            let lower_served = flows.iter().zip(rates).any(|(g, &y)| {
+                g.src == f.src && g.dst != g.src && g.band > f.band && y > floor
+            });
+            let elsewhere = spec_links(t, f)
+                .iter()
+                .any(|l| *l != SpecLink::Egress(f.src.0) && saturated(l));
+            if lower_served && !elsewhere {
+                return Err(format!(
+                    "flow {i} in band {} at host {} is below its ceiling while a \
+                     lower-priority flow sends, yet only its egress is saturated",
+                    f.band.0, f.src.0
+                ));
+            }
+        }
+        Ok(())
+    }
+
+    /// Kernel rates must match the reference within 1e-9 relative, with the
+    /// link capacity as the scale for rates near zero, and must satisfy
+    /// the certificate.
+    fn check_against_oracle(
+        t: &Topology,
+        flows: &[FlowDemand],
+        rates: &[f64],
+    ) -> Result<(), String> {
+        check_certificate(t, flows, rates)?;
+        let want = reference_rates(t, flows);
+        for (i, (&x, &y)) in rates.iter().zip(&want).enumerate() {
+            let scale = x.abs().max(y.abs()).max(t.egress(flows[i].src).bytes_per_sec());
+            if (x - y).abs() > 1e-9 * scale {
+                return Err(format!("flow {i} ({:?}): kernel {x} vs reference {y}", flows[i]));
+            }
+        }
+        Ok(())
     }
 
     #[test]
-    fn intra_component_sharding_is_bitwise_identical() {
-        let t = topo(40, 10.0);
-        let flows = giant_component_flows(40, 18, 6);
-        let mut seq = MaxMinAllocator::new();
-        let seq_rates = seq.allocate(&t, &flows);
-        assert_eq!(seq.stats().parallel_dispatches, 0);
-        for workers in [2usize, 4, 8] {
-            let mut par = MaxMinAllocator::new();
-            par.set_workers(workers);
-            par.set_par_min_component_flows(8);
-            let par_rates = par.allocate(&t, &flows);
-            assert!(
-                par.stats().parallel_dispatches > 0,
-                "{workers}-worker giant component should engage intra sharding"
-            );
-            let same = seq_rates
-                .iter()
-                .zip(&par_rates)
-                .all(|(x, y)| x.to_bits() == y.to_bits());
-            assert!(same, "{workers}-worker intra-component solve diverged");
-            assert_eq!(seq.stats().rounds, par.stats().rounds);
+    fn oracle_reproduces_hand_computed_allocations() {
+        // The reference and the certificate are themselves checked on
+        // allocations computed by hand in the tests above.
+        let t = topo(5, 10.0);
+        let flows = [
+            demand(0, 2, 0, 1.0),
+            demand(1, 2, 0, 1.0),
+            demand(0, 3, 1, 1.0),
+            demand(0, 4, 2, 1.0),
+        ];
+        let want = [LINK / 2.0, LINK / 2.0, LINK / 2.0, 0.0];
+        assert_eq!(reference_rates(&t, &flows), want);
+        check_certificate(&t, &flows, &want).unwrap();
+        // Starving band 1 while band 2 sends breaks the band-order rule.
+        let inverted = [LINK / 2.0, LINK / 2.0, 0.0, LINK / 2.0];
+        let err = check_certificate(&t, &flows, &inverted).unwrap_err();
+        assert!(err.contains("lower-priority"), "{err}");
+        // Leaving headroom on every link of a flow breaks the bottleneck rule.
+        let slack = [LINK / 4.0, LINK / 2.0, LINK / 2.0, 0.0];
+        let err = check_certificate(&t, &flows, &slack).unwrap_err();
+        assert!(err.contains("no saturated link"), "{err}");
+        // Overfilling a link breaks feasibility.
+        let over = [LINK / 2.0, LINK * 0.6, LINK / 2.0, 0.0];
+        let err = check_certificate(&t, &flows, &over).unwrap_err();
+        assert!(err.contains("capacity"), "{err}");
+    }
+
+    /// `got` matches `want` within 1e-9 of the link rate.
+    fn assert_rates_near(got: &[f64], want: &[f64]) {
+        assert_eq!(got.len(), want.len());
+        for (i, (&x, &y)) in got.iter().zip(want).enumerate() {
+            assert!((x - y).abs() <= 1e-9 * LINK, "flow {i}: {x} vs {y}");
         }
     }
 
     #[test]
-    fn threshold_boundary_is_bitwise_identical() {
-        // A component exactly at the sharding threshold must produce the
-        // same bits whether the threshold admits it or excludes it.
-        let t = topo(24, 10.0);
-        let flows = giant_component_flows(24, 10, 5); // exactly 50 flows
-        assert_eq!(flows.len(), 50);
-        let mut base = MaxMinAllocator::new();
-        let base_rates = base.allocate(&t, &flows);
-        for (threshold, engages) in [(50usize, true), (51usize, false)] {
+    fn oracle_honours_ceilings_and_releases_slack() {
+        // The hand-computed ceiling cases above: a capped flow keeps its
+        // ceiling and the slack goes to its egress mate, in the same band
+        // or in a lower one.
+        let t = topo(3, 10.0);
+        let same_band = [
+            demand(0, 1, 0, 1.0).with_max_rate(LINK / 10.0),
+            demand(0, 2, 0, 1.0),
+        ];
+        let want = [LINK / 10.0, 0.9 * LINK];
+        assert_rates_near(&reference_rates(&t, &same_band), &want);
+        check_certificate(&t, &same_band, &want).unwrap();
+        let lower_band = [
+            demand(0, 1, 0, 1.0).with_max_rate(LINK / 4.0),
+            demand(0, 2, 1, 1.0),
+        ];
+        let want = [LINK / 4.0, 0.75 * LINK];
+        assert_rates_near(&reference_rates(&t, &lower_band), &want);
+        check_certificate(&t, &lower_band, &want).unwrap();
+        // Running a capped flow past its ceiling breaks feasibility even
+        // when every link has room for it.
+        let err = check_certificate(&t, &same_band, &[LINK / 5.0, 0.8 * LINK]).unwrap_err();
+        assert!(err.contains("outside"), "{err}");
+    }
+
+    #[test]
+    fn oracle_binds_on_fabric_and_core_links() {
+        // Four flows from rack 0 to rack 1, each to its own receiver: at
+        // 4:1 the shared uplink carries 10 Gbps, at 2:1 the downlink 20;
+        // behind a 20 Gbps aggregate core the same pattern halves too.
+        let flows: Vec<_> = (0..4).map(|k| demand(k, 4 + k, 0, 1.0)).collect();
+        let spine = |oversub| {
+            crate::topology::TopologyBuilder::leaf_spine(2, 4, oversub)
+                .link(Bandwidth::from_gbps(10.0))
+                .build()
+        };
+        let core = crate::topology::TopologyBuilder::single_switch(8)
+            .core_capacity(Bandwidth::from_gbps(20.0))
+            .build();
+        for (t, share) in [(spine(4.0), LINK / 4.0), (spine(2.0), LINK / 2.0), (core, LINK / 2.0)] {
+            let want = vec![share; flows.len()];
+            assert_rates_near(&reference_rates(&t, &flows), &want);
+            check_certificate(&t, &flows, &want).unwrap();
+            // Twice the fair share fits every NIC but not the shared link.
+            let err = check_certificate(&t, &flows, &vec![2.0 * share; flows.len()]).unwrap_err();
+            assert!(err.contains("capacity"), "{err}");
+        }
+    }
+
+    #[test]
+    fn oracle_serves_loopback_at_loopback_speed() {
+        // A loopback flow bypasses the NIC: it runs at loopback speed and
+        // takes nothing from a flow leaving the same host.
+        let t = topo(2, 10.0);
+        let flows = [demand(0, 0, 0, 1.0), demand(0, 1, 1, 1.0)];
+        let want = [t.loopback().bytes_per_sec(), LINK];
+        assert_eq!(reference_rates(&t, &flows), want);
+        check_certificate(&t, &flows, &want).unwrap();
+        let err = check_certificate(&t, &flows, &[LINK, LINK]).unwrap_err();
+        assert!(err.contains("loopback"), "{err}");
+        let err = check_certificate(&t, &flows, &[want[0], -1.0]).unwrap_err();
+        assert!(err.contains("outside"), "{err}");
+    }
+
+    #[test]
+    fn dispatch_threshold_boundary_is_bitwise_identical() {
+        // Eight disjoint two-host components with two flows each. The pool
+        // takes a solve once its dirty components hold `par_min_flows`
+        // flows; one below, at and above that boundary, full and partial
+        // solves must all reproduce the sequential rates bit for bit.
+        let t = topo(16, 10.0);
+        let flows: Vec<_> = (0..8u32)
+            .flat_map(|k| {
+                [
+                    demand(2 * k, 2 * k + 1, (k % 3) as u8, 1.0 + k as f64 * 0.37),
+                    demand(2 * k + 1, 2 * k, 0, 1.3),
+                ]
+            })
+            .collect();
+        let seq = MaxMinAllocator::new().allocate(&t, &flows);
+        check_against_oracle(&t, &flows, &seq).unwrap();
+        let parallel = |threshold: usize| {
             let mut a = MaxMinAllocator::new();
             a.set_workers(4);
-            a.set_par_min_component_flows(threshold);
+            a.set_par_min_flows(threshold);
+            a
+        };
+        let check = |what: &str, a: &MaxMinAllocator, rates: &[f64], dispatches: u64| {
+            let same = rates.iter().zip(&seq).all(|(x, y)| x.to_bits() == y.to_bits());
+            assert!(same, "{what} diverged");
+            assert_eq!(a.stats().parallel_dispatches, dispatches, "{what}");
+        };
+        let all = flows.len();
+        for (threshold, dispatches) in [(all - 1, 1), (all, 1), (all + 1, 0)] {
+            let mut a = parallel(threshold);
             let rates = a.allocate(&t, &flows);
-            assert_eq!(
-                a.stats().parallel_dispatches > 0,
-                engages,
-                "threshold {threshold}: wrong engagement"
-            );
-            let same = base_rates
-                .iter()
-                .zip(&rates)
-                .all(|(x, y)| x.to_bits() == y.to_bits());
-            assert!(same, "threshold {threshold} changed the output bits");
+            check(&format!("full solve at threshold {threshold}"), &a, &rates, dispatches);
+        }
+        // Hosts 0 and 2 dirty two components holding four flows; the
+        // partial solve starts from the rates the engine would hold.
+        for (threshold, dispatches) in [(3, 1), (4, 1), (5, 0)] {
+            let mut a = parallel(threshold);
+            let mut rates = seq.clone();
+            a.allocate_dirty_reuse(&t, &flows, &[0, 2], &mut rates, false);
+            check(&format!("partial solve at threshold {threshold}"), &a, &rates, dispatches);
+            assert_eq!(a.last_touched(), &[0, 1, 2, 3]);
         }
     }
 
-    #[test]
-    fn intra_sharding_matches_under_multi_band_cap_churn() {
-        // Promotions + ceilings + dirty-partial churn with intra sharding
-        // forced on: the hardest composite path. Reference is the legacy
-        // kernel, single-threaded.
-        let t = topo(16, 10.0);
-        let schedule = churn_schedule(13, 16, 30, 20, 0, true);
-        let mut legacy = MaxMinAllocator::new();
-        legacy.set_kernel(AllocKernel::Legacy);
-        let mut bn = MaxMinAllocator::new();
-        bn.set_workers(4);
-        bn.set_par_min_flows(usize::MAX >> 1); // keep component dispatch off
-        bn.set_par_min_component_flows(4); // force intra sharding on
-        let mut lf: Vec<FlowDemand> = Vec::new();
-        let mut lr: Vec<f64> = Vec::new();
-        let mut bf: Vec<FlowDemand> = Vec::new();
-        let mut br: Vec<f64> = Vec::new();
-        for (step, ops) in schedule.iter().enumerate() {
-            let (dirty, structural) = apply_ops(ops, &mut lf, &mut lr);
-            apply_ops(ops, &mut bf, &mut br);
-            legacy.allocate_dirty_reuse(&t, &lf, &dirty, &mut lr, !structural);
-            bn.allocate_dirty_reuse(&t, &bf, &dirty, &mut br, !structural);
-            let same = lr.iter().zip(&br).all(|(x, y)| x.to_bits() == y.to_bits());
-            assert!(same, "step {step}: sharded bottleneck diverged from legacy");
+    /// The topology a generated shape names: `kind` 0 is a single switch of
+    /// `a·b` hosts, 1 the same with an oversubscribed aggregate core, 2 a
+    /// leaf-spine fabric of `a` racks × `b` hosts at `oversub`:1.
+    fn arb_topology(kind: u8, a: u32, b: u32, oversub: u8) -> Topology {
+        let link = Bandwidth::from_gbps(10.0);
+        match kind {
+            0 => crate::topology::TopologyBuilder::single_switch((a * b) as usize)
+                .link(link)
+                .build(),
+            1 => crate::topology::TopologyBuilder::single_switch((a * b) as usize)
+                .link(link)
+                .core_capacity(Bandwidth::from_gbps(2.5 * (a * b) as f64))
+                .build(),
+            _ => crate::topology::TopologyBuilder::leaf_spine(a, b, oversub as f64)
+                .link(link)
+                .build(),
         }
-        assert!(bn.stats().parallel_dispatches > 0);
-        assert_eq!(legacy.stats().rounds, bn.stats().rounds);
+    }
+
+    /// One raw churn op: `(kind, (src, dst), band, weight, ceiling, index)`.
+    /// Hosts and indices are reduced modulo the live sizes when applied.
+    type RawOp = (u8, (u32, u32), u8, f64, (u8, f64), usize);
+
+    fn arb_ops() -> impl proptest::strategy::Strategy<Value = Vec<Vec<RawOp>>> {
+        use proptest::prelude::*;
+        let op = (
+            0u8..10,
+            (0u32..64, 0u32..64),
+            0u8..4,
+            0.1f64..4.0,
+            (0u8..5, 0.01f64..2.0),
+            0usize..64,
+        );
+        prop::collection::vec(prop::collection::vec(op, 1..4), 1..25)
+    }
+
+    /// Turn raw ops into churn ops over `hosts` hosts. Weights of 1.0 and
+    /// ceilings are drawn often enough that exact ties and capped flows
+    /// appear in most scripts.
+    fn churn_from_raw(raw: &[Vec<RawOp>], hosts: u32) -> Vec<Vec<ChurnOp>> {
+        let mut len = 0usize;
+        raw.iter()
+            .map(|tick| {
+                let mut ops = Vec::new();
+                for &(kind, (src, dst), band, weight, (cap_kind, cap), idx) in tick {
+                    match kind {
+                        0..=5 => {
+                            let w = if kind < 2 { 1.0 } else { weight };
+                            let mut f = demand(src % hosts, dst % hosts, band, w);
+                            if cap_kind == 0 {
+                                f = f.with_max_rate(cap * LINK);
+                            }
+                            ops.push(ChurnOp::Add(f));
+                            len += 1;
+                        }
+                        6..=7 if len > 0 => {
+                            ops.push(ChurnOp::Remove(idx % len));
+                            len -= 1;
+                        }
+                        8..=9 if len > 0 => ops.push(ChurnOp::Rotate(idx % len)),
+                        _ => {}
+                    }
+                }
+                ops
+            })
+            .collect()
+    }
+
+    proptest::proptest! {
+        /// Under random churn, driven the way the fluid engine drives the
+        /// allocator (dirty hosts, structure reuse), every allocation
+        /// matches the reference water-filling and passes the certificate,
+        /// on single-switch, aggregate-core and leaf-spine topologies.
+        fn kernel_matches_reference_under_churn(
+            shape in (0u8..3, 2u32..5, 2u32..5, 1u8..5),
+            raw in arb_ops(),
+        ) {
+            let (kind, a, b, oversub) = shape;
+            let t = arb_topology(kind, a, b, oversub);
+            let hosts = t.num_hosts() as u32;
+            let mut alloc = MaxMinAllocator::new();
+            let mut flows: Vec<FlowDemand> = Vec::new();
+            let mut rates: Vec<f64> = Vec::new();
+            for (step, ops) in churn_from_raw(&raw, hosts).iter().enumerate() {
+                let (dirty, structural) = apply_ops(ops, &mut flows, &mut rates);
+                alloc.allocate_dirty_reuse(&t, &flows, &dirty, &mut rates, !structural);
+                if let Err(e) = check_against_oracle(&t, &flows, &rates) {
+                    proptest::prop_assert!(false, "topology {kind}/{a}x{b}@{oversub} step {step}: {e}");
+                }
+            }
+        }
+
+        /// A one-shot full solve of a random flow set (up to ~70 flows in
+        /// up to four bands) matches the reference and passes the
+        /// certificate.
+        fn full_solve_matches_reference(
+            shape in (0u8..3, 2u32..5, 2u32..5, 1u8..5),
+            raw in arb_ops(),
+        ) {
+            let (kind, a, b, oversub) = shape;
+            let t = arb_topology(kind, a, b, oversub);
+            let flows: Vec<FlowDemand> = churn_from_raw(&raw, t.num_hosts() as u32)
+                .into_iter()
+                .flatten()
+                .filter_map(|op| match op {
+                    ChurnOp::Add(f) => Some(f),
+                    _ => None,
+                })
+                .collect();
+            let rates = MaxMinAllocator::new().allocate(&t, &flows);
+            if let Err(e) = check_against_oracle(&t, &flows, &rates) {
+                proptest::prop_assert!(false, "topology {kind}/{a}x{b}@{oversub}: {e}");
+            }
+        }
+
+        /// The same churn with every multi-component solve sent to a
+        /// four-worker pool: each allocation matches the reference, passes
+        /// the certificate, and equals the sequential allocator's bit for
+        /// bit.
+        fn parallel_dispatch_matches_reference_under_churn(
+            shape in (0u8..3, 2u32..5, 2u32..5, 1u8..5),
+            raw in arb_ops(),
+        ) {
+            let (kind, a, b, oversub) = shape;
+            let t = arb_topology(kind, a, b, oversub);
+            let hosts = t.num_hosts() as u32;
+            let mut seq = MaxMinAllocator::new();
+            let mut par = MaxMinAllocator::new();
+            par.set_workers(4);
+            par.set_par_min_flows(1);
+            let (mut flows, mut seq_rates) = (Vec::new(), Vec::new());
+            let (mut par_flows, mut par_rates) = (Vec::new(), Vec::new());
+            for (step, ops) in churn_from_raw(&raw, hosts).iter().enumerate() {
+                let (dirty, structural) = apply_ops(ops, &mut flows, &mut seq_rates);
+                apply_ops(ops, &mut par_flows, &mut par_rates);
+                seq.allocate_dirty_reuse(&t, &flows, &dirty, &mut seq_rates, !structural);
+                par.allocate_dirty_reuse(&t, &flows, &dirty, &mut par_rates, !structural);
+                if let Err(e) = check_against_oracle(&t, &flows, &par_rates) {
+                    proptest::prop_assert!(false, "topology {kind}/{a}x{b}@{oversub} step {step}: {e}");
+                }
+                let same = seq_rates.iter().zip(&par_rates).all(|(x, y)| x.to_bits() == y.to_bits());
+                proptest::prop_assert!(same, "step {step}: pool and sequential solves differ");
+            }
+        }
     }
 }
-

@@ -84,18 +84,6 @@ impl Topology {
         self
     }
 
-    /// Constrain the switch fabric to an aggregate capacity (an
-    /// oversubscribed core). All cross-host traffic shares it.
-    #[deprecated(
-        since = "0.6.0",
-        note = "use TopologyBuilder::leaf_spine for an explicit fabric tier, \
-                or TopologyBuilder::core_capacity for the aggregate knob"
-    )]
-    pub fn with_core_capacity(mut self, core: Bandwidth) -> Self {
-        self.core = Some(core);
-        self
-    }
-
     /// The aggregate fabric capacity, if constrained.
     pub fn core_capacity(&self) -> Option<Bandwidth> {
         self.core

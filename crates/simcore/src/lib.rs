@@ -37,7 +37,6 @@ pub mod profile;
 pub mod rng;
 pub mod stats;
 pub mod time;
-pub mod trace;
 
 pub use dirty::DirtySet;
 pub use event::{EventHandle, EventQueue};
@@ -48,4 +47,3 @@ pub use profile::{ProfileReport, Profiler, SubsystemProfile};
 pub use rng::{RngFactory, UnitLogNormal};
 pub use stats::{Histogram, OnlineStats, SampleSet, Summary};
 pub use time::{MonotonicTimer, SimDuration, SimTime};
-pub use trace::{TraceRecord, TraceRecorder};

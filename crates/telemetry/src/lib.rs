@@ -1,7 +1,6 @@
 //! # tl-telemetry — structured observability for the simulation suite
 //!
-//! Replaces the free-text [`simcore::trace::TraceRecorder`] pipeline with
-//! three typed layers:
+//! Three typed layers:
 //!
 //! * [`SimEvent`] — a closed enum of everything the simulators can report
 //!   (flow lifecycle, priority rotations, barrier enter/exit, job

@@ -392,27 +392,22 @@ proptest! {
     }
 }
 
-/// Drive the same churn script through two `FluidNet`s — one on the legacy
-/// round-rescan kernel, one on the bottleneck-ordered kernel with
-/// intra-component sharding forced on — and require bitwise-identical
-/// rates, event times, and completions after every op.
-fn check_churn_kernels_agree(
+/// Drive the same churn script through two `FluidNet`s — one solving
+/// sequentially, one sending every multi-component solve to a four-worker
+/// pool — and require bitwise-identical rates, event times and completions
+/// after every op.
+fn check_churn_workers_agree(
     topo: &Topology,
     ops: &[ChurnOp],
 ) -> Result<(), proptest::test_runner::TestCaseError> {
     use simcore::SimDuration;
-    use tl_net::{AllocKernel, FlowId, FlowSpec, FluidNet};
+    use tl_net::{FlowId, FlowSpec, FluidNet};
 
-    let mut legacy = FluidNet::new(topo.clone());
-    legacy.set_alloc_kernel(AllocKernel::Legacy);
-    legacy.set_alloc_workers(1);
-    let mut bn = FluidNet::new(topo.clone());
-    bn.set_alloc_kernel(AllocKernel::Bottleneck);
-    // Keep component-level dispatch off but force the intra-component
-    // sharded reductions on, so the parallel rounds path is what's tested.
-    bn.set_alloc_workers(4);
-    bn.set_par_min_flows(usize::MAX >> 1);
-    bn.set_par_min_component_flows(4);
+    let mut seq = FluidNet::new(topo.clone());
+    seq.set_alloc_workers(1);
+    let mut par = FluidNet::new(topo.clone());
+    par.set_alloc_workers(4);
+    par.set_par_min_flows(1);
     let mut live: Vec<FlowId> = Vec::new();
     let mut now = SimTime::ZERO;
     for op in ops {
@@ -435,35 +430,32 @@ fn check_churn_kernels_agree(
                     weight,
                     tag,
                 };
-                let id = if cap_div == 0 {
-                    let a = legacy.start_flow(now, spec);
-                    let b = bn.start_flow(now, spec);
-                    prop_assert_eq!(a, b, "flow ids diverged");
-                    a
+                let (a, b) = if cap_div == 0 {
+                    (seq.start_flow(now, spec), par.start_flow(now, spec))
                 } else {
                     let cap = LINK / cap_div as f64;
-                    let a = legacy.start_flow_with_cap(now, spec, cap);
-                    let b = bn.start_flow_with_cap(now, spec, cap);
-                    prop_assert_eq!(a, b, "flow ids diverged");
-                    a
+                    (
+                        seq.start_flow_with_cap(now, spec, cap),
+                        par.start_flow_with_cap(now, spec, cap),
+                    )
                 };
-                live.push(id);
+                prop_assert_eq!(a, b, "flow ids diverged");
+                live.push(a);
             }
             ChurnOp::Collect => {
-                let ta = legacy.next_event_time();
-                let tb = bn.next_event_time();
-                prop_assert_eq!(ta, tb, "next event time diverged");
+                let ta = seq.next_event_time();
+                prop_assert_eq!(ta, par.next_event_time(), "next event time diverged");
                 if let Some(t) = ta {
                     now = t;
                 }
             }
             ChurnOp::Rotate { tag, band } => {
-                legacy.set_band_for_tag(now, tag, Band(band));
-                bn.set_band_for_tag(now, tag, Band(band));
+                seq.set_band_for_tag(now, tag, Band(band));
+                par.set_band_for_tag(now, tag, Band(band));
             }
         }
-        let done_a = legacy.take_completions(now);
-        let done_b = bn.take_completions(now);
+        let done_a = seq.take_completions(now);
+        let done_b = par.take_completions(now);
         prop_assert_eq!(done_a.len(), done_b.len(), "completion counts diverged");
         for (ca, cb) in done_a.iter().zip(&done_b) {
             prop_assert_eq!(ca.id, cb.id, "completion order diverged");
@@ -471,12 +463,12 @@ fn check_churn_kernels_agree(
             live.retain(|&id| id != ca.id);
         }
         for &id in &live {
-            let ra = legacy.rate_of(id).expect("live flow has a rate");
-            let rb = bn.rate_of(id).expect("live flow has a rate");
+            let ra = seq.rate_of(id).expect("live flow has a rate");
+            let rb = par.rate_of(id).expect("live flow has a rate");
             prop_assert_eq!(
                 ra.to_bits(),
                 rb.to_bits(),
-                "rate diverged for flow {:?} after {:?}: legacy {} vs bottleneck {}",
+                "rate diverged for flow {:?} after {:?}: sequential {} vs pool {}",
                 id,
                 op,
                 ra,
@@ -484,28 +476,32 @@ fn check_churn_kernels_agree(
             );
         }
     }
+    prop_assert_eq!(
+        seq.alloc_stats().parallel_dispatches,
+        0,
+        "the sequential engine used the pool"
+    );
     Ok(())
 }
 
 proptest! {
-    /// The bottleneck-ordered kernel is bitwise-identical to the legacy
-    /// round-rescan kernel under arbitrary churn — arrivals with random
-    /// caps/weights/bands, completions, rotations — on the paper's single
-    /// switch.
+    /// Component-parallel dispatch (`TL_WORKERS`) only moves wall time:
+    /// under arbitrary churn on the paper's single switch, a pooled
+    /// `FluidNet` is bitwise-identical to a sequential one.
     #[test]
-    fn bottleneck_kernel_matches_legacy_under_churn(ops in arb_churn(6)) {
+    fn parallel_dispatch_matches_sequential_under_churn(ops in arb_churn(6)) {
         let topo = Topology::uniform(6, Bandwidth::from_gbps(10.0));
-        check_churn_kernels_agree(&topo, &ops)?;
+        check_churn_workers_agree(&topo, &ops)?;
     }
 
-    /// Same cross-kernel guarantee on a 2:1-oversubscribed leaf–spine
-    /// fabric, where components span uplink/downlink fabric tiers.
+    /// Same guarantee on a 2:1-oversubscribed leaf–spine fabric, where
+    /// rack-local components are the ones the pool solves side by side.
     #[test]
-    fn bottleneck_kernel_matches_legacy_on_leaf_spine(ops in arb_churn(6)) {
+    fn parallel_dispatch_matches_sequential_on_leaf_spine(ops in arb_churn(6)) {
         let topo = tl_net::TopologyBuilder::leaf_spine(2, 3, 2.0)
             .link(Bandwidth::from_gbps(10.0))
             .build();
-        check_churn_kernels_agree(&topo, &ops)?;
+        check_churn_workers_agree(&topo, &ops)?;
     }
 }
 
