@@ -1,16 +1,9 @@
 //! The single-giant-component max-min solve: the 500-host × 200-job cell
 //! whose three colocated PS groups couple every job into ONE connected
-//! component, so PR 9's component-level dispatch cannot help and the
+//! component, so the per-component decomposition cannot help and the
 //! kernel itself is what's measured.
-//!
-//! Dimensions: worker count {1, 2, 4, 8}. Output is bitwise-identical
-//! across every cell (the determinism tests pin that); only wall time may
-//! move. Component-level dispatch needs at least two dirty components, so
-//! on this one component the worker rows should coincide: they show what
-//! the pool costs when it cannot help. On a single-core machine a note is
-//! printed so the numbers aren't misread.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 use tl_net::{Band, Bandwidth, FlowDemand, HostId, MaxMinAllocator, Topology};
 
@@ -18,7 +11,6 @@ const HOSTS: u32 = 500;
 const JOBS: u32 = 200;
 const WORKERS_PER_JOB: u32 = 20;
 const PS_GROUPS: u32 = 3;
-const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
 /// The coupled PS-star shape from the scale sweep's worst cell: every
 /// job's PS lives on one of `PS_GROUPS` shared hosts, so all jobs chain
@@ -39,33 +31,20 @@ fn giant_component_demands() -> (Topology, Vec<FlowDemand>) {
     (topo, flows)
 }
 
-/// Full solve of the giant component at each worker-pool size.
+/// Full solve of the giant component.
 fn bench_full_solve(c: &mut Criterion) {
-    if std::thread::available_parallelism().map_or(1, |p| p.get()) == 1 {
-        eprintln!(
-            "note: only one CPU core exposed — multi-worker rows measure \
-             dispatch overhead, not parallel speedup"
-        );
-    }
     let mut g = c.benchmark_group("alloc_single_component/full_solve");
     g.sample_size(10);
     let (topo, flows) = giant_component_demands();
     g.throughput(Throughput::Elements(flows.len() as u64));
-    for workers in WORKER_COUNTS {
-        g.bench_with_input(
-            BenchmarkId::new("workers", workers),
-            &workers,
-            |b, &workers| {
-                let mut alloc = MaxMinAllocator::new();
-                alloc.set_workers(workers);
-                let mut rates = Vec::new();
-                b.iter(|| {
-                    alloc.allocate_into(&topo, black_box(&flows), &mut rates);
-                    black_box(rates.len())
-                });
-            },
-        );
-    }
+    g.bench_function("solve", |b| {
+        let mut alloc = MaxMinAllocator::new();
+        let mut rates = Vec::new();
+        b.iter(|| {
+            alloc.allocate_into(&topo, black_box(&flows), &mut rates);
+            black_box(rates.len())
+        });
+    });
     g.finish();
 }
 
@@ -78,22 +57,15 @@ fn bench_dirty_resolve(c: &mut Criterion) {
     let (topo, flows) = giant_component_demands();
     let dirty: Vec<u32> = (0..topo.num_hosts() as u32).collect();
     g.throughput(Throughput::Elements(flows.len() as u64));
-    for workers in WORKER_COUNTS {
-        g.bench_with_input(
-            BenchmarkId::new("workers", workers),
-            &workers,
-            |b, &workers| {
-                let mut alloc = MaxMinAllocator::new();
-                alloc.set_workers(workers);
-                let mut rates = Vec::new();
-                alloc.allocate_into(&topo, &flows, &mut rates);
-                b.iter(|| {
-                    alloc.allocate_dirty_reuse(&topo, black_box(&flows), &dirty, &mut rates, true);
-                    black_box(rates.len())
-                });
-            },
-        );
-    }
+    g.bench_function("solve", |b| {
+        let mut alloc = MaxMinAllocator::new();
+        let mut rates = Vec::new();
+        alloc.allocate_into(&topo, &flows, &mut rates);
+        b.iter(|| {
+            alloc.allocate_dirty_reuse(&topo, black_box(&flows), &dirty, &mut rates, true);
+            black_box(rates.len())
+        });
+    });
     g.finish();
 }
 
@@ -122,9 +94,8 @@ fn bench_freeze_ladder(c: &mut Criterion) {
     g.sample_size(10);
     let (topo, flows) = ladder_demands();
     g.throughput(Throughput::Elements(flows.len() as u64));
-    g.bench_with_input(BenchmarkId::new("workers", 1), &(), |b, _| {
+    g.bench_function("solve", |b| {
         let mut alloc = MaxMinAllocator::new();
-        alloc.set_workers(1);
         let mut rates = Vec::new();
         b.iter(|| {
             alloc.allocate_into(&topo, black_box(&flows), &mut rates);

@@ -112,17 +112,6 @@ pub struct SimConfig {
     /// values are *not* deterministic; the report is excluded from
     /// telemetry exports.
     pub profile: bool,
-    /// Worker threads for the fluid backend's component-parallel max-min
-    /// allocator. `None` (default) defers to the `TL_WORKERS` environment
-    /// variable, falling back to the machine's available parallelism
-    /// (capped at 8). Simulation results are bitwise-identical at every
-    /// setting — only wall time changes — so this is safe to leave
-    /// unpinned even for reproducibility-sensitive runs.
-    pub alloc_workers: Option<usize>,
-    /// Minimum total dirty flows before the allocator dispatches
-    /// components to the worker pool. `None` defers to
-    /// `TL_PAR_MIN_FLOWS` (default 128). Must be positive.
-    pub par_min_flows: Option<usize>,
 }
 
 impl Default for SimConfig {
@@ -149,8 +138,6 @@ impl Default for SimConfig {
             backend: NetBackendKind::Fluid,
             invariants: cfg!(debug_assertions),
             profile: false,
-            alloc_workers: None,
-            par_min_flows: None,
         }
     }
 }
@@ -703,20 +690,6 @@ impl<'p> Simulation<'p> {
         self
     }
 
-    /// Pin the fluid backend's allocator worker count (overrides
-    /// `cfg.alloc_workers`; results are bitwise-identical at any value).
-    pub fn alloc_workers(mut self, workers: usize) -> Self {
-        self.cfg.alloc_workers = Some(workers);
-        self
-    }
-
-    /// Pin the component-dispatch parallelism threshold (overrides
-    /// `cfg.par_min_flows`). Must be positive.
-    pub fn par_min_flows(mut self, min_flows: usize) -> Self {
-        self.cfg.par_min_flows = Some(min_flows);
-        self
-    }
-
     /// Run the simulation to completion (or the configured horizon).
     ///
     /// Panics if no jobs were added, a setup is inconsistent, or — with
@@ -782,16 +755,7 @@ fn run_inner(
     // Dispatch once on the backend kind; everything below is generic and
     // monomorphized, so the fluid fast path pays nothing for pluggability.
     match cfg.backend {
-        NetBackendKind::Fluid => {
-            let mut net = FluidNet::new(topo);
-            if let Some(workers) = cfg.alloc_workers {
-                net.set_alloc_workers(workers);
-            }
-            if let Some(min_flows) = cfg.par_min_flows {
-                net.set_par_min_flows(min_flows);
-            }
-            run_with_net(cfg, setups, policy, net)
-        }
+        NetBackendKind::Fluid => run_with_net(cfg, setups, policy, FluidNet::new(topo)),
         NetBackendKind::Packet => run_with_net(cfg, setups, policy, PacketNet::new(topo)),
     }
 }
@@ -1923,9 +1887,8 @@ impl<'a, N: NetBackend> Sim<'a, N> {
             if let Some(util) = &util {
                 monitor::record_utilization(reg, util);
             }
-            // Wall-clock fields (`wall_nanos`, `parallel_wall_nanos`) stay
-            // out: exported metrics must be deterministic. The dispatch
-            // count is deterministic for a fixed worker setting.
+            // The wall-clock field (`wall_nanos`) stays out: exported
+            // metrics must be deterministic.
             for (name, v) in [
                 ("alloc.invocations", alloc.invocations),
                 ("alloc.full_solves", alloc.full_solves),
@@ -1935,7 +1898,6 @@ impl<'a, N: NetBackend> Sim<'a, N> {
                 ("alloc.freeze_rounds", alloc.freeze_rounds),
                 ("alloc.links_touched", alloc.links_touched),
                 ("alloc.flows_touched", alloc.flows_touched),
-                ("alloc.parallel_dispatches", alloc.parallel_dispatches),
             ] {
                 let id = reg.register(name, MetricKind::Counter);
                 reg.set(id, v as f64);
@@ -2995,6 +2957,42 @@ mod tests {
         assert!(reg.value(steps) > 0.0);
         // Host gauges appear once a full interval has elapsed.
         assert!(reg.lookup("host0.cpu").is_some());
+    }
+
+    #[test]
+    fn exported_allocator_counters_are_host_independent() {
+        // Exported metrics must not depend on the machine that produced
+        // them: the allocator exports exactly its deterministic work
+        // counters, never wall time or anything tied to the core count.
+        let mut policy = FifoPolicy;
+        let out = Simulation::new(fast_cfg())
+            .jobs(small_setup(2))
+            .policy_ref(&mut policy)
+            .telemetry(tl_telemetry::TelemetryConfig::full(
+                simcore::SimDuration::from_millis(50),
+            ))
+            .run();
+        let mut names: Vec<&str> = out
+            .telemetry
+            .metrics
+            .entries()
+            .map(|(name, _, _)| name)
+            .filter(|name| name.starts_with("alloc."))
+            .collect();
+        names.sort_unstable();
+        assert_eq!(
+            names,
+            [
+                "alloc.components_retained",
+                "alloc.components_solved",
+                "alloc.flows_touched",
+                "alloc.freeze_rounds",
+                "alloc.full_solves",
+                "alloc.invocations",
+                "alloc.links_touched",
+                "alloc.rounds",
+            ]
+        );
     }
 
     #[test]

@@ -113,7 +113,7 @@ impl TopologySpec {
                 oversub,
             } => {
                 assert!(
-                    (racks * hosts_per_rack) as usize >= min_hosts,
+                    racks as usize * hosts_per_rack as usize >= min_hosts,
                     "leaf-spine {racks}x{hosts_per_rack} has fewer hosts than the \
                      placement needs ({min_hosts})"
                 );
@@ -175,9 +175,13 @@ impl FromStr for TopologySpec {
         if racks == 0 || hosts_per_rack == 0 {
             return Err(format!("leaf-spine shape '{grid}' must be nonzero"));
         }
-        // NaN must be rejected too, hence the explicit second arm.
-        if oversub < 1.0 || oversub.is_nan() {
-            return Err(format!("oversubscription {oversub} must be >= 1.0"));
+        // Host ids are u32, so the fabric's host count must fit one.
+        if racks.checked_mul(hosts_per_rack).is_none() {
+            return Err(format!("leaf-spine shape '{grid}' has more hosts than host ids can name"));
+        }
+        // NaN and infinity must be rejected too, hence the explicit arm.
+        if oversub < 1.0 || !oversub.is_finite() {
+            return Err(format!("oversubscription {oversub} must be finite and >= 1.0"));
         }
         Ok(TopologySpec::LeafSpine {
             racks,
@@ -224,6 +228,21 @@ mod tests {
         );
         assert!("leaf-spine:3x4@0.5".parse::<TopologySpec>().is_err());
         assert!("mesh".parse::<TopologySpec>().is_err());
+    }
+
+    #[test]
+    fn topology_spec_rejects_unbuildable_shapes() {
+        // Shapes the builder cannot honour fail at parse time, so `repro`
+        // reports them as usage errors instead of panicking in a cell.
+        for (spec, needle) in [
+            ("leaf-spine:3x7@inf", "finite"),
+            ("leaf-spine:3x7@1e400", "finite"),
+            ("leaf-spine:3x7@NaN", "finite"),
+            ("leaf-spine:65536x65536", "host ids"),
+        ] {
+            let err = spec.parse::<TopologySpec>().unwrap_err();
+            assert!(err.contains(needle), "{spec} -> {err} (wanted {needle})");
+        }
     }
 
     #[test]

@@ -120,10 +120,13 @@ fn parse_args() -> Args {
             "--experiment" | "-e" => experiment = next(&mut i),
             "--iterations" | "-i" => {
                 let v = next(&mut i);
-                cfg = ExperimentConfig::scaled(
-                    v.parse()
-                        .unwrap_or_else(|_| usage_error(&format!("bad --iterations value {v:?}"))),
-                )
+                let n: u64 = v
+                    .parse()
+                    .unwrap_or_else(|_| usage_error(&format!("bad --iterations value {v:?}")));
+                if n == 0 {
+                    usage_error("--iterations must be positive, got 0");
+                }
+                cfg = ExperimentConfig::scaled(n)
             }
             "--full" => cfg = ExperimentConfig::full(),
             "--quick" => quick = true,
@@ -154,10 +157,12 @@ fn parse_args() -> Args {
                 let secs: f64 = v
                     .parse()
                     .unwrap_or_else(|_| usage_error(&format!("bad --cell-timeout value {v:?}")));
-                if !secs.is_finite() || secs <= 0.0 {
-                    usage_error(&format!("--cell-timeout must be positive seconds, got {v:?}"));
+                match Duration::try_from_secs_f64(secs) {
+                    Ok(d) if !d.is_zero() => cell_timeout = Some(d),
+                    _ => usage_error(&format!(
+                        "--cell-timeout must be positive seconds, got {v:?}"
+                    )),
                 }
-                cell_timeout = Some(Duration::from_secs_f64(secs));
             }
             "--max-failures" => {
                 let v = next(&mut i);
@@ -215,6 +220,9 @@ fn parse_args() -> Args {
     }
     if let Some(p) = pattern {
         cfg.pattern = p;
+    }
+    if experiment == "faults" && cfg.pattern != tl_dl::TrafficPattern::PsStar {
+        usage_error("--experiment faults models fault injection for the ps-star pattern only");
     }
     // The ledger rides with the JSON output unless placed explicitly.
     let ledger_dir = ledger_dir.or_else(|| json_dir.clone());
@@ -617,7 +625,7 @@ fn main() {
                 );
                 // Deterministic projection (wall-clock columns stripped,
                 // floats as bit patterns): byte-identical across runs and
-                // across TL_WORKERS settings; check.sh compares it.
+                // processes; check.sh compares it with the committed copy.
                 if let Some(dir) = &args.json_dir {
                     std::fs::create_dir_all(dir).expect("create json dir");
                     write_atomic(
@@ -713,9 +721,8 @@ fn main() {
                 100.0 * rep.share_of("cpu.engine", "engine.handlers").unwrap_or(0.0)
             );
             println!(
-                "allocator kernel counters: rounds={} freeze_rounds={} \
-                 links_touched={} parallel_dispatches={}",
-                alloc.rounds, alloc.freeze_rounds, alloc.links_touched, alloc.parallel_dispatches,
+                "allocator kernel counters: rounds={} freeze_rounds={} links_touched={}",
+                alloc.rounds, alloc.freeze_rounds, alloc.links_touched,
             );
             if let Some(dir) = &args.json_dir {
                 std::fs::create_dir_all(dir).expect("create json dir");

@@ -41,15 +41,6 @@ pub struct ExperimentConfig {
     /// unless overridden.
     #[serde(default)]
     pub pattern: TrafficPattern,
-    /// Allocator worker threads. `None` defers to the engine default
-    /// (`TL_WORKERS`, else available parallelism capped at 8). Results are
-    /// bitwise-identical at every setting; this only moves wall time.
-    #[serde(default)]
-    pub alloc_workers: Option<usize>,
-    /// Component-dispatch parallelism threshold. `None` defers to the
-    /// engine default (`TL_PAR_MIN_FLOWS`, else 128).
-    #[serde(default)]
-    pub par_min_flows: Option<usize>,
 }
 
 impl Default for ExperimentConfig {
@@ -77,8 +68,6 @@ impl ExperimentConfig {
             link_gbps: 10.0,
             topology: TopologySpec::SingleSwitch,
             pattern: TrafficPattern::PsStar,
-            alloc_workers: None,
-            par_min_flows: None,
         }
     }
 
@@ -117,8 +106,6 @@ impl ExperimentConfig {
             barrier_loss: tl_dl::BarrierLossPolicy::default(),
             topology: self.topology,
             pattern: self.pattern,
-            alloc_workers: self.alloc_workers,
-            par_min_flows: self.par_min_flows,
             ..SimConfig::default()
         }
     }
@@ -159,12 +146,17 @@ mod tests {
     #[test]
     fn config_naming_removed_allocator_knobs_loads_with_them_ignored() {
         // Configs written while the allocator had two kernels carry
-        // `alloc_kernel` and `par_min_component_flows`. Both knobs are gone;
-        // such a file still loads, and the stale fields change nothing.
+        // `alloc_kernel` and `par_min_component_flows`; configs written
+        // while it had a worker pool carry `alloc_workers` and
+        // `par_min_flows`. All four knobs are gone; such a file still
+        // loads, and the stale fields change nothing.
         let current = serde_json::to_string(&ExperimentConfig::default()).unwrap();
         let old = current.replacen(
             '{',
-            r#"{"alloc_kernel":"Bottleneck","par_min_component_flows":4096,"#,
+            concat!(
+                r#"{"alloc_kernel":"Bottleneck","par_min_component_flows":4096,"#,
+                r#""alloc_workers":4,"par_min_flows":128,"#,
+            ),
             1,
         );
         assert_ne!(old, current);

@@ -252,9 +252,8 @@ pub fn run_with(
 /// rack pins two jobs' PSes to each of its ten even hosts (the paper's
 /// contending-PS shape, rack-scale) and runs their workers on the
 /// following hosts of the same rack. No flow ever leaves its rack, so the
-/// 10 000-host cluster decomposes into 250 independent components — dirty
-/// re-solves stay rack-sized and same-tick batches fan out to the
-/// allocator's worker pool.
+/// 10 000-host cluster decomposes into 250 independent components and
+/// dirty re-solves stay rack-sized.
 fn xl_placement() -> Placement {
     let jobs_per_rack = XL_JOBS / XL_RACKS;
     let jobs = (0..XL_JOBS)
@@ -372,9 +371,9 @@ impl ScaleResult {
     /// byte-identity comparisons: every wall-clock column (`wall_secs`,
     /// `events_per_sec`, `alloc_wall_ms`) is excluded and every simulated
     /// float is captured as its IEEE-754 bit pattern. Two runs of the same
-    /// sweep — at any allocator worker count (`TL_WORKERS`) — must produce
-    /// byte-identical output; the check-script smoke compares exactly this
-    /// file across worker settings.
+    /// sweep — at any sweep worker count, in any process — must produce
+    /// byte-identical output; the check script compares exactly this file
+    /// with the committed copy in `results/json/`.
     pub fn canonical_json(&self) -> String {
         use std::fmt::Write as _;
         let mut s = String::new();
@@ -470,7 +469,6 @@ pub fn canonical_json(out: &SimOutput) -> String {
 mod tests {
     use super::*;
     use crate::runner::parallel_map_with_workers;
-    use tl_dl::TopologySpec;
 
     fn tiny_cfg() -> ExperimentConfig {
         ExperimentConfig {
@@ -555,6 +553,28 @@ mod tests {
     }
 
     #[test]
+    fn xl_placement_keeps_every_job_in_one_rack() {
+        // The XL cell decomposes into rack components only because of its
+        // placement: every job's PS and workers share one rack, each rack
+        // holds the same number of jobs, and each PS host carries exactly
+        // two PSes (the contending-PS shape).
+        let p = xl_placement();
+        assert_eq!(p.jobs.len(), XL_JOBS as usize);
+        let rack = |h: HostId| h.0 / XL_HOSTS_PER_RACK;
+        let mut jobs_per_rack = vec![0; XL_RACKS as usize];
+        for j in &p.jobs {
+            let r = rack(j.ps_host());
+            let local = j.worker_hosts.iter().all(|&w| rack(w) == r && w != j.ps_host());
+            assert!(local, "{j:?}");
+            jobs_per_rack[r as usize] += 1;
+        }
+        assert!(jobs_per_rack.iter().all(|&n| n == XL_JOBS / XL_RACKS));
+        let ps_hosts = p.ps_colocation_counts();
+        assert_eq!(ps_hosts.len(), XL_RACKS as usize * 10);
+        assert!(ps_hosts.values().all(|&n| n == 2));
+    }
+
+    #[test]
     fn deterministic_across_parallel_map_worker_counts() {
         // The satellite guarantee: a sweep cell run under `parallel_map`
         // serializes to byte-identical JSON whether the pool had one
@@ -570,69 +590,6 @@ mod tests {
         let threaded = run_with(4);
         assert!(sequential[0].contains("\"jobs\":["));
         assert_eq!(sequential, threaded, "worker count changed results");
-    }
-
-    #[test]
-    fn canonical_output_is_identical_across_alloc_worker_counts() {
-        // The tentpole guarantee at the experiment level: the allocator's
-        // worker-pool size (`ExperimentConfig::alloc_workers`, `TL_WORKERS`
-        // in the shell) may only move wall time, never results. The
-        // check-script smoke repeats this comparison cross-process on
-        // `scale.canonical.json`; this is the in-process version over one
-        // quick cell, including a leaf-spine run where rack-local
-        // components actually fan out to the pool.
-        let cell = |workers: usize, topo: TopologySpec| {
-            let cfg = ExperimentConfig {
-                alloc_workers: Some(workers),
-                topology: topo,
-                ..tiny_cfg()
-            };
-            canonical_json(&run_cell(&cfg, GRID_HOSTS[0], GRID_JOBS[0], PolicyKind::TlsRr))
-        };
-        let spine = TopologySpec::LeafSpine {
-            racks: 7,
-            hosts_per_rack: 3,
-            oversub: 2.0,
-        };
-        for topo in [TopologySpec::SingleSwitch, spine] {
-            let one = cell(1, topo);
-            assert!(one.contains("\"alloc\":["));
-            for workers in [2, 4, 8] {
-                assert_eq!(
-                    one,
-                    cell(workers, topo),
-                    "alloc_workers={workers} changed results on {topo:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn canonical_output_is_identical_across_dispatch_thresholds() {
-        // The pool's dispatch threshold (`ExperimentConfig::par_min_flows`,
-        // `TL_PAR_MIN_FLOWS` in the shell) decides which solves go to the
-        // pool; like the worker count it may only move wall time. A
-        // threshold of one sends every multi-component solve to the pool,
-        // an unreachable one keeps them all sequential.
-        let cell = |min_flows: usize, topo: TopologySpec| {
-            let cfg = ExperimentConfig {
-                alloc_workers: Some(4),
-                par_min_flows: Some(min_flows),
-                topology: topo,
-                ..tiny_cfg()
-            };
-            canonical_json(&run_cell(&cfg, GRID_HOSTS[0], GRID_JOBS[0], PolicyKind::TlsRr))
-        };
-        let spine = TopologySpec::LeafSpine {
-            racks: 7,
-            hosts_per_rack: 3,
-            oversub: 2.0,
-        };
-        for topo in [TopologySpec::SingleSwitch, spine] {
-            let sequential = cell(usize::MAX >> 1, topo);
-            assert!(sequential.contains("\"alloc\":["));
-            assert_eq!(sequential, cell(1, topo), "par_min_flows changed results on {topo:?}");
-        }
     }
 
     #[test]

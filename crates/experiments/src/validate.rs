@@ -201,8 +201,6 @@ fn scenario_cfg(master: &ExperimentConfig) -> ExperimentConfig {
         // Per-scenario; `run_backend` installs the scenario's own.
         topology: TopologySpec::SingleSwitch,
         pattern: TrafficPattern::PsStar,
-        alloc_workers: master.alloc_workers,
-        par_min_flows: master.par_min_flows,
     }
 }
 

@@ -36,10 +36,54 @@ fn usage_errors_exit_2() {
     let out = repro().arg("--iterations").output().unwrap();
     assert_eq!(out.status.code(), Some(2), "missing flag value is a usage error");
 
+    // Zero iterations would reach the cells as a zero rotation interval
+    // (a panic) or as an empty run; argv rejects it first.
+    for experiment in ["fig5a", "fig2"] {
+        let out = repro()
+            .args(["--experiment", experiment, "--iterations", "0"])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "{experiment} --iterations 0");
+        assert!(String::from_utf8_lossy(&out.stderr).contains("must be positive"));
+    }
+
     // The max-min kernel is no longer selectable.
     let out = repro().args(["--kernel", "legacy"]).output().unwrap();
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown argument"));
+}
+
+#[test]
+fn out_of_range_flag_values_exit_2() {
+    // Values that parse as numbers but name no runnable setting: a cell
+    // timeout past `Duration`'s range, an infinite oversubscription, and
+    // a fabric with more hosts than a host id can name.
+    for args in [
+        ["--cell-timeout", "1e300"],
+        ["--topology", "leaf-spine:3x7@inf"],
+        ["--topology", "leaf-spine:65536x65536"],
+    ] {
+        let out = repro()
+            .args(["--experiment", "fig2", "--iterations", "3"])
+            .args(args)
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+    }
+}
+
+#[test]
+fn faults_with_a_non_star_pattern_exits_2() {
+    // Fault injection is modelled for the PS star only; any other pattern
+    // is refused at argv instead of failing every cell of the sweep.
+    for pattern in ["ring", "hierarchical"] {
+        let out = repro()
+            .args(["--experiment", "faults", "--iterations", "3", "--pattern", pattern])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "{pattern}");
+        assert!(String::from_utf8_lossy(&out.stderr).contains("ps-star"));
+    }
 }
 
 #[test]

@@ -246,53 +246,11 @@ pub struct FluidNet {
     profiler: Profiler,
 }
 
-/// The default allocator worker count: the `TL_WORKERS` environment
-/// variable when set (parseable, nonzero — `1` forces single-threaded),
-/// else the machine's available parallelism capped at 8 (component solves
-/// are memory-bound; more threads than that stop paying). Results are
-/// bitwise-identical at any worker count, so the default may safely vary
-/// across machines.
-pub fn default_alloc_workers() -> usize {
-    std::env::var("TL_WORKERS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&w| w > 0)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-                .min(8)
-        })
-}
-
-/// The default component-dispatch threshold: `TL_PAR_MIN_FLOWS` when set
-/// (positive integer), else [`crate::maxmin::DEFAULT_PAR_MIN_FLOWS`].
-/// Panics on an unparseable or zero value.
-pub fn default_par_min_flows() -> usize {
-    const VAR: &str = "TL_PAR_MIN_FLOWS";
-    match std::env::var(VAR) {
-        Ok(v) if !v.trim().is_empty() => {
-            let parsed = v
-                .trim()
-                .parse::<usize>()
-                .unwrap_or_else(|_| panic!("{VAR} must be a positive integer, got {v:?}"));
-            assert!(parsed > 0, "{VAR} must be positive, got {v:?}");
-            parsed
-        }
-        _ => crate::maxmin::DEFAULT_PAR_MIN_FLOWS,
-    }
-}
-
 impl FluidNet {
-    /// Create an engine over `topo` with no active flows. The allocator
-    /// worker count starts at [`default_alloc_workers`]; override with
-    /// [`FluidNet::set_alloc_workers`].
+    /// Create an engine over `topo` with no active flows.
     pub fn new(topo: Topology) -> Self {
         let n = topo.num_hosts();
         let nf = topo.num_fabric_links();
-        let mut allocator = MaxMinAllocator::new();
-        allocator.set_workers(default_alloc_workers());
-        allocator.set_par_min_flows(default_par_min_flows());
         FluidNet {
             topo,
             flows: Vec::new(),
@@ -302,7 +260,7 @@ impl FluidNet {
             dirty: DirtySet::new(n),
             next_cache: None,
             pending_done: Vec::new(),
-            allocator,
+            allocator: MaxMinAllocator::new(),
             demands: Vec::new(),
             rates: Vec::new(),
             structure_dirty: false,
@@ -337,25 +295,6 @@ impl FluidNet {
     /// refresh when the profiler is disabled.
     pub fn set_profiler(&mut self, profiler: Profiler) {
         self.profiler = profiler;
-    }
-
-    /// Set the allocator's worker count for component-parallel solves.
-    /// Results are bitwise-identical at any setting (see
-    /// [`MaxMinAllocator::set_workers`]); only wall time changes. The
-    /// default comes from [`default_alloc_workers`].
-    pub fn set_alloc_workers(&mut self, workers: usize) {
-        self.allocator.set_workers(workers);
-    }
-
-    /// The allocator's configured worker count.
-    pub fn alloc_workers(&self) -> usize {
-        self.allocator.workers()
-    }
-
-    /// Set the component-dispatch threshold (panics on 0); the default
-    /// comes from [`default_par_min_flows`] (`TL_PAR_MIN_FLOWS`).
-    pub fn set_par_min_flows(&mut self, min_flows: usize) {
-        self.allocator.set_par_min_flows(min_flows);
     }
 
     /// The topology this engine runs over.
@@ -818,9 +757,6 @@ impl FluidNet {
         // docs), so nothing is rebuilt here; `rates` seeds the allocator
         // with the previous allocation, kept verbatim for clean components.
         let solve_timer = self.profiler.start();
-        let par_before = solve_timer
-            .is_some()
-            .then(|| self.allocator.stats().parallel_wall_nanos);
         self.allocator.allocate_dirty_reuse(
             &self.topo,
             &self.demands,
@@ -829,15 +765,6 @@ impl FluidNet {
             !self.structure_dirty,
         );
         self.profiler.stop("alloc.solve", solve_timer);
-        if let Some(before) = par_before {
-            let delta = self.allocator.stats().parallel_wall_nanos - before;
-            if delta > 0 {
-                // Time inside worker-pool dispatch, a subset of
-                // `alloc.solve` — recorded separately so the profile shows
-                // how much of the solve actually ran multi-threaded.
-                self.profiler.record("alloc.solve_parallel", delta);
-            }
-        }
         self.structure_dirty = false;
         if let Some(before) = stats_before {
             let after = self.allocator.stats();
@@ -1299,6 +1226,45 @@ mod tests {
         let mut net = FluidNet::new(topo(2));
         net.start_flow(SimTime::from_secs(2), spec(0, 1, 1e6, 0, 1));
         net.advance(SimTime::from_secs(1));
+    }
+
+    #[test]
+    fn alloc_solve_events_are_per_solve_deltas() {
+        // Each `alloc_solve` event carries one solve's counters, so the
+        // events of a run add up to the allocator's cumulative totals.
+        // Three disjoint host pairs keep most solves partial.
+        use tl_telemetry::TelemetryConfig;
+        let telemetry = Telemetry::from_config(TelemetryConfig::events());
+        let mut net = FluidNet::new(topo(6));
+        net.set_telemetry(telemetry.clone());
+        for (k, bytes) in [(0u32, 1e9), (1, 2e9), (2, 3e9)] {
+            net.start_flow(SimTime::ZERO, spec(2 * k, 2 * k + 1, bytes, 0, k.into()));
+        }
+        net.advance(SimTime::from_millis(100));
+        net.start_flow(SimTime::from_millis(100), spec(1, 0, 1e9, 1, 3));
+        net.set_band_for_tag(SimTime::from_millis(100), 2, Band(1));
+        while let Some(t) = net.next_event_time() {
+            net.take_completions(t);
+        }
+        let mut sum = [0u64; 4];
+        for e in telemetry.take_output().events_of_kind("alloc_solve") {
+            let SimEvent::AllocSolve {
+                components_solved,
+                components_retained,
+                rounds,
+                flows_touched,
+            } = e.event
+            else {
+                unreachable!()
+            };
+            let solve = [components_solved, components_retained, rounds, flows_touched];
+            for (acc, v) in sum.iter_mut().zip(solve) {
+                *acc += v;
+            }
+        }
+        let a = net.alloc_stats();
+        assert_eq!(sum, [a.components_solved, a.components_retained, a.rounds, a.flows_touched]);
+        assert!(a.components_retained > 0, "no solve was partial");
     }
 
     #[test]

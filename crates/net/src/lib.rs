@@ -32,8 +32,8 @@ pub mod tc;
 pub mod topology;
 pub mod types;
 
-pub use fluid::{default_alloc_workers, default_par_min_flows, CompletedFlow, FlowSpec, FluidNet};
-pub use maxmin::{AllocStats, FlowDemand, MaxMinAllocator, DEFAULT_PAR_MIN_FLOWS};
+pub use fluid::{CompletedFlow, FlowSpec, FluidNet};
+pub use maxmin::{AllocStats, FlowDemand, MaxMinAllocator};
 pub use packet::{PacketRun, PacketSim, Qdisc, Rotation, TimelineEntry, Transfer, TransferOutcome};
 pub use pnet::PacketNet;
 pub use psim::{EgressDiscipline, NetFlow, NetFlowOutcome, NetSimConfig};

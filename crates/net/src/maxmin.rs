@@ -31,27 +31,9 @@
 //! egress. Every round freezes at least one flow, so there are at most
 //! `flows` rounds; in the workloads here, saturation freezes whole links at
 //! a time and the round count tracks the number of busy links instead.
-//!
-//! ## Parallel allocation kernel
-//!
-//! Connected components of the flow/link graph are independent subproblems:
-//! no link is shared across components (sharing a link would have merged
-//! them in the union-find), so their water-fillings touch disjoint state.
-//! When [`MaxMinAllocator::set_workers`] raises the worker count, a solve
-//! that covers several dirty components dispatches contiguous chunks of
-//! the canonical (ascending-id) component list to a persistent
-//! [`WorkerPool`], each worker filling a disjoint range of one shared
-//! output buffer with its own [`SolveScratch`] (per-link accumulators are
-//! sharded per worker, never shared). The caller then scatters the buffer
-//! back in canonical component order. Because each component is solved by
-//! exactly the same dense kernel regardless of which worker runs it, and
-//! the merge order is fixed by component id, the result is **bitwise
-//! identical at any worker count** — the property tests in this module and
-//! the scale experiment's canonical-JSON comparison both assert it.
 
 use crate::topology::Topology;
 use crate::types::{Band, HostId};
-use simcore::WorkerPool;
 
 /// One flow's demand as seen by the allocator.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -111,12 +93,6 @@ pub struct AllocStats {
     pub flows_touched: u64,
     /// Wall-clock time spent inside the solver, in nanoseconds.
     pub wall_nanos: u64,
-    /// Solver calls whose dirty components were dispatched to the worker
-    /// pool (always 0 with a single worker).
-    pub parallel_dispatches: u64,
-    /// Wall-clock nanoseconds spent inside pool dispatch (a subset of
-    /// `wall_nanos`; includes worker wake/join overhead).
-    pub parallel_wall_nanos: u64,
     /// Rounds that froze at least one flow.
     pub freeze_rounds: u64,
     /// Per-link work units: one per active link per round (the θ rescan).
@@ -124,20 +100,12 @@ pub struct AllocStats {
 }
 
 /// Per-solve round/work tally returned by the kernel and folded into
-/// [`AllocStats`] by the dispatcher.
+/// [`AllocStats`] by the caller.
 #[derive(Debug, Default, Clone, Copy)]
 struct KernelTally {
     rounds: u64,
     freeze_rounds: u64,
     links_touched: u64,
-}
-
-impl KernelTally {
-    fn add(&mut self, o: KernelTally) {
-        self.rounds += o.rounds;
-        self.freeze_rounds += o.freeze_rounds;
-        self.links_touched += o.links_touched;
-    }
 }
 
 impl AllocStats {
@@ -152,16 +120,10 @@ impl AllocStats {
 const NO_BAND: u16 = u16::MAX;
 /// Sentinel for an absent link slot in a flow's cached link set.
 const NO_LINK: u32 = u32::MAX;
-/// Default minimum number of flows across dirty components before a
-/// multi-worker solve pays for pool dispatch (condvar wake + per-chunk
-/// boxing). Runtime-tunable via [`MaxMinAllocator::set_par_min_flows`]
-/// (`TL_PAR_MIN_FLOWS` at the `FluidNet` level).
-pub const DEFAULT_PAR_MIN_FLOWS: usize = 128;
 
-/// Per-worker scratch for the dense component solve. Link accumulators
-/// (`cap`, `weight_sum`, per-egress band minima) are sharded here — one
-/// copy per worker — so concurrent component solves never share mutable
-/// state. The gather arrays hold the component's flows densely (creation
+/// Scratch for the dense component solve: link accumulators (`cap`,
+/// `weight_sum`, per-egress band minima), reused across components and
+/// calls. The gather arrays hold the component's flows densely (creation
 /// order preserved, which fixes fp summation order) with their routed link
 /// ids cached once per solve instead of re-deriving routes every round.
 #[derive(Debug, Default)]
@@ -230,10 +192,6 @@ impl SolveScratch {
 /// O(rounds × (links + flows)). `idxs` lists the
 /// component's flows in creation order; the flows' rates are written
 /// densely into `out` (same order as `idxs`). Returns the round tally.
-///
-/// This is a free function over a [`SolveScratch`] so worker threads can
-/// run disjoint components concurrently; it touches nothing outside the
-/// scratch and its output slice.
 fn solve_component(
     s: &mut SolveScratch,
     topo: &Topology,
@@ -523,13 +481,10 @@ fn solve_component(
 /// partial call ([`MaxMinAllocator::allocate_dirty_into`]) re-solves only
 /// components containing a changed ("dirty") host and keeps cached rates
 /// everywhere else. The full and partial paths run the identical
-/// per-component solve, so their results are bit-for-bit equal — as are
-/// single-threaded and pool-dispatched solves (see the module docs).
+/// per-component solve, so their results are bit-for-bit equal.
 #[derive(Debug, Default)]
 pub struct MaxMinAllocator {
-    // One solve scratch per worker; `scratches[0]` serves the sequential
-    // path.
-    scratches: Vec<SolveScratch>,
+    scratch: SolveScratch,
     // Union-find over hosts + fabric links, rebuilt per structure change
     // and kept for O(α) host→component lookups between rebuilds.
     parent: Vec<u32>,
@@ -559,16 +514,8 @@ pub struct MaxMinAllocator {
     touched: Vec<u32>,
     // Per-component dirty flags for the current call.
     comp_dirty: Vec<bool>,
-    // Dirty component ids of the current call, ascending (canonical order).
-    to_solve: Vec<u32>,
-    // Dense rate output buffer shared by the sequential and parallel paths.
-    par_out: Vec<f64>,
-    // Worker pool, created lazily on the first dispatch that wants it.
-    pool: Option<WorkerPool>,
-    workers: usize,
-    // Tunable dispatch threshold; 0 = unset (use the default). The
-    // zero-sentinel keeps `Default` derivable.
-    par_min_flows: usize,
+    // Dense rate output of the component being solved, in its flow order.
+    comp_rates: Vec<f64>,
     stats: AllocStats,
 }
 
@@ -585,37 +532,6 @@ impl MaxMinAllocator {
     /// Create an allocator (no per-topology state; reusable across calls).
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Set the worker count for component-parallel solves. `0` and `1`
-    /// both mean single-threaded. The result is bitwise-identical at any
-    /// setting; only wall time changes. Threads spawn lazily on the first
-    /// solve big enough to dispatch.
-    pub fn set_workers(&mut self, workers: usize) {
-        self.workers = workers.max(1);
-    }
-
-    /// The configured worker count (1 = single-threaded).
-    pub fn workers(&self) -> usize {
-        self.workers.max(1)
-    }
-
-    /// Set the minimum total flow count (across dirty components) before a
-    /// multi-worker solve dispatches components to the pool. Panics on 0 —
-    /// use 1 to always dispatch.
-    pub fn set_par_min_flows(&mut self, min_flows: usize) {
-        assert!(min_flows > 0, "par_min_flows must be positive");
-        self.par_min_flows = min_flows;
-    }
-
-    /// The component-dispatch threshold ([`DEFAULT_PAR_MIN_FLOWS`] unless
-    /// overridden).
-    pub fn par_min_flows(&self) -> usize {
-        if self.par_min_flows == 0 {
-            DEFAULT_PAR_MIN_FLOWS
-        } else {
-            self.par_min_flows
-        }
     }
 
     /// Cumulative performance counters for this allocator.
@@ -901,157 +817,29 @@ impl MaxMinAllocator {
             self.mark_dirty_components(topo, dirty, comp_count);
         }
 
-        let comp_start = std::mem::take(&mut self.comp_start);
-        let comp_flows = std::mem::take(&mut self.comp_flows);
-        let mut to_solve = std::mem::take(&mut self.to_solve);
-        let mut par_out = std::mem::take(&mut self.par_out);
-        to_solve.clear();
-        let mut solved_flows = 0usize;
-        for (c, &d) in self.comp_dirty[..comp_count].iter().enumerate() {
-            if d {
-                to_solve.push(c as u32);
-                let idxs = &comp_flows[comp_start[c] as usize..comp_start[c + 1] as usize];
-                solved_flows += idxs.len();
-                self.touched.extend_from_slice(idxs);
-            } else {
+        // Dirty components are solved one after another in ascending id
+        // (canonical) order; each writes only its own flows' rates.
+        let s = &mut self.scratch;
+        s.ensure(num_links, n, flows.len());
+        for (c, &dirty) in self.comp_dirty[..comp_count].iter().enumerate() {
+            if !dirty {
                 self.stats.components_retained += 1;
+                continue;
+            }
+            let (lo, hi) = (self.comp_start[c] as usize, self.comp_start[c + 1] as usize);
+            let idxs = &self.comp_flows[lo..hi];
+            self.stats.components_solved += 1;
+            self.stats.flows_touched += idxs.len() as u64;
+            self.touched.extend_from_slice(idxs);
+            let out = &mut self.comp_rates;
+            out.clear();
+            out.resize(idxs.len(), 0.0);
+            let tally = solve_component(s, topo, flows, idxs, out);
+            self.stats.absorb(tally);
+            for (&i, &r) in idxs.iter().zip(out.iter()) {
+                rates[i as usize] = r;
             }
         }
-        self.stats.components_solved += to_solve.len() as u64;
-        self.stats.flows_touched += solved_flows as u64;
-
-        let workers = self.workers.max(1);
-        let use_pool = workers > 1 && to_solve.len() >= 2 && solved_flows >= self.par_min_flows();
-        if self.scratches.is_empty() {
-            self.scratches.push(SolveScratch::default());
-        }
-
-        if !use_pool {
-            for &c in &to_solve {
-                let c = c as usize;
-                let idxs = &comp_flows[comp_start[c] as usize..comp_start[c + 1] as usize];
-                par_out.clear();
-                par_out.resize(idxs.len(), 0.0);
-                let s = &mut self.scratches[0];
-                s.ensure(num_links, n, flows.len());
-                let tally = solve_component(s, topo, flows, idxs, &mut par_out);
-                self.stats.absorb(tally);
-                for (j, &i) in idxs.iter().enumerate() {
-                    rates[i as usize] = par_out[j];
-                }
-            }
-        } else {
-            self.stats.parallel_dispatches += 1;
-            let chunks = workers.min(to_solve.len());
-            while self.scratches.len() < chunks {
-                self.scratches.push(SolveScratch::default());
-            }
-            for s in &mut self.scratches[..chunks] {
-                s.ensure(num_links, n, flows.len());
-            }
-            if self
-                .pool
-                .as_ref()
-                .is_none_or(|p| p.size() != workers)
-            {
-                self.pool = Some(WorkerPool::new(workers));
-            }
-
-            // Dense output offsets per dirty component, canonical order.
-            let mut offsets = Vec::with_capacity(to_solve.len());
-            let mut acc = 0usize;
-            for &c in &to_solve {
-                offsets.push(acc);
-                acc += (comp_start[c as usize + 1] - comp_start[c as usize]) as usize;
-            }
-            par_out.clear();
-            par_out.resize(solved_flows, 0.0);
-
-            // Contiguous chunks of the canonical component list, balanced
-            // by flow count. Chunking only affects which worker solves
-            // what — every per-component result is independent of it.
-            let target = solved_flows.div_ceil(chunks);
-            let mut bounds = Vec::with_capacity(chunks);
-            let mut start = 0usize;
-            let mut load = 0usize;
-            for pos in 0..to_solve.len() {
-                let c = to_solve[pos] as usize;
-                load += (comp_start[c + 1] - comp_start[c]) as usize;
-                let remaining_chunks = chunks - bounds.len();
-                let remaining_comps = to_solve.len() - pos - 1;
-                if load >= target || remaining_comps < remaining_chunks {
-                    bounds.push((start, pos + 1));
-                    start = pos + 1;
-                    load = 0;
-                    if bounds.len() == chunks {
-                        break;
-                    }
-                }
-            }
-            if start < to_solve.len() {
-                bounds.push((start, to_solve.len()));
-            }
-
-            let mut rounds_out = vec![KernelTally::default(); bounds.len()];
-            let timer = std::time::Instant::now();
-            {
-                let comp_start = &comp_start[..];
-                let comp_flows = &comp_flows[..];
-                let to_solve = &to_solve[..];
-                let offsets = &offsets[..];
-                let mut out_rest = &mut par_out[..];
-                let mut taken = 0usize;
-                let mut jobs: Vec<Box<dyn FnOnce() + Send + '_>> =
-                    Vec::with_capacity(bounds.len());
-                let mut scratch_iter = self.scratches[..bounds.len()].iter_mut();
-                let mut rounds_iter = rounds_out.iter_mut();
-                for &(p0, p1) in &bounds {
-                    let chunk_flows: usize = to_solve[p0..p1]
-                        .iter()
-                        .map(|&c| (comp_start[c as usize + 1] - comp_start[c as usize]) as usize)
-                        .sum();
-                    let (chunk_out, rest) = out_rest.split_at_mut(chunk_flows);
-                    out_rest = rest;
-                    let chunk_base = taken;
-                    taken += chunk_flows;
-                    let s = scratch_iter.next().expect("scratch per chunk");
-                    let r = rounds_iter.next().expect("tally per chunk");
-                    jobs.push(Box::new(move || {
-                        let mut local = KernelTally::default();
-                        for (q, &c) in to_solve[p0..p1].iter().enumerate() {
-                            let c = c as usize;
-                            let idxs =
-                                &comp_flows[comp_start[c] as usize..comp_start[c + 1] as usize];
-                            let off = offsets[p0 + q] - chunk_base;
-                            let chunk_out = &mut chunk_out[off..off + idxs.len()];
-                            local.add(solve_component(s, topo, flows, idxs, chunk_out));
-                        }
-                        *r = local;
-                    }));
-                }
-                self.pool.as_ref().expect("pool just built").run(jobs);
-            }
-            self.stats.parallel_wall_nanos += timer.elapsed().as_nanos() as u64;
-            for t in &rounds_out {
-                self.stats.absorb(*t);
-            }
-
-            // Deterministic merge: scatter per-component ranges back in
-            // canonical (ascending component id) order.
-            for (pos, &c) in to_solve.iter().enumerate() {
-                let c = c as usize;
-                let idxs = &comp_flows[comp_start[c] as usize..comp_start[c + 1] as usize];
-                let off = offsets[pos];
-                for (j, &i) in idxs.iter().enumerate() {
-                    rates[i as usize] = par_out[off + j];
-                }
-            }
-        }
-
-        self.comp_start = comp_start;
-        self.comp_flows = comp_flows;
-        self.to_solve = to_solve;
-        self.par_out = par_out;
         // CSR order groups by component; downstream consumers iterate
         // `touched` expecting ascending flow order (it keeps telemetry
         // emission order identical to a full scan over the flow list).
@@ -1738,13 +1526,13 @@ mod tests {
     }
 
     /// Deterministic pseudo-random churn schedule over `hosts` hosts: a
-    /// sequence of same-tick op batches, used by the parallel-identity
-    /// and same-tick-churn tests below. The caller applies each batch to
+    /// sequence of same-tick op batches, used by the same-tick-churn and
+    /// rack-local churn tests below. The caller applies each batch to
     /// its own (flows, rates) pair in lockstep — the partial-solve
     /// contract requires the previous rate at every surviving index.
     /// `rack` 0 draws endpoints anywhere (cross-rack flows merge into few
     /// large components); `rack = k` keeps each flow inside one k-host
-    /// rack, yielding many small components (the parallel-dispatch shape).
+    /// rack, yielding many small components (the `scale --xl` shape).
     /// With `caps`, a fraction of arrivals carry a finite rate ceiling.
     fn churn_schedule(
         seed: u64,
@@ -1859,110 +1647,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn parallel_solve_is_bitwise_identical_across_worker_counts() {
-        // Many disjoint components so the pool actually dispatches: churn
-        // across a 16-rack leaf–spine fabric. Workers 2/4/8 must reproduce
-        // the single-threaded result bit for bit, through full solves and
-        // dirty-partial churn alike.
-        let t = crate::topology::TopologyBuilder::leaf_spine(16, 8, 2.0)
-            .link(Bandwidth::from_gbps(10.0))
-            .build();
-        let hosts = t.num_hosts();
-        for seed in [1u64, 9, 23] {
-            // Rack-local flows keep components small and numerous, the
-            // shape that actually reaches the worker pool; heavy arrival
-            // pressure pushes past the dispatch threshold.
-            let schedule = churn_schedule(seed, hosts as u32, 50, 30, 8, false);
-            // Reference: single-threaded.
-            let mut reference = MaxMinAllocator::new();
-            let mut ref_flows: Vec<FlowDemand> = Vec::new();
-            let mut ref_rates: Vec<f64> = Vec::new();
-            let mut ref_results = Vec::new();
-            for ops in &schedule {
-                let (dirty, structural) = apply_ops(ops, &mut ref_flows, &mut ref_rates);
-                reference.allocate_dirty_reuse(&t, &ref_flows, &dirty, &mut ref_rates, !structural);
-                ref_results.push(ref_rates.clone());
-            }
-            for workers in [2usize, 4, 8] {
-                let mut a = MaxMinAllocator::new();
-                a.set_workers(workers);
-                let mut flows: Vec<FlowDemand> = Vec::new();
-                let mut rates: Vec<f64> = Vec::new();
-                for (step, ops) in schedule.iter().enumerate() {
-                    let (dirty, structural) = apply_ops(ops, &mut flows, &mut rates);
-                    a.allocate_dirty_reuse(&t, &flows, &dirty, &mut rates, !structural);
-                    let same = rates
-                        .iter()
-                        .zip(&ref_results[step])
-                        .all(|(x, y)| x.to_bits() == y.to_bits());
-                    assert!(
-                        same,
-                        "seed {seed} step {step}: {workers}-worker solve diverged"
-                    );
-                }
-                assert!(
-                    a.stats().parallel_dispatches > 0,
-                    "churn workload never reached the pool at {workers} workers — \
-                     the test is not exercising the parallel path"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_full_solve_matches_single_threaded_on_dense_grid() {
-        // A full solve over hundreds of single-rack components, well past
-        // PAR_MIN_FLOWS: the parallel scatter must be a bitwise no-op
-        // relative to sequential.
-        let t = crate::topology::TopologyBuilder::leaf_spine(32, 8, 2.0)
-            .link(Bandwidth::from_gbps(10.0))
-            .build();
-        let mut flows = Vec::new();
-        for rack in 0..32u32 {
-            let base = rack * 8;
-            for k in 0..6u32 {
-                flows.push(demand(
-                    base + k % 8,
-                    base + (k + 1) % 8,
-                    (k % 3) as u8,
-                    1.0 + k as f64 * 0.37,
-                ));
-            }
-        }
-        let mut seq = MaxMinAllocator::new();
-        let seq_rates = seq.allocate(&t, &flows);
-        for workers in [2usize, 4, 8] {
-            let mut par = MaxMinAllocator::new();
-            par.set_workers(workers);
-            let par_rates = par.allocate(&t, &flows);
-            assert_eq!(
-                par.stats().parallel_dispatches,
-                1,
-                "{workers}-worker full solve should dispatch"
-            );
-            let same = seq_rates
-                .iter()
-                .zip(&par_rates)
-                .all(|(x, y)| x.to_bits() == y.to_bits());
-            assert!(same, "{workers}-worker full solve diverged");
-        }
-    }
-
-    #[test]
-    fn defaults_unchanged() {
-        let a = MaxMinAllocator::new();
-        assert_eq!(a.par_min_flows(), 128);
-        assert_eq!(DEFAULT_PAR_MIN_FLOWS, 128);
-        assert_eq!(a.workers(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "par_min_flows must be positive")]
-    fn par_min_flows_rejects_zero() {
-        MaxMinAllocator::new().set_par_min_flows(0);
     }
 
     // --- Independent oracle -------------------------------------------------
@@ -2267,48 +1951,83 @@ mod tests {
         assert!(err.contains("outside"), "{err}");
     }
 
-    #[test]
-    fn dispatch_threshold_boundary_is_bitwise_identical() {
-        // Eight disjoint two-host components with two flows each. The pool
-        // takes a solve once its dirty components hold `par_min_flows`
-        // flows; one below, at and above that boundary, full and partial
-        // solves must all reproduce the sequential rates bit for bit.
-        let t = topo(16, 10.0);
-        let flows: Vec<_> = (0..8u32)
-            .flat_map(|k| {
-                [
-                    demand(2 * k, 2 * k + 1, (k % 3) as u8, 1.0 + k as f64 * 0.37),
-                    demand(2 * k + 1, 2 * k, 0, 1.3),
-                ]
-            })
-            .collect();
-        let seq = MaxMinAllocator::new().allocate(&t, &flows);
-        check_against_oracle(&t, &flows, &seq).unwrap();
-        let parallel = |threshold: usize| {
-            let mut a = MaxMinAllocator::new();
-            a.set_workers(4);
-            a.set_par_min_flows(threshold);
-            a
-        };
-        let check = |what: &str, a: &MaxMinAllocator, rates: &[f64], dispatches: u64| {
-            let same = rates.iter().zip(&seq).all(|(x, y)| x.to_bits() == y.to_bits());
-            assert!(same, "{what} diverged");
-            assert_eq!(a.stats().parallel_dispatches, dispatches, "{what}");
-        };
-        let all = flows.len();
-        for (threshold, dispatches) in [(all - 1, 1), (all, 1), (all + 1, 0)] {
-            let mut a = parallel(threshold);
-            let rates = a.allocate(&t, &flows);
-            check(&format!("full solve at threshold {threshold}"), &a, &rates, dispatches);
+    /// 32 racks of 8 hosts on a 2:1 leaf-spine, six rack-local flows per
+    /// rack in three bands: one small component per rack, the `scale --xl`
+    /// shape. Rack `r` owns flows `6r..6r + 6`.
+    fn rack_local_grid() -> (Topology, Vec<FlowDemand>) {
+        let t = crate::topology::TopologyBuilder::leaf_spine(32, 8, 2.0)
+            .link(Bandwidth::from_gbps(10.0))
+            .build();
+        let mut flows = Vec::new();
+        for rack in 0..32u32 {
+            let base = rack * 8;
+            for k in 0..6u32 {
+                flows.push(demand(
+                    base + k % 8,
+                    base + (k + 1) % 8,
+                    (k % 3) as u8,
+                    1.0 + k as f64 * 0.37,
+                ));
+            }
         }
-        // Hosts 0 and 2 dirty two components holding four flows; the
-        // partial solve starts from the rates the engine would hold.
-        for (threshold, dispatches) in [(3, 1), (4, 1), (5, 0)] {
-            let mut a = parallel(threshold);
-            let mut rates = seq.clone();
-            a.allocate_dirty_reuse(&t, &flows, &[0, 2], &mut rates, false);
-            check(&format!("partial solve at threshold {threshold}"), &a, &rates, dispatches);
-            assert_eq!(a.last_touched(), &[0, 1, 2, 3]);
+        (t, flows)
+    }
+
+    #[test]
+    fn many_rack_local_components_match_reference() {
+        let (t, flows) = rack_local_grid();
+        let mut a = MaxMinAllocator::new();
+        let rates = a.allocate(&t, &flows);
+        assert_eq!(a.stats().components_solved, 32);
+        check_against_oracle(&t, &flows, &rates).unwrap();
+    }
+
+    #[test]
+    fn partial_solve_counts_each_component_once() {
+        // Hosts in racks 3 and 17 are dirty (one of them twice): the call
+        // solves those two components and retains the other thirty, its
+        // touched flows are exactly their twelve in ascending order, and
+        // with no input changed every rate comes back bit for bit.
+        let (t, flows) = rack_local_grid();
+        let mut a = MaxMinAllocator::new();
+        let full = a.allocate(&t, &flows);
+        a.reset_stats();
+        let mut rates = full.clone();
+        a.allocate_dirty_reuse(&t, &flows, &[3 * 8 + 2, 17 * 8, 3 * 8 + 5], &mut rates, true);
+        let s = a.stats();
+        assert_eq!((s.invocations, s.full_solves), (1, 0));
+        assert_eq!((s.components_solved, s.components_retained), (2, 30));
+        assert_eq!(s.flows_touched, 12);
+        let want: Vec<u32> = (18..24).chain(102..108).collect();
+        assert_eq!(a.last_touched(), want);
+        assert!(rates.iter().zip(&full).all(|(x, y)| x.to_bits() == y.to_bits()));
+    }
+
+    #[test]
+    fn rack_local_churn_matches_reference() {
+        // Heavy rack-local churn on a 16-rack leaf-spine, driven the way
+        // the fluid engine drives the allocator: many small components, a
+        // few dirty per tick, the rest retained. Every allocation must
+        // match the reference water-filling and pass the certificate.
+        let t = crate::topology::TopologyBuilder::leaf_spine(16, 8, 2.0)
+            .link(Bandwidth::from_gbps(10.0))
+            .build();
+        let hosts = t.num_hosts() as u32;
+        for (seed, caps) in [(1u64, false), (9, true)] {
+            let mut a = MaxMinAllocator::new();
+            let mut flows: Vec<FlowDemand> = Vec::new();
+            let mut rates: Vec<f64> = Vec::new();
+            for (step, ops) in churn_schedule(seed, hosts, 50, 30, 8, caps).iter().enumerate() {
+                let (dirty, structural) = apply_ops(ops, &mut flows, &mut rates);
+                a.allocate_dirty_reuse(&t, &flows, &dirty, &mut rates, !structural);
+                if let Err(e) = check_against_oracle(&t, &flows, &rates) {
+                    panic!("seed {seed} step {step}: {e}");
+                }
+            }
+            assert!(
+                a.stats().components_retained > 0,
+                "seed {seed}: churn never retained a component"
+            );
         }
     }
 
@@ -2424,36 +2143,6 @@ mod tests {
             let rates = MaxMinAllocator::new().allocate(&t, &flows);
             if let Err(e) = check_against_oracle(&t, &flows, &rates) {
                 proptest::prop_assert!(false, "topology {kind}/{a}x{b}@{oversub}: {e}");
-            }
-        }
-
-        /// The same churn with every multi-component solve sent to a
-        /// four-worker pool: each allocation matches the reference, passes
-        /// the certificate, and equals the sequential allocator's bit for
-        /// bit.
-        fn parallel_dispatch_matches_reference_under_churn(
-            shape in (0u8..3, 2u32..5, 2u32..5, 1u8..5),
-            raw in arb_ops(),
-        ) {
-            let (kind, a, b, oversub) = shape;
-            let t = arb_topology(kind, a, b, oversub);
-            let hosts = t.num_hosts() as u32;
-            let mut seq = MaxMinAllocator::new();
-            let mut par = MaxMinAllocator::new();
-            par.set_workers(4);
-            par.set_par_min_flows(1);
-            let (mut flows, mut seq_rates) = (Vec::new(), Vec::new());
-            let (mut par_flows, mut par_rates) = (Vec::new(), Vec::new());
-            for (step, ops) in churn_from_raw(&raw, hosts).iter().enumerate() {
-                let (dirty, structural) = apply_ops(ops, &mut flows, &mut seq_rates);
-                apply_ops(ops, &mut par_flows, &mut par_rates);
-                seq.allocate_dirty_reuse(&t, &flows, &dirty, &mut seq_rates, !structural);
-                par.allocate_dirty_reuse(&t, &flows, &dirty, &mut par_rates, !structural);
-                if let Err(e) = check_against_oracle(&t, &flows, &par_rates) {
-                    proptest::prop_assert!(false, "topology {kind}/{a}x{b}@{oversub} step {step}: {e}");
-                }
-                let same = seq_rates.iter().zip(&par_rates).all(|(x, y)| x.to_bits() == y.to_bits());
-                proptest::prop_assert!(same, "step {step}: pool and sequential solves differ");
             }
         }
     }

@@ -32,7 +32,6 @@ pub mod dirty;
 pub mod event;
 pub mod invariant;
 pub mod outcome;
-pub mod pool;
 pub mod profile;
 pub mod rng;
 pub mod stats;
@@ -42,7 +41,6 @@ pub use dirty::DirtySet;
 pub use event::{EventHandle, EventQueue};
 pub use invariant::{InvariantChecker, InvariantViolation};
 pub use outcome::CellOutcome;
-pub use pool::WorkerPool;
 pub use profile::{ProfileReport, Profiler, SubsystemProfile};
 pub use rng::{RngFactory, UnitLogNormal};
 pub use stats::{Histogram, OnlineStats, SampleSet, Summary};

@@ -39,6 +39,14 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
+/// A wall-clock offset in seconds: finite and non-negative.
+fn offset(v: &str) -> f64 {
+    match v.parse::<f64>() {
+        Ok(s) if s.is_finite() && s >= 0.0 => s,
+        _ => usage(),
+    }
+}
+
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut cfg = DaemonConfig::default();
@@ -62,7 +70,7 @@ fn main() {
         match argv[i].as_str() {
             "--registry" => registry_path = Some(next(&mut i)),
             "--prev" => prev_path = Some(next(&mut i)),
-            "--prev-at" => prev_at = next(&mut i).parse().unwrap_or_else(|_| usage()),
+            "--prev-at" => prev_at = offset(&next(&mut i)),
             "--dev" => cfg.dev = next(&mut i),
             "--link-gbps" => cfg.link_gbps = next(&mut i).parse().unwrap_or_else(|_| usage()),
             "--bands" => cfg.num_bands = next(&mut i).parse().unwrap_or_else(|_| usage()),
@@ -70,7 +78,7 @@ fn main() {
             "--interval" => interval = next(&mut i).parse().unwrap_or_else(|_| usage()),
             "--ordering" => ordering_name = next(&mut i),
             "--seed" => seed = next(&mut i).parse().unwrap_or_else(|_| usage()),
-            "--at" => at = next(&mut i).parse().unwrap_or_else(|_| usage()),
+            "--at" => at = offset(&next(&mut i)),
             "--hosts" => num_hosts = Some(next(&mut i).parse().unwrap_or_else(|_| usage())),
             "--host" => only_host = Some(next(&mut i).parse().unwrap_or_else(|_| usage())),
             "--help" | "-h" => usage(),
@@ -93,6 +101,11 @@ fn main() {
         "smallest" => JobOrdering::SmallestUpdateFirst,
         _ => usage(),
     };
+
+    if let Err(e) = cfg.validate() {
+        eprintln!("tlsd: {e}");
+        std::process::exit(2);
+    }
 
     let registry_path = registry_path.unwrap_or_else(|| usage());
     let read = |path: &str| -> Registry {

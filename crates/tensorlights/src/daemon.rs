@@ -17,7 +17,7 @@ use crate::tls_rr::TlsRr;
 use crate::FifoPolicy;
 use serde::{Deserialize, Serialize};
 use simcore::{SimDuration, SimTime};
-use tl_net::{Bandwidth, HostId};
+use tl_net::{Band, Bandwidth, HostId};
 
 /// One job in the registry file.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -54,6 +54,15 @@ pub enum RegistryError {
         /// The repeated tag.
         tag: u64,
     },
+    /// Two jobs' PSes share a host and a TCP port. The host's tc filters
+    /// classify by port, so one job's band would silently replace the
+    /// other's.
+    DuplicatePort {
+        /// The shared PS host.
+        ps_host: u32,
+        /// The shared port.
+        ps_port: u16,
+    },
     /// A job names a PS host outside the cluster.
     PsHostOutOfRange {
         /// The offending job's tag.
@@ -71,6 +80,9 @@ impl std::fmt::Display for RegistryError {
             RegistryError::Json(e) => write!(f, "malformed registry JSON: {e}"),
             RegistryError::DuplicateTag { tag } => {
                 write!(f, "duplicate job tag {tag} in registry")
+            }
+            RegistryError::DuplicatePort { ps_host, ps_port } => {
+                write!(f, "two PSes on host {ps_host} share port {ps_port}")
             }
             RegistryError::PsHostOutOfRange {
                 tag,
@@ -100,8 +112,8 @@ impl From<serde_json::Error> for RegistryError {
 }
 
 impl Registry {
-    /// Parse a registry from JSON and validate it (tag uniqueness; host
-    /// indices are unchecked because the cluster size is unknown here —
+    /// Parse a registry from JSON and validate it (unique tags and PS
+    /// host/port pairs; host indices are unchecked because the cluster size is unknown here —
     /// use [`Registry::validate`] with a host count for that).
     pub fn from_json(json: &str) -> Result<Registry, RegistryError> {
         let reg: Registry = serde_json::from_str(json)?;
@@ -109,13 +121,21 @@ impl Registry {
         Ok(reg)
     }
 
-    /// Check registry invariants: job tags must be unique, and — when the
-    /// cluster size is known — every `ps_host` must be a valid host index.
+    /// Check registry invariants: job tags must be unique, no two PSes
+    /// may share a host and port, and — when the cluster size is known —
+    /// every `ps_host` must be a valid host index.
     pub fn validate(&self, num_hosts: Option<u32>) -> Result<(), RegistryError> {
         let mut seen = std::collections::HashSet::new();
+        let mut ports = std::collections::HashSet::new();
         for j in &self.jobs {
             if !seen.insert(j.tag) {
                 return Err(RegistryError::DuplicateTag { tag: j.tag });
+            }
+            if !ports.insert((j.ps_host, j.ps_port)) {
+                return Err(RegistryError::DuplicatePort {
+                    ps_host: j.ps_host,
+                    ps_port: j.ps_port,
+                });
             }
             if let Some(n) = num_hosts {
                 if j.ps_host >= n {
@@ -194,6 +214,36 @@ impl Default for DaemonConfig {
             },
             ordering: JobOrdering::ByArrival,
         }
+    }
+}
+
+impl DaemonConfig {
+    /// Check the settings [`plan`] relies on: a positive, finite link
+    /// speed, a band count the tc hierarchy accepts, and a TLs-RR
+    /// interval that is finite and at least one nanosecond.
+    pub fn validate(&self) -> Result<(), String> {
+        let bytes_per_sec = self.link_gbps * 1e9 / 8.0;
+        if !(bytes_per_sec > 0.0 && bytes_per_sec.is_finite()) {
+            return Err(format!(
+                "link speed {} Gbps must be positive and finite",
+                self.link_gbps
+            ));
+        }
+        if !Band::valid_band_count(self.num_bands) {
+            return Err(format!(
+                "band count {} outside tc budget 1..={}",
+                self.num_bands,
+                Band::MAX_TC_BANDS
+            ));
+        }
+        if let PlanMode::Rr { interval_secs } = self.mode {
+            if !(interval_secs.is_finite() && (interval_secs * 1e9).round() >= 1.0) {
+                return Err(format!(
+                    "rotation interval {interval_secs} s must be finite and at least 1 ns"
+                ));
+            }
+        }
+        Ok(())
     }
 }
 
@@ -285,6 +335,25 @@ mod tests {
             Err(RegistryError::DuplicateTag { tag }) => assert_eq!(tag, 7),
             other => panic!("expected DuplicateTag, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn rejects_two_pses_on_one_host_port() {
+        let json = r#"{"jobs":[
+            {"tag":1,"ps_host":0,"ps_port":2222},
+            {"tag":2,"ps_host":1,"ps_port":2222},
+            {"tag":3,"ps_host":0,"ps_port":2222}]}"#;
+        match Registry::from_json(json) {
+            Err(RegistryError::DuplicatePort { ps_host, ps_port }) => {
+                assert_eq!((ps_host, ps_port), (0, 2222));
+            }
+            other => panic!("expected DuplicatePort, got {other:?}"),
+        }
+        // The same port on different hosts is fine.
+        let json = r#"{"jobs":[
+            {"tag":1,"ps_host":0,"ps_port":2222},
+            {"tag":2,"ps_host":1,"ps_port":2222}]}"#;
+        assert!(Registry::from_json(json).is_ok());
     }
 
     #[test]
@@ -383,6 +452,38 @@ mod tests {
             ..Default::default()
         };
         assert_eq!(next_refresh_secs(&one, 0.0), None);
+    }
+
+    #[test]
+    fn validate_rejects_settings_plan_cannot_honour() {
+        assert_eq!(DaemonConfig::default().validate(), Ok(()));
+        let rr = |interval_secs| DaemonConfig {
+            mode: PlanMode::Rr { interval_secs },
+            ..Default::default()
+        };
+        assert_eq!(rr(1e-9).validate(), Ok(()));
+        let link = |link_gbps| DaemonConfig {
+            link_gbps,
+            ..Default::default()
+        };
+        let bands = |num_bands| DaemonConfig {
+            num_bands,
+            ..Default::default()
+        };
+        for (cfg, needle) in [
+            (link(0.0), "link speed"),
+            (link(-1.0), "link speed"),
+            (link(f64::INFINITY), "link speed"),
+            (link(1e300), "link speed"),
+            (bands(0), "band count"),
+            (bands(Band::MAX_TC_BANDS + 1), "band count"),
+            (rr(0.0), "rotation interval"),
+            (rr(1e-300), "rotation interval"),
+            (rr(f64::INFINITY), "rotation interval"),
+        ] {
+            let err = cfg.validate().unwrap_err();
+            assert!(err.contains(needle), "{err} (wanted {needle})");
+        }
     }
 
     #[test]

@@ -102,6 +102,11 @@ fn parse_model(name: &str) -> Result<ModelSpec, ScenarioError> {
         if mb == 0 {
             return Err(ScenarioError::Invalid("synthetic model of 0 MB".into()));
         }
+        if mb > u64::MAX / 1_000_000 {
+            return Err(ScenarioError::Invalid(format!(
+                "synthetic model of {mb} MB overflows the byte count"
+            )));
+        }
         return Ok(ModelSpec::synthetic_mb(mb));
     }
     match name {
@@ -128,6 +133,9 @@ pub fn load_scenario(json: &str) -> Result<Vec<JobSetup>, ScenarioError> {
         let model = parse_model(&j.model)?;
         if j.workers == 0 {
             return Err(ScenarioError::Invalid(format!("job {i} has no workers")));
+        }
+        if j.batch == 0 {
+            return Err(ScenarioError::Invalid(format!("job {i} has batch size 0")));
         }
         if j.workers >= file.hosts {
             return Err(ScenarioError::Invalid(format!(
@@ -178,20 +186,33 @@ pub fn load_scenario(json: &str) -> Result<Vec<JobSetup>, ScenarioError> {
                 .collect(),
         };
         let launch = match j.launch_secs {
-            Some(s) if s >= 0.0 => SimTime::from_secs_f64(s),
-            Some(s) => {
+            Some(s) if s < 0.0 => {
                 return Err(ScenarioError::Invalid(format!(
                     "job {i}: negative launch time {s}"
                 )))
             }
+            Some(s) if s.is_finite() && s <= SimTime::MAX.as_secs_f64() => {
+                SimTime::from_secs_f64(s)
+            }
+            Some(s) => {
+                return Err(ScenarioError::Invalid(format!(
+                    "job {i}: launch time {s} s is beyond the simulated clock"
+                )))
+            }
             None => SimTime::from_secs_f64(0.1 * i as f64),
         };
+        let target_global_steps = j.iterations.checked_mul(u64::from(j.workers)).ok_or_else(|| {
+            ScenarioError::Invalid(format!(
+                "job {i}: {} iterations overflow the step count",
+                j.iterations
+            ))
+        })?;
         setups.push(JobSetup {
             spec: JobSpec {
                 id: JobId(i as u32),
                 num_workers: j.workers,
                 local_batch_size: j.batch,
-                target_global_steps: j.iterations * j.workers as u64,
+                target_global_steps,
                 mode,
                 launch_time: launch,
                 ps_port: 2222 + i as u16,
@@ -284,6 +305,49 @@ mod tests {
                 r#"{"hosts": 4, "jobs": [{"model": "synthetic:0", "workers": 2}]}"#,
                 "0 MB",
             ),
+            (
+                r#"{"hosts": 4, "jobs": [{"model": "resnet32", "workers": 2, "batch": 0}]}"#,
+                "batch size 0",
+            ),
+            (
+                r#"{"hosts": 4, "jobs": [{"model": "resnet32", "workers": 2,
+                    "launch_secs": 1e400}]}"#,
+                "beyond the simulated clock",
+            ),
+            (
+                r#"{"hosts": 4, "jobs": [{"model": "resnet32", "workers": 2,
+                    "launch_secs": 1e300}]}"#,
+                "beyond the simulated clock",
+            ),
+            (
+                r#"{"hosts": 4, "jobs": [{"model": "resnet32", "workers": 2,
+                    "launch_secs": -1}]}"#,
+                "negative launch time",
+            ),
+        ] {
+            let err = load_scenario(json).unwrap_err();
+            assert!(
+                err.to_string().contains(needle),
+                "{json} -> {err} (wanted {needle})"
+            );
+        }
+    }
+
+    #[test]
+    fn rejects_sizes_that_overflow() {
+        // Sizes the loader multiplies out: a synthetic model's byte count
+        // and a job's total step count must fit in a u64.
+        for (json, needle) in [
+            (
+                r#"{"hosts": 4, "jobs": [{"model": "synthetic:18446744073709551615",
+                    "workers": 2}]}"#,
+                "overflows the byte count",
+            ),
+            (
+                r#"{"hosts": 4, "jobs": [{"model": "resnet32", "workers": 2,
+                    "iterations": 18446744073709551615}]}"#,
+                "overflow the step count",
+            ),
         ] {
             let err = load_scenario(json).unwrap_err();
             assert!(
@@ -299,6 +363,69 @@ mod tests {
             load_scenario("{nope"),
             Err(ScenarioError::Json(_))
         ));
+    }
+
+    /// Field values that sit on or past a boundary: zero, one, the `u32`
+    /// and `u64` maxima, a huge float, a negative number, and a literal
+    /// that overflows `f64` to infinity.
+    const EDGE_VALUES: [&str; 7] = [
+        "0",
+        "1",
+        "4294967295",
+        "18446744073709551615",
+        "1e300",
+        "-1",
+        "1e400",
+    ];
+
+    /// A valid two-job, one-iteration scenario with `muts` applied: each
+    /// `(job, field, value)` overwrites one numeric field of one job (the
+    /// synthetic model size counts as a field) with an [`EDGE_VALUES`] entry.
+    fn mutated_scenario(muts: &[(usize, usize, usize)]) -> String {
+        let mut jobs = [
+            ["10", "2", "2", "1", "0", "0.5"],
+            ["20", "3", "1", "1", "1", "0"],
+        ];
+        for &(job, field, value) in muts {
+            jobs[job][field] = EDGE_VALUES[value];
+        }
+        let job = |[mb, workers, batch, iterations, ps_host, launch]: [&str; 6]| {
+            format!(
+                r#"{{"model": "synthetic:{mb}", "workers": {workers}, "batch": {batch},
+                    "iterations": {iterations}, "ps_host": {ps_host}, "launch_secs": {launch}}}"#
+            )
+        };
+        format!(r#"{{"hosts": 4, "jobs": [{}, {}]}}"#, job(jobs[0]), job(jobs[1]))
+    }
+
+    proptest::proptest! {
+        /// Boundary values in any field never panic the loader, and every
+        /// scenario it accepts runs to completion: it loads what the
+        /// engine can simulate and rejects the rest.
+        fn loader_accepts_only_runnable_scenarios(
+            muts in proptest::collection::vec(
+                (0usize..2, 0usize..6, 0usize..EDGE_VALUES.len()),
+                1..4,
+            ),
+        ) {
+            let json = mutated_scenario(&muts);
+            if let Ok(mut setups) = load_scenario(&json) {
+                // One iteration per job, however many the file asks for.
+                for s in &mut setups {
+                    let one = u64::from(s.spec.num_workers);
+                    s.spec.target_global_steps = s.spec.target_global_steps.min(one);
+                }
+                let cfg = tl_dl::SimConfig {
+                    max_sim_time: SimTime::MAX,
+                    ..Default::default()
+                };
+                let out = tl_dl::Simulation::new(cfg)
+                    .jobs(setups)
+                    .policy_ref(&mut tensorlights::FifoPolicy)
+                    .run();
+                proptest::prop_assert!(out.all_complete(), "accepted but did not finish: {}", json);
+            }
+        }
     }
 
     #[test]

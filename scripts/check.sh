@@ -28,7 +28,6 @@ if [[ "${1:-}" != "fast" ]]; then
     TL_BENCH_SMOKE=1 cargo bench -p tl-bench --bench fault_overhead
     TL_BENCH_SMOKE=1 cargo bench -p tl-bench --bench scale
     TL_BENCH_SMOKE=1 cargo bench -p tl-bench --bench analysis
-    TL_BENCH_SMOKE=1 cargo bench -p tl-bench --bench alloc_parallel
     TL_BENCH_SMOKE=1 cargo bench -p tl-bench --bench alloc_single_component
 
     # Telemetry smoke: emit a Chrome trace from the Figure 4 narrative and
@@ -66,18 +65,6 @@ if [[ "${1:-}" != "fast" ]]; then
     echo "==> scale sweep smoke (--quick)"
     ./target/release/repro --experiment scale --quick > /dev/null
 
-    # Threaded-determinism smoke: the allocator worker-pool size is only
-    # allowed to move wall time. Run the quick scale cell single-threaded
-    # and with a 4-thread pool in separate processes; the canonical JSON
-    # projection (floats as IEEE-754 bits, wall-clock columns stripped)
-    # must be byte-identical.
-    echo "==> allocator threaded-determinism smoke (TL_WORKERS 1 vs 4)"
-    TL_WORKERS=1 ./target/release/repro --experiment scale --quick \
-        --json "$tmp/workers1" > /dev/null
-    TL_WORKERS=4 ./target/release/repro --experiment scale --quick \
-        --json "$tmp/workers4" > /dev/null
-    cmp "$tmp/workers1/scale.canonical.json" "$tmp/workers4/scale.canonical.json"
-
     # Committed-artifact oracle: regenerate the full scale sweep and
     # compare its canonical JSON (mean JCTs as IEEE-754 bits, event counts
     # and allocator counters) with the committed copy. The reference was
@@ -86,6 +73,22 @@ if [[ "${1:-}" != "fast" ]]; then
     echo "==> scale sweep vs committed results/json/scale.canonical.json"
     ./target/release/repro --experiment scale --json "$tmp/scale" > /dev/null
     cmp "$tmp/scale/scale.canonical.json" results/json/scale.canonical.json
+
+    # Paper-artifact oracle: regenerate every paper table and figure at the
+    # default 300 iterations and compare each CSV that has a committed copy
+    # in results/csv/ byte for byte. All eight paper CSVs must be present.
+    echo "==> paper CSVs vs committed results/csv/"
+    ./target/release/repro --experiment all --csv "$tmp/paper" > /dev/null
+    compared=0
+    for f in "$tmp"/paper/*.csv; do
+        ref="results/csv/$(basename "$f")"
+        [[ -f "$ref" ]] || continue
+        cmp "$f" "$ref"
+        compared=$((compared + 1))
+    done
+    [[ "$compared" -ge 8 ]] || {
+        echo "expected the 8 paper CSVs to have committed copies, compared $compared"; exit 1
+    }
 
     # Fabric smoke: the full policy x oversubscription x pattern grid on
     # the leaf-spine topology at smoke-test iteration counts (repro asserts

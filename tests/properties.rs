@@ -390,118 +390,25 @@ proptest! {
             .build();
         check_churn_against_scratch(&topo, &ops)?;
     }
-}
 
-/// Drive the same churn script through two `FluidNet`s — one solving
-/// sequentially, one sending every multi-component solve to a four-worker
-/// pool — and require bitwise-identical rates, event times and completions
-/// after every op.
-fn check_churn_workers_agree(
-    topo: &Topology,
-    ops: &[ChurnOp],
-) -> Result<(), proptest::test_runner::TestCaseError> {
-    use simcore::SimDuration;
-    use tl_net::{FlowId, FlowSpec, FluidNet};
-
-    let mut seq = FluidNet::new(topo.clone());
-    seq.set_alloc_workers(1);
-    let mut par = FluidNet::new(topo.clone());
-    par.set_alloc_workers(4);
-    par.set_par_min_flows(1);
-    let mut live: Vec<FlowId> = Vec::new();
-    let mut now = SimTime::ZERO;
-    for op in ops {
-        match *op {
-            ChurnOp::Arrive {
-                src,
-                dst,
-                bytes,
-                band,
-                weight,
-                cap_div,
-                tag,
-            } => {
-                now += SimDuration::from_micros(50);
-                let spec = FlowSpec {
-                    src: HostId(src),
-                    dst: HostId(dst),
-                    bytes,
-                    band: Band(band),
-                    weight,
-                    tag,
-                };
-                let (a, b) = if cap_div == 0 {
-                    (seq.start_flow(now, spec), par.start_flow(now, spec))
-                } else {
-                    let cap = LINK / cap_div as f64;
-                    (
-                        seq.start_flow_with_cap(now, spec, cap),
-                        par.start_flow_with_cap(now, spec, cap),
-                    )
-                };
-                prop_assert_eq!(a, b, "flow ids diverged");
-                live.push(a);
-            }
-            ChurnOp::Collect => {
-                let ta = seq.next_event_time();
-                prop_assert_eq!(ta, par.next_event_time(), "next event time diverged");
-                if let Some(t) = ta {
-                    now = t;
-                }
-            }
-            ChurnOp::Rotate { tag, band } => {
-                seq.set_band_for_tag(now, tag, Band(band));
-                par.set_band_for_tag(now, tag, Band(band));
-            }
-        }
-        let done_a = seq.take_completions(now);
-        let done_b = par.take_completions(now);
-        prop_assert_eq!(done_a.len(), done_b.len(), "completion counts diverged");
-        for (ca, cb) in done_a.iter().zip(&done_b) {
-            prop_assert_eq!(ca.id, cb.id, "completion order diverged");
-            prop_assert_eq!(ca.finished, cb.finished, "completion time diverged");
-            live.retain(|&id| id != ca.id);
-        }
-        for &id in &live {
-            let ra = seq.rate_of(id).expect("live flow has a rate");
-            let rb = par.rate_of(id).expect("live flow has a rate");
-            prop_assert_eq!(
-                ra.to_bits(),
-                rb.to_bits(),
-                "rate diverged for flow {:?} after {:?}: sequential {} vs pool {}",
-                id,
-                op,
-                ra,
-                rb
-            );
-        }
-    }
-    prop_assert_eq!(
-        seq.alloc_stats().parallel_dispatches,
-        0,
-        "the sequential engine used the pool"
-    );
-    Ok(())
-}
-
-proptest! {
-    /// Component-parallel dispatch (`TL_WORKERS`) only moves wall time:
-    /// under arbitrary churn on the paper's single switch, a pooled
-    /// `FluidNet` is bitwise-identical to a sequential one.
-    #[test]
-    fn parallel_dispatch_matches_sequential_under_churn(ops in arb_churn(6)) {
-        let topo = Topology::uniform(6, Bandwidth::from_gbps(10.0));
-        check_churn_workers_agree(&topo, &ops)?;
-    }
-
-    /// Same guarantee on a 2:1-oversubscribed leaf–spine fabric, where
-    /// rack-local components are the ones the pool solves side by side.
-    #[test]
-    fn parallel_dispatch_matches_sequential_on_leaf_spine(ops in arb_churn(6)) {
-        let topo = tl_net::TopologyBuilder::leaf_spine(2, 3, 2.0)
+    /// Same churn over eight 3-host racks with every flow kept inside its
+    /// sender's rack: the many-small-components shape of the `scale --xl`
+    /// cell, where most solves re-run a few racks and retain the rest.
+    fn incremental_allocator_matches_scratch_on_rack_local_fabric(ops in arb_churn(24)) {
+        let topo = tl_net::TopologyBuilder::leaf_spine(8, 3, 2.0)
             .link(Bandwidth::from_gbps(10.0))
             .build();
-        check_churn_workers_agree(&topo, &ops)?;
+        let ops: Vec<ChurnOp> = ops
+            .into_iter()
+            .map(|op| match op {
+                ChurnOp::Arrive { src, dst, bytes, band, weight, cap_div, tag } => {
+                    let dst = src / 3 * 3 + dst % 3;
+                    ChurnOp::Arrive { src, dst, bytes, band, weight, cap_div, tag }
+                }
+                other => other,
+            })
+            .collect();
+        check_churn_against_scratch(&topo, &ops)?;
     }
 }
 
