@@ -137,7 +137,7 @@ fn bench_table2(c: &mut Criterion) {
     let cfg = ExperimentConfig::scaled(20); // needs room for an active window
     g.bench_function("utilization_pipeline", |b| {
         b.iter(|| {
-            let t = table2::run(&cfg, Table1Index(1));
+            let t = table2::run(&cfg, Table1Index(1)).expect("20 iterations leave a window");
             black_box(t.normalized.len())
         });
     });

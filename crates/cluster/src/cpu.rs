@@ -12,7 +12,7 @@
 //! ask for the next completion → advance/collect.
 
 use crate::host::HostSpec;
-use simcore::{DirtySet, Profiler, SimDuration, SimTime};
+use simcore::{crossing, DepletionIndex, DirtySet, Profiler, SimTime};
 
 /// Identifier of a compute task within a [`CpuEngine`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -33,13 +33,13 @@ pub struct CompletedTask {
     pub finished: SimTime,
 }
 
+/// A task's fields that the per-event passes never read; the ones they do
+/// read (`remaining`, `rate`, host) live in the engine's arrays parallel
+/// to its active list.
 #[derive(Debug)]
 struct TaskState {
-    host: usize,
     tag: u64,
-    remaining: f64, // core-seconds
-    cap: f64,       // max cores usable in parallel
-    rate: f64,      // currently allocated cores
+    cap: f64, // max cores usable in parallel
     started: SimTime,
 }
 
@@ -82,14 +82,18 @@ fn make_id(gen: u32, slot: usize) -> u64 {
 
 /// Event-driven processor-sharing engine over a set of hosts.
 ///
-/// Tasks live in a generational slab (ids are `(generation << 32) | slot`),
-/// and shares are recomputed incrementally: hosts are independent, so a
-/// task arrival or completion only re-runs the water-filling pass on its
-/// own host. Each host keeps its task list in creation order, and dirty
-/// hosts are queued on a worklist, so a refresh costs O(tasks on the
-/// changed hosts), not O(hosts). The next-completion time is cached
-/// between mutations — it is an absolute time, invariant under
-/// [`CpuEngine::advance`] while shares are unchanged.
+/// Tasks live in a generational slab (ids are `(generation << 32) | slot`);
+/// the state every event touches (remaining demand, share, host) sits in
+/// dense arrays in creation order, which the integration and completion
+/// passes stream. Shares are recomputed incrementally: hosts are
+/// independent, so a task arrival or completion only re-runs the
+/// water-filling pass on its own host. Each host keeps its task list in
+/// creation order, and dirty hosts are queued on a worklist, so a refresh
+/// costs O(tasks on the changed hosts), not O(hosts). The next-completion
+/// time is cached between mutations — it is an absolute time, invariant
+/// under [`CpuEngine::advance`] while shares are unchanged — and a cache
+/// miss consults a [`DepletionIndex`] keyed by host rather than scanning
+/// every runnable task.
 #[derive(Debug)]
 pub struct CpuEngine {
     specs: Vec<HostSpec>,
@@ -98,6 +102,17 @@ pub struct CpuEngine {
     free: Vec<u32>,
     /// Active slots in creation order (deterministic iteration).
     active: Vec<u32>,
+    // Hot per-task state in lock-step with `active` (same order): the
+    // advance and completion passes stream these dense arrays instead of
+    // chasing slab entries. Starts append; removals compact in place.
+    /// Core-seconds left.
+    remaining: Vec<f64>,
+    /// Currently allocated cores.
+    rate: Vec<f64>,
+    /// Host the task runs on.
+    host_of: Vec<u32>,
+    /// Each occupied slot's index into `active` and the hot arrays.
+    pos: Vec<u32>,
     last_advance: SimTime,
     /// Hosts whose shares must be recomputed before the next query.
     dirty: DirtySet,
@@ -110,6 +125,9 @@ pub struct CpuEngine {
     unfrozen: Vec<u32>,
     /// Reusable list of hosts that lost tasks in one removal pass.
     pruned: Vec<usize>,
+    /// Each host's earliest task depletion, keyed by host and re-keyed
+    /// whenever the host is re-shared.
+    depletion: DepletionIndex,
     /// Cumulative busy core-seconds per host (for utilization).
     busy_core_secs: Vec<f64>,
     /// Self-profiling handle (wall-times the public entry points);
@@ -122,17 +140,24 @@ impl CpuEngine {
     pub fn new(specs: Vec<HostSpec>) -> Self {
         assert!(!specs.is_empty(), "need at least one host");
         let n = specs.len();
+        let mut depletion = DepletionIndex::new();
+        depletion.reserve_keys(n);
         CpuEngine {
             specs,
             slots: Vec::new(),
             free: Vec::new(),
             active: Vec::new(),
+            remaining: Vec::new(),
+            rate: Vec::new(),
+            host_of: Vec::new(),
+            pos: Vec::new(),
             last_advance: SimTime::ZERO,
             dirty: DirtySet::new(n),
             next_cache: None,
             per_host: vec![Vec::new(); n],
             unfrozen: Vec::new(),
             pruned: Vec::new(),
+            depletion,
             busy_core_secs: vec![0.0; n],
             profiler: Profiler::disabled(),
         }
@@ -179,11 +204,8 @@ impl CpuEngine {
         let timer = self.profiler.start();
         self.advance_to(now);
         let state = TaskState {
-            host,
             tag,
-            remaining: core_secs,
             cap,
-            rate: 0.0,
             started: now,
         };
         let slot = match self.free.pop() {
@@ -205,10 +227,15 @@ impl CpuEngine {
                     gen: 0,
                     state: Some(state),
                 });
+                self.pos.push(0);
                 self.slots.len() - 1
             }
         };
+        self.pos[slot] = self.active.len() as u32;
         self.active.push(slot as u32);
+        self.remaining.push(core_secs);
+        self.rate.push(0.0);
+        self.host_of.push(host as u32);
         self.per_host[host].push(slot as u32);
         self.mark_dirty(host);
         let id = CpuTaskId(make_id(self.slots[slot].gen, slot));
@@ -234,17 +261,13 @@ impl CpuEngine {
         }
         self.refresh_rates();
         let dt = now.since(self.last_advance).as_secs_f64();
-        let slots = &mut self.slots;
         let busy = &mut self.busy_core_secs;
-        for &slot in &self.active {
-            let t = slots[slot as usize]
-                .state
-                .as_mut()
-                .expect("active task missing");
-            if t.rate > 0.0 {
-                let done = (t.rate * dt).min(t.remaining);
-                t.remaining -= done;
-                busy[t.host] += done;
+        let tasks = self.remaining.iter_mut().zip(&self.rate).zip(&self.host_of);
+        for ((remaining, &rate), &host) in tasks {
+            if rate > 0.0 {
+                let done = (rate * dt).min(*remaining);
+                *remaining -= done;
+                busy[host as usize] += done;
             }
         }
         self.last_advance = now;
@@ -254,33 +277,25 @@ impl CpuEngine {
     ///
     /// The result is cached: while no task arrives or completes, shares —
     /// and thus the absolute completion time — are unchanged, so repeated
-    /// calls (one per simulator event) cost nothing.
+    /// calls (one per simulator event) cost nothing. A cache miss
+    /// recomputes only the hosts near the top of the depletion index; the
+    /// minimum over hosts of each host's minimum is the minimum of a scan
+    /// over every runnable task, so the instant is bit-identical to it.
     pub fn next_event_time(&mut self) -> Option<SimTime> {
         if let Some(cached) = self.next_cache {
             return cached;
         }
         let timer = self.profiler.start();
         self.refresh_rates();
-        let mut best: Option<f64> = None;
-        for &slot in &self.active {
-            let t = self.slots[slot as usize]
-                .state
-                .as_ref()
-                .expect("active task missing");
-            if t.rate > 0.0 {
-                let secs = (t.remaining / t.rate).max(0.0);
-                best = Some(match best {
-                    Some(b) => b.min(secs),
-                    None => secs,
-                });
-            }
-        }
-        let when = best.map(|secs| {
-            self.last_advance + SimDuration::from_secs_f64(secs) + SimDuration::from_nanos(1)
-        });
-        self.next_cache = Some(when);
+        let (remaining, rate, pos) = (&self.remaining, &self.rate, &self.pos);
+        let per_host = &self.per_host;
+        let best = self
+            .depletion
+            .min_exact(|h| depletion_secs(remaining, rate, pos, &per_host[h as usize]))
+            .map(|secs| crossing(self.last_advance, secs));
+        self.next_cache = Some(best);
         self.profiler.stop(PROFILE_SLOT, timer);
-        when
+        best
     }
 
     /// Advance to `now` and drain finished tasks in creation order.
@@ -288,30 +303,18 @@ impl CpuEngine {
         let timer = self.profiler.start();
         self.advance_to(now);
         let mut done = Vec::new();
-        let slots = &mut self.slots;
-        let free = &mut self.free;
-        let pruned = &mut self.pruned;
-        self.active.retain(|&slot| {
-            let entry = &mut slots[slot as usize];
-            let t = entry.state.as_ref().expect("active task missing");
-            if t.remaining <= DONE_EPS {
-                let t = entry.state.take().expect("task vanished");
+        self.remove_where(
+            |e, k| e.remaining[k] <= DONE_EPS,
+            |id, host, t| {
                 done.push(CompletedTask {
-                    id: CpuTaskId(make_id(entry.gen, slot as usize)),
+                    id,
                     tag: t.tag,
-                    host: t.host,
+                    host,
                     started: t.started,
                     finished: now,
-                });
-                entry.gen = bump_gen(entry.gen);
-                free.push(slot);
-                pruned.push(t.host);
-                false
-            } else {
-                true
-            }
-        });
-        self.prune_hosts();
+                })
+            },
+        );
         self.profiler.stop(PROFILE_SLOT, timer);
         done
     }
@@ -346,28 +349,19 @@ impl CpuEngine {
         let timer = self.profiler.start();
         self.advance_to(now);
         let mut aborted = Vec::new();
-        let slots = &mut self.slots;
-        let free = &mut self.free;
-        let pruned = &mut self.pruned;
-        self.active.retain(|&slot| {
-            let entry = &mut slots[slot as usize];
-            let id = CpuTaskId(make_id(entry.gen, slot as usize));
-            let (host, tag) = {
-                let t = entry.state.as_ref().expect("active task missing");
-                (t.host, t.tag)
-            };
-            if pred(id, host, tag) {
-                entry.state = None;
-                entry.gen = bump_gen(entry.gen);
-                free.push(slot);
-                pruned.push(host);
-                aborted.push((id, tag));
-                false
-            } else {
-                true
-            }
-        });
-        self.prune_hosts();
+        self.remove_where(
+            |e, k| {
+                let slot = e.active[k] as usize;
+                let entry = &e.slots[slot];
+                let tag = entry.state.as_ref().expect("active task missing").tag;
+                pred(
+                    CpuTaskId(make_id(entry.gen, slot)),
+                    e.host_of[k] as usize,
+                    tag,
+                )
+            },
+            |id, _, t| aborted.push((id, t.tag)),
+        );
         self.profiler.stop(PROFILE_SLOT, timer);
         aborted
     }
@@ -382,12 +376,54 @@ impl CpuEngine {
         if make_id(entry.gen, slot) != id.0 {
             return None;
         }
-        entry.state.as_ref().map(|t| t.rate)
+        entry
+            .state
+            .as_ref()
+            .map(|_| self.rate[self.pos[slot] as usize])
     }
 
     fn mark_dirty(&mut self, host: usize) {
         self.dirty.mark(host);
         self.next_cache = None;
+    }
+
+    /// Remove every active task for which `pick(self, k)` holds (`k`
+    /// indexes `active` and the hot arrays), in creation order, handing
+    /// each to `removed` with its id and host. Survivors keep creation
+    /// order; freed slots are recycled and their hosts re-shared.
+    fn remove_where(
+        &mut self,
+        mut pick: impl FnMut(&Self, usize) -> bool,
+        mut removed: impl FnMut(CpuTaskId, usize, TaskState),
+    ) {
+        let mut w = 0;
+        for k in 0..self.active.len() {
+            let slot = self.active[k];
+            if pick(self, k) {
+                let host = self.host_of[k] as usize;
+                let entry = &mut self.slots[slot as usize];
+                let id = CpuTaskId(make_id(entry.gen, slot as usize));
+                let t = entry.state.take().expect("active task missing");
+                entry.gen = bump_gen(entry.gen);
+                self.free.push(slot);
+                self.pruned.push(host);
+                removed(id, host, t);
+            } else {
+                if w != k {
+                    self.active[w] = slot;
+                    self.remaining[w] = self.remaining[k];
+                    self.rate[w] = self.rate[k];
+                    self.host_of[w] = self.host_of[k];
+                    self.pos[slot as usize] = w as u32;
+                }
+                w += 1;
+            }
+        }
+        self.active.truncate(w);
+        self.remaining.truncate(w);
+        self.rate.truncate(w);
+        self.host_of.truncate(w);
+        self.prune_hosts();
     }
 
     /// Drop the slots freed by a removal pass from the task lists of the
@@ -411,13 +447,15 @@ impl CpuEngine {
     /// Capped max-min share of each host's cores among its runnable tasks.
     ///
     /// Hosts are independent, so only the hosts queued on the dirty
-    /// worklist are re-shared; everyone else keeps their rates.
+    /// worklist are re-shared and re-keyed in the depletion index;
+    /// everyone else keeps their rates and their entry.
     fn refresh_rates(&mut self) {
         if self.dirty.is_empty() {
             return;
         }
         let mut unfrozen = std::mem::take(&mut self.unfrozen);
         for &h in self.dirty.as_slice() {
+            self.depletion.invalidate(h);
             let h = h as usize;
             let ids = &self.per_host[h];
             if ids.is_empty() {
@@ -432,13 +470,14 @@ impl CpuEngine {
                 let fair = remaining_cores / unfrozen.len() as f64;
                 let mut froze_any = false;
                 unfrozen.retain(|&slot| {
-                    let t = self.slots[slot as usize]
+                    let cap = self.slots[slot as usize]
                         .state
-                        .as_mut()
-                        .expect("task missing");
-                    if t.cap <= fair {
-                        t.rate = t.cap;
-                        remaining_cores -= t.cap;
+                        .as_ref()
+                        .expect("task missing")
+                        .cap;
+                    if cap <= fair {
+                        self.rate[self.pos[slot as usize] as usize] = cap;
+                        remaining_cores -= cap;
                         froze_any = true;
                         false
                     } else {
@@ -447,25 +486,43 @@ impl CpuEngine {
                 });
                 if !froze_any {
                     for &slot in &unfrozen {
-                        self.slots[slot as usize]
-                            .state
-                            .as_mut()
-                            .expect("task missing")
-                            .rate = fair;
+                        self.rate[self.pos[slot as usize] as usize] = fair;
                     }
                     break;
                 }
             }
+            let secs = depletion_secs(&self.remaining, &self.rate, &self.pos, &self.per_host[h]);
+            if secs.is_finite() {
+                self.depletion
+                    .push(h as u32, crossing(self.last_advance, secs));
+            }
         }
         self.unfrozen = unfrozen;
         self.dirty.clear();
+        // Each host holds at most one live entry, and only a host with a
+        // runnable task holds one.
+        self.depletion.compact(self.active.len());
     }
+}
+
+/// Seconds until the first of `slots`' tasks runs dry under current
+/// shares, or infinity if none is progressing. `pos` maps a slot to its
+/// index in `remaining` and `rate`, which hold as of the engine's last
+/// advance point.
+fn depletion_secs(remaining: &[f64], rate: &[f64], pos: &[u32], slots: &[u32]) -> f64 {
+    slots
+        .iter()
+        .map(|&slot| pos[slot as usize] as usize)
+        .filter(|&k| rate[k] > 0.0)
+        .map(|k| (remaining[k] / rate[k]).max(0.0))
+        .fold(f64::INFINITY, f64::min)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use simcore::SimDuration;
 
     fn engine(hosts: usize, cores: f64) -> CpuEngine {
         CpuEngine::new(vec![HostSpec::with_cores(cores); hosts])
@@ -548,6 +605,125 @@ mod tests {
         // Task 2 has 1 core-sec left, now at a full core: done at t=3.
         let t2 = e.next_event_time().unwrap();
         assert!((t2.as_secs_f64() - 3.0).abs() < 1e-6);
+    }
+
+    #[test]
+    fn completion_past_the_time_horizon_saturates() {
+        // 1 core-second on a 1e-12-core host takes ~32,000 years, past the
+        // last representable instant. The completion saturates to "never"
+        // instead of overflowing, and a task on another host still
+        // completes on time.
+        let mut e = CpuEngine::new(vec![HostSpec::with_cores(1e-12), HostSpec::with_cores(1.0)]);
+        e.start_task(SimTime::ZERO, 0, 1.0, 1.0, 1);
+        assert_eq!(e.next_event_time(), Some(SimTime::MAX));
+        e.start_task(SimTime::ZERO, 1, 2.0, 1.0, 2);
+        let t = e.next_event_time().unwrap();
+        assert_eq!(t, SimTime::from_secs(2) + SimDuration::from_nanos(1));
+        let done = e.take_completions(t);
+        assert_eq!(done.len(), 1);
+        assert_eq!(done[0].tag, 2);
+        assert_eq!(e.next_event_time(), Some(SimTime::MAX));
+    }
+
+    #[test]
+    fn idle_engine_has_no_next_event() {
+        let mut e = engine(3, 4.0);
+        assert_eq!(e.next_event_time(), None);
+        let id = e.start_task(SimTime::ZERO, 1, 1.0, 1.0, 0);
+        e.abort_tasks_where(SimTime::ZERO, |t, _, _| t == id);
+        assert_eq!(e.next_event_time(), None);
+    }
+
+    #[test]
+    fn next_event_is_the_earliest_host() {
+        let mut e = engine(3, 1.0);
+        for (host, demand) in [(0, 3.0), (1, 1.0), (2, 2.0)] {
+            e.start_task(SimTime::ZERO, host, demand, 1.0, host as u64);
+        }
+        let t = e.next_event_time().unwrap();
+        assert_eq!(t, SimTime::from_secs(1) + SimDuration::from_nanos(1));
+        let done = e.take_completions(t);
+        assert_eq!(done.len(), 1);
+        assert_eq!((done[0].host, done[0].tag), (1, 1));
+        let t = e.next_event_time().unwrap();
+        assert_eq!(e.take_completions(t)[0].host, 2);
+    }
+
+    #[test]
+    fn tied_hosts_complete_at_the_same_instant() {
+        // Equal demands started together on equal hosts: one query, one
+        // instant, every host's task drained by it.
+        let mut e = engine(4, 2.0);
+        for host in 0..4 {
+            e.start_task(SimTime::ZERO, host, 1.5, 1.0, host as u64);
+        }
+        let t = e.next_event_time().unwrap();
+        let done = e.take_completions(t);
+        let mut hosts: Vec<usize> = done.iter().map(|c| c.host).collect();
+        hosts.sort_unstable();
+        assert_eq!(hosts, vec![0, 1, 2, 3]);
+        assert_eq!(e.next_event_time(), None);
+    }
+
+    #[test]
+    fn emptied_host_drops_out_of_the_next_event() {
+        let mut e = engine(2, 1.0);
+        e.start_task(SimTime::ZERO, 0, 1.0, 1.0, 10);
+        e.start_task(SimTime::ZERO, 1, 5.0, 1.0, 11);
+        assert_eq!(
+            e.next_event_time(),
+            Some(SimTime::from_secs(1) + SimDuration::from_nanos(1))
+        );
+        let aborted = e.abort_tasks_where(SimTime::from_millis(500), |_, host, _| host == 0);
+        assert_eq!(aborted.len(), 1);
+        assert_eq!(
+            e.next_event_time(),
+            Some(SimTime::from_secs(5) + SimDuration::from_nanos(1))
+        );
+    }
+
+    #[test]
+    fn slowing_a_host_strands_its_earlier_key() {
+        // Host 0's first key (t = 1 s) lies ahead of every live key once
+        // its cores drop; the query must skip it and match the full scan.
+        let mut e = engine(2, 1.0);
+        let mut o = Oracle::new(2, 1.0);
+        for (host, demand) in [(0, 1.0), (1, 3.0)] {
+            e.start_task(SimTime::ZERO, host, demand, 1.0, host as u64);
+            o.start(SimTime::ZERO, host, demand, 1.0, host as u64);
+        }
+        assert_eq!(e.next_event_time(), o.next_event_time());
+        let now = SimTime::from_millis(500);
+        e.set_host_cores(now, 0, 0.1);
+        o.advance(now);
+        o.cores[0] = 0.1;
+        let t = e.next_event_time();
+        assert_eq!(t, o.next_event_time());
+        assert_eq!(t, Some(SimTime::from_secs(3) + SimDuration::from_nanos(1)));
+        let t = t.unwrap();
+        assert_eq!(e.take_completions(t), o.take_completions(t));
+        assert_eq!(e.next_event_time(), o.next_event_time());
+    }
+
+    #[test]
+    fn repeated_queries_neither_grow_the_index_nor_move() {
+        let mut e = engine(3, 2.0);
+        for host in 0..3 {
+            e.start_task(SimTime::ZERO, host, 1.0 + host as f64, 1.0, 0);
+        }
+        let first = e.next_event_time();
+        let entries = e.depletion.len();
+        assert_eq!(entries, 3, "one entry per busy host");
+        for _ in 0..10 {
+            assert_eq!(e.next_event_time(), first);
+        }
+        e.advance(SimTime::from_millis(100));
+        assert_eq!(
+            e.next_event_time(),
+            first,
+            "advancing alone re-keys nothing"
+        );
+        assert_eq!(e.depletion.len(), entries);
     }
 
     #[test]
@@ -885,6 +1061,19 @@ mod tests {
             cores: f64,
             dt_us: u64,
         },
+        /// The same task started at one instant on `count` consecutive
+        /// hosts from `first`, each demand `jitter` core-seconds above the
+        /// last: exact ties (`jitter` = 0) or near-ties a few nanoseconds
+        /// apart between hosts with equal shares.
+        Fanout {
+            first: usize,
+            count: usize,
+            demand: f64,
+            jitter: f64,
+            cap: f64,
+            tag: u64,
+            dt_us: u64,
+        },
     }
 
     const CHURN_HOSTS: usize = 9;
@@ -895,7 +1084,7 @@ mod tests {
         let caps = [0.3, 0.7, 1.0, 1.1, 2.9, 16.0];
         proptest::collection::vec(
             (
-                (0u8..10, 0..CHURN_HOSTS, 0usize..6),
+                (0u8..12, 0..CHURN_HOSTS, 0usize..6),
                 (0.01f64..3.0, 0u64..6, 0u64..400_000),
                 // Host indices past the range make the abort tag-only.
                 (0..CHURN_HOSTS + 4, 1u32..17),
@@ -916,9 +1105,18 @@ mod tests {
                             host: abort_host,
                             tag: tag + 10 * (dt_us % 2),
                         },
-                        _ => ChurnOp::SetCores {
+                        9 => ChurnOp::SetCores {
                             host,
                             cores: cores as f64 / 3.0,
+                            dt_us,
+                        },
+                        _ => ChurnOp::Fanout {
+                            first: host,
+                            count: 2 + abort_host % 4,
+                            demand,
+                            jitter: if cores % 2 == 0 { 0.0 } else { 1e-8 },
+                            cap: caps[cap],
+                            tag,
                             dt_us,
                         },
                     },
@@ -967,6 +1165,25 @@ mod tests {
                     o.advance(now);
                     o.cores[host] = cores;
                 }
+                ChurnOp::Fanout {
+                    first,
+                    count,
+                    demand,
+                    jitter,
+                    cap,
+                    tag,
+                    dt_us,
+                } => {
+                    now += SimDuration::from_micros(dt_us);
+                    for k in 0..count {
+                        let host = (first + k) % CHURN_HOSTS;
+                        let demand = demand + k as f64 * jitter;
+                        let a = e.start_task(now, host, demand, cap, tag);
+                        let b = o.start(now, host, demand, cap, tag);
+                        prop_assert_eq!(a, b, "task ids diverged");
+                        ids.push(a);
+                    }
+                }
             }
             prop_assert_eq!(e.active_task_count(), o.active.len());
             prop_assert_eq!(e.next_event_time(), o.next_event_time(), "after {:?}", op);
@@ -982,12 +1199,95 @@ mod tests {
     }
 
     proptest::proptest! {
-        /// Random multi-host churn — arrivals, completions, aborts and core
-        /// changes — keeps the incremental per-host lists and dirty
-        /// worklist bit-identical to the from-scratch regroup: same ids,
-        /// rates, next-event instants, completion lists and busy time.
+        /// Random multi-host churn — arrivals, completions, aborts, core
+        /// changes and same-instant fan-outs that tie hosts inside the
+        /// depletion index's candidate window — keeps the incremental
+        /// per-host lists, dirty worklist and per-host depletion keys
+        /// bit-identical to the from-scratch regroup: same ids, rates,
+        /// next-event instants, completion lists and busy time.
         fn incremental_refresh_matches_scratch_under_churn(ops in arb_churn()) {
             check_churn(&ops)?;
+        }
+    }
+
+    #[test]
+    fn long_churn_compacts_the_index_and_matches_the_oracle() {
+        const HOSTS: usize = 4;
+        let mut e = engine(HOSTS, 2.0);
+        let mut o = Oracle::new(HOSTS, 2.0);
+        let mut now = SimTime::ZERO;
+        let check = |e: &mut CpuEngine, o: &mut Oracle, step: usize| {
+            assert_eq!(e.next_event_time(), o.next_event_time(), "step {step}");
+            assert!(
+                e.depletion.len() <= 2 * e.active_task_count() + 64,
+                "step {step}: {} index entries for {} tasks",
+                e.depletion.len(),
+                e.active_task_count()
+            );
+        };
+        // Phase 1: speeding up host 0 again and again re-keys it to ever
+        // earlier instants, so every stranded entry lies behind the live
+        // top and only compaction can drop it: without compaction the
+        // index would hold 500 entries.
+        e.start_task(now, 0, 1e6, 16.0, 0);
+        o.start(now, 0, 1e6, 16.0, 0);
+        for step in 0..500 {
+            now += SimDuration::from_micros(10);
+            let cores = 2.0 + step as f64 * 1e-3;
+            e.set_host_cores(now, 0, cores);
+            o.advance(now);
+            o.cores[0] = cores;
+            check(&mut e, &mut o, step);
+        }
+        // Phase 2: deterministic mixed churn over every host.
+        let mut x: u64 = 0x9E37_79B9_7F4A_7C15;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        for step in 500..6_000 {
+            let r = next();
+            let host = (r >> 8) as usize % HOSTS;
+            // Aborts act at the current instant, as in the proptest: an
+            // abort that matches nothing leaves the cached next event in
+            // place, and a later instant could pass it without a harvest.
+            if r % 8 != 7 {
+                now += SimDuration::from_micros((r >> 16) % 300);
+            }
+            match r % 8 {
+                0..=2 => {
+                    let demand = 0.01 + ((r >> 32) % 1000) as f64 * 1e-3;
+                    let cap = [0.3, 0.7, 1.0, 2.9][(r >> 24) as usize % 4];
+                    assert_eq!(
+                        e.start_task(now, host, demand, cap, step as u64),
+                        o.start(now, host, demand, cap, step as u64)
+                    );
+                }
+                3 => {
+                    let cores = 0.5 + ((r >> 40) % 16) as f64 / 3.0;
+                    e.set_host_cores(now, host, cores);
+                    o.advance(now);
+                    o.cores[host] = cores;
+                }
+                4 | 5 => {
+                    if let Some(t) = e.next_event_time() {
+                        now = now.max(t);
+                    }
+                    assert_eq!(e.take_completions(now), o.take_completions(now));
+                }
+                6 => assert_eq!(e.take_completions(now), o.take_completions(now)),
+                _ => {
+                    let tag = (r >> 48) % 64 + 500;
+                    assert_eq!(
+                        e.abort_tasks_where(now, |_, _, t| t == tag),
+                        o.abort(now, HOSTS, tag)
+                    );
+                }
+            }
+            assert_eq!(e.active_task_count(), o.active.len(), "step {step}");
+            check(&mut e, &mut o, step);
         }
     }
 }

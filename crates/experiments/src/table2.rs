@@ -16,6 +16,7 @@ use crate::report::{ratio, Table};
 use crate::runner::{parallel_map, run_table1, PolicyKind};
 use serde::Serialize;
 use simcore::SimTime;
+use std::fmt;
 use tl_cluster::{mean_utilization, table1_placement, HostUtilization, Table1Index};
 
 /// Utilization of one policy, split by host group.
@@ -42,8 +43,36 @@ pub struct Table2 {
     pub normalized: Vec<(String, String, f64, f64)>,
 }
 
+/// Why Table II could not be measured.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Table2Error {
+    /// Some job finished so early that no window lies inside every job's
+    /// run under every policy. Where the threshold falls depends on the
+    /// seed; more iterations lengthen the runs.
+    RunsTooShort {
+        /// Start of the window (just after the last launch), seconds.
+        start: f64,
+        /// 90% of the earliest job completion, seconds.
+        end: f64,
+    },
+}
+
+impl fmt::Display for Table2Error {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Table2Error::RunsTooShort { start, end } => write!(
+                f,
+                "runs too short for an active window (the window would span \
+                 {start:.3} s to {end:.3} s); increase iterations"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for Table2Error {}
+
 /// Run Table II at the given placement (the paper uses #1).
-pub fn run(cfg: &ExperimentConfig, index: Table1Index) -> Table2 {
+pub fn run(cfg: &ExperimentConfig, index: Table1Index) -> Result<Table2, Table2Error> {
     // Pass 1: find a window inside every policy's run.
     let probes = parallel_map(PolicyKind::all().to_vec(), |p| {
         let out = run_table1(cfg, index, p);
@@ -57,10 +86,12 @@ pub fn run(cfg: &ExperimentConfig, index: Table1Index) -> Table2 {
     let min_completion = probes.into_iter().min().expect("three probes");
     let start = SimTime::from_secs_f64(2.2); // just after the last 0.1 s-staggered launch
     let end = SimTime::from_secs_f64(min_completion.as_secs_f64() * 0.9);
-    assert!(
-        end > start,
-        "runs too short for an active window; increase iterations"
-    );
+    if end <= start {
+        return Err(Table2Error::RunsTooShort {
+            start: start.as_secs_f64(),
+            end: end.as_secs_f64(),
+        });
+    }
 
     // Pass 2: measure with the common window.
     let placement = table1_placement(index, 21, 21);
@@ -105,11 +136,11 @@ pub fn run(cfg: &ExperimentConfig, index: Table1Index) -> Table2 {
         ));
     }
 
-    Table2 {
+    Ok(Table2 {
         window: (start.as_secs_f64(), end.as_secs_f64()),
         sides,
         normalized,
-    }
+    })
 }
 
 impl Table2 {
@@ -146,7 +177,7 @@ mod tests {
     fn tensorlights_improves_utilization() {
         let mut cfg = ExperimentConfig::quick();
         cfg.iterations = 60; // long enough for a meaningful window
-        let t = run(&cfg, Table1Index(1));
+        let t = run(&cfg, Table1Index(1)).expect("60 iterations leave a window");
         assert_eq!(t.sides.len(), 3);
         // Under heavy contention, TLs should not hurt utilization; network
         // utilization should improve.
@@ -160,5 +191,16 @@ mod tests {
         assert!(t.summary().contains("paper"));
         assert!(t.table().render().contains("TLs-RR"));
         assert!(t.window.1 > t.window.0);
+    }
+
+    #[test]
+    fn runs_too_short_for_a_window_are_an_error() {
+        let mut cfg = ExperimentConfig::quick();
+        cfg.iterations = 2;
+        let err = run(&cfg, Table1Index(1)).expect_err("two iterations end before the last launch");
+        assert!(matches!(err, Table2Error::RunsTooShort { start, end } if end <= start));
+        assert!(err
+            .to_string()
+            .contains("runs too short for an active window"));
     }
 }

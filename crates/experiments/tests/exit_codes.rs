@@ -47,6 +47,15 @@ fn usage_errors_exit_2() {
         assert!(String::from_utf8_lossy(&out.stderr).contains("must be positive"));
     }
 
+    // Table II needs runs long enough for a window in which every job is
+    // active; the threshold depends on the seed, so the cell reports it.
+    let out = repro()
+        .args(["--experiment", "table2", "--iterations", "2"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2), "table2 --iterations 2");
+    assert!(String::from_utf8_lossy(&out.stderr).contains("runs too short for an active window"));
+
     // The max-min kernel is no longer selectable.
     let out = repro().args(["--kernel", "legacy"]).output().unwrap();
     assert_eq!(out.status.code(), Some(2));

@@ -17,13 +17,10 @@
 //! to a from-scratch allocation.
 //!
 //! Next-event queries are indexed rather than scanned: every rate change
-//! pushes the flow's absolute depletion time into a lazy min-heap, and
-//! [`FluidNet::next_event_time`] inspects only the heap top (plus a few
-//! nanoseconds of near-top candidates whose exact times are recomputed
-//! from current state), instead of dividing `remaining / rate` across the
-//! whole active set. Stale heap entries are invalidated by a per-slot
-//! version counter and dropped lazily. The returned instant is
-//! bit-identical to the full scan — see `scan_depletion_heap`.
+//! re-keys the flow's slot in a [`DepletionIndex`], and
+//! [`FluidNet::next_event_time`] recomputes `remaining / rate` only for the
+//! flows near the index's top instead of across the whole active set. The
+//! returned instant is bit-identical to the full scan.
 //!
 //! ```
 //! use simcore::SimTime;
@@ -46,9 +43,7 @@
 use crate::maxmin::{AllocStats, FlowDemand, MaxMinAllocator};
 use crate::topology::Topology;
 use crate::types::{Band, Bandwidth, FlowId, HostId};
-use simcore::{DirtySet, InvariantChecker, Profiler, SimDuration, SimTime};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use simcore::{crossing, DepletionIndex, DirtySet, InvariantChecker, Profiler, SimTime};
 use tl_telemetry::{ShareChangeCause, SimEvent, Telemetry};
 
 /// Everything needed to start a flow.
@@ -109,20 +104,6 @@ fn slot_of(id: u64) -> usize {
     (id & 0xFFFF_FFFF) as usize
 }
 
-/// Strand every outstanding depletion-heap entry for `slot` by bumping its
-/// version. Checked arithmetic: a counter that wrapped back onto a stranded
-/// entry's version would resurrect a cancelled depletion event (the u32
-/// bug class this replaces), so overflow aborts loudly instead of aliasing.
-fn bump_depl_ver(depl_ver: &mut [u64], slot: usize) {
-    debug_assert!(
-        depl_ver[slot] < u64::MAX,
-        "depletion version counter about to collide with a stranded entry"
-    );
-    depl_ver[slot] = depl_ver[slot]
-        .checked_add(1)
-        .expect("depletion version counter overflow");
-}
-
 /// Retire a slot generation on recycle. Checked: a wrapped generation
 /// would let a FlowId issued 2^32 reuses ago resolve to an unrelated
 /// flow, so overflow fails loudly instead.
@@ -150,43 +131,6 @@ fn make_id(gen: u32, slot: usize) -> u64 {
 const DONE_EPS: f64 = 64.0;
 /// Rates below this (bytes/sec) are treated as fully starved.
 const RATE_EPS: f64 = 1e-6;
-
-/// The instant, one tick after `from + secs`, at which a flow crosses the
-/// completion threshold. A rate just above [`RATE_EPS`] can put that
-/// crossing past the last representable instant; it saturates to
-/// [`SimTime::MAX`] (never) instead of overflowing.
-fn crossing(from: SimTime, secs: f64) -> SimTime {
-    from.saturating_add(SimDuration::from_secs_f64(secs))
-        .saturating_add(SimDuration::from_nanos(1))
-}
-
-/// One lazy-heap entry: the absolute instant `slot`'s flow crosses the
-/// completion threshold under the rate it held when the entry was pushed.
-/// `ver` must match the slot's current [`FluidNet::depl_ver`] for the entry
-/// to be live; any rate change, completion, or abort bumps the version and
-/// strands older entries for lazy removal.
-///
-/// `ver` is 64-bit on purpose: a 32-bit counter re-keyed once per event
-/// wraps within reach of a billion-event run (PR 5's 500-host sweep already
-/// produces 1.38 M events; 10k hosts multiply that), and a wrapped counter
-/// colliding with a stranded entry would silently resurrect a cancelled
-/// depletion. At one bump per nanosecond a u64 takes ~580 years of wall
-/// time to wrap, and the bump sites fail loudly rather than wrap.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct DeplEntry {
-    at: SimTime,
-    slot: u32,
-    ver: u64,
-}
-
-/// Heap keys for clean-component flows were computed at an *earlier*
-/// refresh point than the current query; re-deriving the same absolute
-/// crossing from a different `(base time, remaining)` pair shifts it by
-/// floating-point accumulation plus the 1 ns round-up — a few nanoseconds
-/// at the very worst. Every live entry within this window of the heap top
-/// is therefore a candidate for the true minimum and gets an exact
-/// recompute; entries beyond it provably cannot win.
-const CAND_WINDOW: SimDuration = SimDuration::from_nanos(50);
 
 /// The fluid network: active flows, their rates, and byte accounting.
 #[derive(Debug)]
@@ -220,11 +164,9 @@ pub struct FluidNet {
     // refresh; while false, the allocator may reuse its cached component
     // structure (band/weight/capacity changes don't alter connectivity).
     structure_dirty: bool,
-    // Lazy min-heap over absolute depletion instants, one live entry per
-    // flow with a meaningful rate; `depl_ver[slot]` names the live entry.
-    depl_heap: BinaryHeap<Reverse<DeplEntry>>,
-    depl_ver: Vec<u64>,
-    depl_scratch: Vec<DeplEntry>,
+    // Depletion instants keyed by flow slot, one live entry per flow with
+    // a meaningful rate.
+    depletion: DepletionIndex,
     // Cumulative NIC byte counters (for utilization measurements).
     egress_bytes: Vec<f64>,
     ingress_bytes: Vec<f64>,
@@ -264,9 +206,7 @@ impl FluidNet {
             demands: Vec::new(),
             rates: Vec::new(),
             structure_dirty: false,
-            depl_heap: BinaryHeap::new(),
-            depl_ver: Vec::new(),
-            depl_scratch: Vec::new(),
+            depletion: DepletionIndex::new(),
             egress_bytes: vec![0.0; n],
             ingress_bytes: vec![0.0; n],
             fabric_bytes: vec![0.0; nf],
@@ -418,9 +358,7 @@ impl FluidNet {
             max_rate,
         });
         self.rates.push(0.0);
-        if self.depl_ver.len() < self.flows.len() {
-            self.depl_ver.resize(self.flows.len(), 0);
-        }
+        self.depletion.reserve_keys(self.flows.len());
         self.structure_dirty = true;
         self.mark_dirty(spec.src);
         self.mark_dirty(spec.dst);
@@ -482,7 +420,7 @@ impl FluidNet {
                 self.free.push(slot);
                 self.dirty.mark(spec.src.0 as usize);
                 self.dirty.mark(spec.dst.0 as usize);
-                bump_depl_ver(&mut self.depl_ver, slot as usize);
+                self.depletion.invalidate(slot);
                 aborted.push((id, spec.tag));
             } else {
                 self.active[w] = slot;
@@ -630,7 +568,7 @@ impl FluidNet {
                 self.dirty.mark(f.spec.src.0 as usize);
                 self.dirty.mark(f.spec.dst.0 as usize);
                 self.free.push(slot);
-                bump_depl_ver(&mut self.depl_ver, slot as usize);
+                self.depletion.invalidate(slot);
             } else {
                 self.active[w] = slot;
                 self.demands[w] = self.demands[r];
@@ -670,69 +608,28 @@ impl FluidNet {
     /// The result is cached: while no mutation dirties a host, rates — and
     /// thus the absolute completion time — are unchanged, so repeated calls
     /// (one per simulator event) cost nothing. A cache miss consults the
-    /// depletion heap instead of scanning the active set.
+    /// depletion index instead of scanning the active set; the instant is
+    /// bit-identical to the full scan `min over active of
+    /// crossing(last_advance, remaining / rate)`.
     pub fn next_event_time(&mut self) -> Option<SimTime> {
         if let Some(cached) = self.next_cache {
             return cached;
         }
         self.refresh_rates();
-        let when = self.scan_depletion_heap();
+        // Both `remaining` and `rate` hold as of `last_advance`, as in the
+        // full scan.
+        let flows = &self.flows;
+        let best = self.depletion.min_exact(|slot| {
+            let f = flows[slot as usize]
+                .state
+                .as_ref()
+                .expect("active flow missing");
+            debug_assert!(f.rate > RATE_EPS, "live entry for a starved flow");
+            (f.remaining / f.rate).max(0.0)
+        });
+        let when = best.map(|secs| crossing(self.last_advance, secs));
         self.next_cache = Some(when);
         when
-    }
-
-    /// Earliest depletion instant from the lazy heap, bit-identical to the
-    /// pre-indexed full scan `min over active of
-    /// last_advance + d(remaining/rate) + 1 ns`.
-    ///
-    /// Heap keys are only used to *select* candidates: every live entry
-    /// within [`CAND_WINDOW`] of the heap top has its exact `remaining /
-    /// rate` recomputed from current flow state (both maintained as of
-    /// `last_advance`, exactly like the old scan), and the minimum of
-    /// those exact values is converted to an instant. `d(·)` is monotone,
-    /// so taking the minimum before converting matches the full scan's
-    /// result bit for bit; entries beyond the window cannot hold the
-    /// minimum because key drift is orders of magnitude smaller than the
-    /// window (see [`CAND_WINDOW`]).
-    fn scan_depletion_heap(&mut self) -> Option<SimTime> {
-        while let Some(&Reverse(top)) = self.depl_heap.peek() {
-            if self.depl_ver[top.slot as usize] == top.ver {
-                break;
-            }
-            self.depl_heap.pop();
-        }
-        let top = match self.depl_heap.peek() {
-            Some(&Reverse(e)) => e,
-            None => return None,
-        };
-        let limit = top.at.saturating_add(CAND_WINDOW);
-        let mut best: Option<f64> = None;
-        let mut live = std::mem::take(&mut self.depl_scratch);
-        while let Some(&Reverse(e)) = self.depl_heap.peek() {
-            if e.at > limit {
-                break;
-            }
-            self.depl_heap.pop();
-            if self.depl_ver[e.slot as usize] == e.ver {
-                let f = self.state(e.slot);
-                debug_assert!(f.rate > RATE_EPS, "live entry for a starved flow");
-                let secs = (f.remaining / f.rate).max(0.0);
-                best = Some(match best {
-                    Some(b) => b.min(secs),
-                    None => secs,
-                });
-                live.push(e);
-            }
-        }
-        for e in live.drain(..) {
-            self.depl_heap.push(Reverse(e));
-        }
-        self.depl_scratch = live;
-        // Round up by one tick so that at the returned instant the winning
-        // flow has provably crossed the completion threshold.
-        best.map(|secs| {
-            crossing(self.last_advance, secs)
-        })
     }
 
     /// Advance to `now` and drain all flows that have finished by then,
@@ -781,7 +678,7 @@ impl FluidNet {
         // Write-back visits only the flows the allocator re-solved
         // (ascending order = active order, so telemetry emission order is
         // identical to a full sweep); everything else kept its rate
-        // bit-for-bit and its heap entry stays live.
+        // bit-for-bit and its depletion entry stays live.
         for idx in 0..self.allocator.last_touched().len() {
             let k = self.allocator.last_touched()[idx] as usize;
             let slot = self.active[k] as usize;
@@ -808,27 +705,19 @@ impl FluidNet {
                 );
             }
             if old_rate != new_rate {
-                // Re-key the depletion heap: strand the old entry and, if
+                // Re-key the depletion index: strand the old entry and, if
                 // the flow is actually moving, push the new crossing.
-                bump_depl_ver(&mut self.depl_ver, slot);
+                self.depletion.invalidate(slot as u32);
                 if new_rate > RATE_EPS {
                     let secs = (remaining / new_rate).max(0.0);
-                    let at = crossing(self.last_advance, secs);
-                    self.depl_heap.push(Reverse(DeplEntry {
-                        at,
-                        slot: slot as u32,
-                        ver: self.depl_ver[slot],
-                    }));
+                    self.depletion
+                        .push(slot as u32, crossing(self.last_advance, secs));
                 }
             }
         }
-        // Stranded entries accumulate across rotations; rebuild the heap
-        // from its live entries once they are outnumbered.
-        if self.depl_heap.len() > 2 * self.active.len() + 64 {
-            let mut entries = std::mem::take(&mut self.depl_heap).into_vec();
-            entries.retain(|&Reverse(e)| self.depl_ver[e.slot as usize] == e.ver);
-            self.depl_heap = entries.into();
-        }
+        // Stranded entries accumulate across rotations; each active flow
+        // holds at most one live entry.
+        self.depletion.compact(self.active.len());
         self.dirty.clear();
         if self.invariants.is_enabled() {
             self.check_allocation();
@@ -1491,49 +1380,6 @@ mod tests {
             net.rate_of(local).unwrap()
         );
         assert_eq!(inv.violation_count(), 0, "{:?}", inv.take());
-    }
-
-    #[test]
-    fn depletion_versions_do_not_alias_across_u32_wrap() {
-        // Regression for the u32 version-counter wrap: after 2^32 re-keys
-        // of one slot, the old `wrapping_add` counter landed back on the
-        // version of a *stranded* heap entry, and the lazy scan would
-        // treat that cancelled depletion as live. Simulate the 2^32 bumps
-        // directly: under the widened u64 counter, the live entry pushed
-        // before the jump must read as stale — never resurrected.
-        let mut net = FluidNet::new(topo(2));
-        let _f = net.start_flow(SimTime::ZERO, spec(0, 1, 1e9, 0, 1));
-        let first = net.next_event_time().expect("live flow has a crossing");
-        let live_ver = net.depl_ver[0];
-        // 2^32 re-keys later, a u32 counter reads `live_ver` again; the
-        // u64 counter reads a distinct value.
-        net.depl_ver[0] = live_ver + (1u64 << 32);
-        net.next_cache = None;
-        assert_eq!(
-            net.next_event_time(),
-            None,
-            "a stranded depletion entry was resurrected across a 32-bit wrap"
-        );
-        // Re-key at the current version and the flow is live again, at the
-        // same crossing instant as before.
-        net.depl_heap.push(Reverse(DeplEntry {
-            at: first,
-            slot: 0,
-            ver: net.depl_ver[0],
-        }));
-        net.next_cache = None;
-        assert_eq!(net.next_event_time(), Some(first));
-    }
-
-    #[test]
-    #[should_panic(expected = "depletion version counter")]
-    fn depletion_version_overflow_fails_loudly() {
-        let mut net = FluidNet::new(topo(2));
-        net.start_flow(SimTime::ZERO, spec(0, 1, 1e9, 0, 1));
-        net.depl_ver[0] = u64::MAX;
-        // The abort path bumps the version; at the ceiling it must abort
-        // the process-visible way, not wrap into an alias.
-        net.abort_flows_where(SimTime::ZERO, |_, _| true);
     }
 
     #[test]

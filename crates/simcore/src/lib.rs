@@ -28,6 +28,7 @@
 
 #![warn(missing_docs)]
 
+pub mod depletion;
 pub mod dirty;
 pub mod event;
 pub mod invariant;
@@ -37,6 +38,7 @@ pub mod rng;
 pub mod stats;
 pub mod time;
 
+pub use depletion::{crossing, DepletionIndex};
 pub use dirty::DirtySet;
 pub use event::{EventHandle, EventQueue};
 pub use invariant::{InvariantChecker, InvariantViolation};

