@@ -1,19 +1,31 @@
-//! Interactive chunk-level packet network engine.
+//! Multi-host chunk-level packet network engine.
 //!
-//! The third network model in this crate, and the second at packet
-//! granularity: where [`crate::psim`] runs a fixed batch of flows to
-//! completion, `PacketNet` exposes the *same driving surface as
-//! [`crate::fluid::FluidNet`]* — flows start mid-run, bands rotate,
-//! capacities change, flows abort — so the full training engine in `tl-dl`
-//! can run unmodified on either model and the two can be differentially
-//! validated end to end (the `repro --experiment validate` harness).
+//! The crate's packet-level model of the whole topology (the single-link
+//! [`crate::packet`] engine covers only one egress). `PacketNet` exposes
+//! the *same driving surface as [`crate::fluid::FluidNet`]* — flows start
+//! mid-run, bands rotate, capacities change, flows abort — so the full
+//! training engine in `tl-dl` can run unmodified on either model and the
+//! two can be differentially validated end to end (the
+//! `repro --experiment validate` harness). The two share no code beyond
+//! the type definitions, so agreement is meaningful evidence.
 //!
-//! The queueing mechanics mirror `psim`: every flow is a stream of
-//! fixed-size chunks passing through two serial servers (sender egress,
-//! receiver ingress) with a store-and-forward switch in between, a
-//! per-flow sliding window for TCP-like self-clocking, strict-priority or
-//! fair round-robin egress scheduling, and FIFO ingress. On top of that,
-//! this engine adds the interactive pieces the DL workload needs:
+//! Every flow is a stream of fixed-size chunks passing through two serial
+//! servers (sender egress, receiver ingress) with a store-and-forward
+//! switch in between. A per-flow sliding window caps chunks in flight,
+//! giving TCP-like self-clocking: a flow whose receiver is congested stops
+//! occupying its sender. Egress scheduling follows [`EgressDiscipline`];
+//! ingress is always FIFO in arrival order, like a real NIC.
+//!
+//! At a congested ingress, per-flow fairness *emerges* from window
+//! self-clocking: each flow keeps at most `window` chunks circulating, so
+//! FIFO service converges to equal per-flow rates — but only once a flow
+//! is longer than its window. Flows that fit entirely inside one window
+//! behave like unthrottled bursts and share the ingress in proportion to
+//! their senders' arrival rates instead, as sub-window TCP bursts do
+//! before congestion control engages.
+//!
+//! On top of the queueing mechanics the engine has the interactive pieces
+//! the DL workload needs:
 //!
 //! * **loopback flows** (colocated PS/worker) complete at the topology's
 //!   loopback rate without touching the NIC servers or byte counters,
@@ -29,25 +41,16 @@
 //!   fabric link (rack uplink, then destination-rack downlink) between the
 //!   sender's egress and the receiver's ingress — store-and-forward at
 //!   every tier, so in-fabric contention serializes chunks exactly where
-//!   the fluid model water-fills link capacity. Flows with fabric hops
-//!   never enter bulk fusion.
+//!   the fluid model water-fills link capacity.
 //!
 //! The engine is driven exactly like the fluid one: after any mutation the
 //! caller asks [`PacketNet::next_event_time`] and schedules a wake-up; on
-//! wake-up it calls [`PacketNet::take_completions`]. Chunk-level events
-//! are far denser than fluid completion events, so a run on this backend
-//! costs more wall time — it is an oracle, not a replacement. One
-//! mitigation keeps the oracle usable at scale: when a flow has **sole
-//! occupancy** of its egress and ingress servers, its remaining chunks
-//! are fused into a single bulk event whose boundary instants replay the
-//! per-chunk arithmetic bit-for-bit (see `Bulk`); any contention change
-//! splits the fusion back into ordinary chunk state. Event counts drop by
-//! orders of magnitude on uncontended paths while every observable —
-//! completion times, byte counters, remaining bytes — stays identical to
-//! the unbatched engine ([`PacketNet::set_bulk_service`] toggles it for
-//! A/B verification).
+//! wake-up it calls [`PacketNet::take_completions`]. A batch of flows runs
+//! the same way: start each at its instant, in input order, then drain.
+//! Every chunk costs two queue events (egress done, ingress done) plus one
+//! per fabric hop, so a run on this backend costs more wall time than a
+//! fluid one — it is an oracle, not a replacement.
 
-use crate::psim::EgressDiscipline;
 use crate::topology::Topology;
 use crate::types::{Band, Bandwidth, FlowId, HostId, LinkId};
 use crate::fluid::{CompletedFlow, FlowSpec};
@@ -55,8 +58,17 @@ use simcore::{EventHandle, EventQueue, InvariantChecker, Profiler, SimDuration, 
 use std::collections::VecDeque;
 use tl_telemetry::{SimEvent, Telemetry};
 
-/// Default chunk size: 64 KiB, matching `psim` and the single-link packet
-/// simulator.
+/// Egress scheduling discipline (ingress is always FIFO).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum EgressDiscipline {
+    /// Round-robin across ready flows (models fair TCP sharing through
+    /// pfifo_fast).
+    FifoFair,
+    /// Strict priority by band, round-robin within a band (htb/prio).
+    Priority,
+}
+
+/// Default chunk size: 64 KiB, matching the single-link packet simulator.
 pub const DEFAULT_CHUNK_BYTES: u64 = 64 * 1024;
 /// Default per-flow window: 16 chunks in flight.
 pub const DEFAULT_WINDOW: u32 = 16;
@@ -101,62 +113,6 @@ struct Service {
     handle: EventHandle,
 }
 
-/// A fused run of chunk events for a flow with sole occupancy of its
-/// egress and ingress servers (see [`PacketNet::kick_egress`] for the
-/// entry conditions). Instead of 2 queue events per chunk, the whole
-/// remaining transfer is scheduled as ONE event at its final ingress-done
-/// instant; the per-chunk recurrence
-///
-/// ```text
-/// s_{j+1} = max(e_j, i_{j+1-W})        // egress start: link free + window
-/// e_j     = s_j + d(c_j / E)           // egress done
-/// i_j     = max(e_j, i_{j-1}) + d(c_j / I)  // ingress done (FIFO serial)
-/// ```
-///
-/// is replayed *arithmetically* — the identical `SimTime`/`f64` operations
-/// the per-chunk path performs, in the same order — so every chunk
-/// boundary lands on the bit-identical instant. Observable state (byte
-/// counters, `received`, `in_flight`, `to_send`) is caught up lazily on
-/// every [`PacketNet::advance`] by applying the virtual chunk boundaries
-/// at or before `now`; a contention change (flow start on either host,
-/// capacity change, abort) splits the bulk by reconstructing the exact
-/// per-chunk server/queue state at the split instant and resuming
-/// unbatched.
-#[derive(Debug)]
-struct Bulk {
-    /// Flow index being bulk-served.
-    flow: u32,
-    /// Destination host (the ingress side).
-    dst: u32,
-    /// Server rates frozen at entry (capacity changes split the bulk).
-    egress_rate: f64,
-    ingress_rate: f64,
-    /// Generated (egress-started) chunks not yet fully received:
-    /// `(bytes, egress_done, ingress_done)`, oldest first. Usually at
-    /// most window + 1 entries; transiently larger when one advance jumps
-    /// over many chunk boundaries.
-    pipeline: VecDeque<(u64, SimTime, SimTime)>,
-    /// Egress-service start of the next ungenerated chunk.
-    next_start: SimTime,
-    /// Ingress-done of the previous generated chunk (FIFO serialization).
-    last_i: SimTime,
-    /// Ring of the last `window` ingress-done instants; slot `(j-1) % W`
-    /// holds `i_j`, read as the window gate for chunk `j + W`.
-    i_ring: Vec<SimTime>,
-    /// Chunks generated (= egress service started) so far.
-    generated: u64,
-    /// Total chunks this bulk covers.
-    total_chunks: u64,
-    /// Bytes not yet assigned to a generated chunk.
-    bytes_ungenerated: u64,
-    /// Chunks whose egress-done / ingress-done effects have been applied.
-    egress_applied: u64,
-    ingress_applied: u64,
-    /// The single scheduled event: ingress-done of the last chunk.
-    finish: SimTime,
-    handle: EventHandle,
-}
-
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum PEv {
     /// The egress server of host `h` finished serializing a chunk.
@@ -167,8 +123,6 @@ enum PEv {
     LoopbackDone(u32),
     /// A pacing gate on host `h` opened; re-examine its egress.
     Pace(u32),
-    /// The bulk run owned by host `h`'s egress delivered its last chunk.
-    BulkDone(u32),
     /// Fabric link `l`'s serial server finished forwarding a chunk.
     FabricDone(u32),
 }
@@ -205,16 +159,6 @@ pub struct PacketNet {
     ingress_bytes: Vec<f64>,
     /// Cumulative bytes forwarded per fabric link.
     fabric_bytes: Vec<f64>,
-    /// Active bulk run per egress host (see [`Bulk`]).
-    bulk_egress: Vec<Option<Bulk>>,
-    /// Reverse index: ingress host -> egress host of the bulk feeding it.
-    bulk_ingress: Vec<Option<u32>>,
-    /// Egress hosts with an active bulk, for cheap advance-time catch-up.
-    active_bulks: Vec<u32>,
-    bulk_enabled: bool,
-    /// Chunks whose egress+ingress events were fused away (~2 queue
-    /// events saved per chunk).
-    bulk_virtual_chunks: u64,
     telemetry: Telemetry,
     invariants: InvariantChecker,
     /// Self-profiling handle (wall-times packet service); disabled by
@@ -266,33 +210,10 @@ impl PacketNet {
             egress_bytes: vec![0.0; n],
             ingress_bytes: vec![0.0; n],
             fabric_bytes: vec![0.0; nf],
-            bulk_egress: (0..n).map(|_| None).collect(),
-            bulk_ingress: vec![None; n],
-            active_bulks: Vec::new(),
-            bulk_enabled: true,
-            bulk_virtual_chunks: 0,
             telemetry: Telemetry::disabled(),
             invariants: InvariantChecker::disabled(),
             profiler: Profiler::disabled(),
         }
-    }
-
-    /// Enable or disable bulk chunk fusion (on by default). The toggle
-    /// exists for regression tests and A/B event-count measurements —
-    /// observable behavior is bit-identical either way (see `Bulk`).
-    /// Must be called before any flow starts.
-    pub fn set_bulk_service(&mut self, enabled: bool) {
-        assert!(
-            self.flows.is_empty(),
-            "toggle bulk service before starting flows"
-        );
-        self.bulk_enabled = enabled;
-    }
-
-    /// Chunks delivered inside bulk runs instead of through individually
-    /// scheduled egress/ingress events (each saved ~2 queue events).
-    pub fn bulk_virtual_chunks(&self) -> u64 {
-        self.bulk_virtual_chunks
     }
 
     /// Attach a telemetry handle (flow lifecycle + rotation events).
@@ -367,14 +288,6 @@ impl PacketNet {
             "flow endpoints outside topology"
         );
         self.advance(now);
-        if spec.src != spec.dst {
-            // A new competitor ends sole occupancy: split any bulk run
-            // sharing its egress or ingress server before it joins.
-            self.split_bulk(now, spec.src.0);
-            if let Some(hb) = self.bulk_ingress[spec.dst.0 as usize] {
-                self.split_bulk(now, hb);
-            }
-        }
         let idx = self.flows.len() as u32;
         let total = spec.bytes.ceil().max(1.0) as u64;
         self.flows.push(PFlow {
@@ -424,14 +337,6 @@ impl PacketNet {
     ) {
         assert!(self.topo.contains(h), "host outside topology");
         self.advance(now);
-        // A bulk run froze this host's rates at entry: split it back to
-        // per-chunk state (still under the old rates) so the re-rating
-        // below applies to a reconstructed in-service chunk, exactly as
-        // it would on the unbatched path.
-        self.split_bulk(now, h.0);
-        if let Some(hb) = self.bulk_ingress[h.0 as usize] {
-            self.split_bulk(now, hb);
-        }
         self.topo.set_host_capacity(h, egress, ingress);
         self.rerate_service(now, h.0, /* egress: */ true);
         self.rerate_service(now, h.0, /* egress: */ false);
@@ -487,19 +392,7 @@ impl PacketNet {
             if !pred(FlowId(idx as u64), &f.spec) {
                 continue;
             }
-            let src = f.spec.src.0;
             aborted.push((FlowId(idx as u64), f.spec.tag));
-            // A dying bulk-served flow first splits back to per-chunk
-            // state so the generic teardown below sees ordinary queued
-            // and in-service chunks. (Bulks of surviving flows are
-            // unaffected: a competitor on their hosts would have split
-            // them at its start.)
-            if self.bulk_egress[src as usize]
-                .as_ref()
-                .is_some_and(|b| b.flow == idx)
-            {
-                self.split_bulk(now, src);
-            }
             let f = &mut self.flows[idx as usize];
             f.status = Status::Aborted;
             f.to_send = 0;
@@ -583,19 +476,8 @@ impl PacketNet {
                         self.kick_egress(t, h);
                     }
                 }
-                PEv::BulkDone(h) => self.on_bulk_done(t, h),
                 PEv::FabricDone(l) => self.on_fabric_done(t, l),
             }
-        }
-        // Bulk runs deliver chunks between queue events: apply every
-        // virtual chunk boundary at or before `now` so byte counters,
-        // `received`, and window state read exactly as the per-chunk path
-        // would have left them.
-        for k in 0..self.active_bulks.len() {
-            let h = self.active_bulks[k] as usize;
-            let mut bulk = self.bulk_egress[h].take().expect("tracked bulk vanished");
-            self.catch_up_bulk(&mut bulk, now);
-            self.bulk_egress[h] = Some(bulk);
         }
         self.last_advance = now;
         self.profiler.stop("packet.service", service_timer);
@@ -738,7 +620,7 @@ impl PacketNet {
     /// idle and a flow is ready. Schedules a pace wake-up when every ready
     /// flow is gated by its cap.
     fn kick_egress(&mut self, now: SimTime, h: u32) {
-        if self.egress_busy[h as usize].is_some() || self.bulk_egress[h as usize].is_some() {
+        if self.egress_busy[h as usize].is_some() {
             return;
         }
         // A flow is ready when it has bytes left AND window room AND its
@@ -798,9 +680,6 @@ impl PacketNet {
             .find(|&i| i > cursor)
             .unwrap_or(eligible[0]);
         self.egress_cursor[h as usize] = i;
-        if self.try_enter_bulk(now, h, i) {
-            return;
-        }
 
         let f = &mut self.flows[i as usize];
         let chunk = self.chunk_bytes.min(f.to_send);
@@ -825,213 +704,6 @@ impl PacketNet {
             rate,
             handle,
         });
-    }
-
-    // ---- bulk chunk service --------------------------------------------
-
-    /// Attempt to fuse flow `i`'s entire remaining transfer into a single
-    /// bulk event (see [`Bulk`]). Called after `i` won host `h`'s egress;
-    /// requires sole occupancy of both servers and a clean pipeline.
-    fn try_enter_bulk(&mut self, now: SimTime, h: u32, i: u32) -> bool {
-        if !self.bulk_enabled {
-            return false;
-        }
-        let f = &self.flows[i as usize];
-        let d = f.spec.dst.0;
-        // Cheap gates first: `in_flight == 0` only holds on a flow's first
-        // chunk or after a full pipeline drain, so the O(active) scan
-        // below runs rarely, not per chunk.
-        if f.max_rate.is_finite()
-            || f.in_flight != 0
-            || !self.ingress_q[d as usize].is_empty()
-            || self.ingress_busy[d as usize].is_some()
-        {
-            return false;
-        }
-        // Fabric-routed flows pass through shared per-link servers whose
-        // contention the two-server recurrence cannot replay: never fuse.
-        if self.topo.route(f.spec.src, f.spec.dst)[0].is_some() {
-            return false;
-        }
-        // Sole occupancy: no other active non-loopback flow touches this
-        // egress or that ingress. Window-stalled and paced flows count —
-        // they are absent from `candidates` but contend later.
-        for &j in &self.active {
-            if j == i {
-                continue;
-            }
-            let g = &self.flows[j as usize].spec;
-            if g.src != g.dst && (g.src.0 == h || g.dst.0 == d) {
-                return false;
-            }
-        }
-        let egress_rate = self.topo.egress(HostId(h)).bytes_per_sec();
-        let ingress_rate = self.topo.ingress(HostId(d)).bytes_per_sec();
-        let to_send = f.to_send;
-        let total_chunks = to_send.div_ceil(self.chunk_bytes);
-        // Dry-run the recurrence to the last ingress-done: the one event
-        // this whole transfer schedules. The lazy catch-up in
-        // `catch_up_bulk` re-generates the identical values on demand.
-        let w = u64::from(self.window);
-        let mut ring = vec![SimTime::ZERO; self.window as usize];
-        let mut s = now;
-        let mut last_i = SimTime::ZERO;
-        let mut left = to_send;
-        for j in 1..=total_chunks {
-            let c = self.chunk_bytes.min(left);
-            left -= c;
-            let e = s + SimDuration::from_secs_f64(c as f64 / egress_rate);
-            let i_done = e.max(last_i) + SimDuration::from_secs_f64(c as f64 / ingress_rate);
-            ring[((j - 1) % w) as usize] = i_done;
-            let gate = if j >= w {
-                ring[((j - w) % w) as usize]
-            } else {
-                SimTime::ZERO
-            };
-            s = e.max(gate);
-            last_i = i_done;
-        }
-        let finish = last_i;
-        let handle = self.queue.schedule(finish, PEv::BulkDone(h));
-        ring.fill(SimTime::ZERO);
-        self.bulk_egress[h as usize] = Some(Bulk {
-            flow: i,
-            dst: d,
-            egress_rate,
-            ingress_rate,
-            pipeline: VecDeque::new(),
-            next_start: now,
-            last_i: SimTime::ZERO,
-            i_ring: ring,
-            generated: 0,
-            total_chunks,
-            bytes_ungenerated: to_send,
-            egress_applied: 0,
-            ingress_applied: 0,
-            finish,
-            handle,
-        });
-        self.bulk_ingress[d as usize] = Some(h);
-        self.active_bulks.push(h);
-        true
-    }
-
-    /// Apply every virtual chunk boundary of `bulk` at or before `now`:
-    /// egress starts debit `to_send` and open the window, egress-dones
-    /// credit the sender's byte counter, ingress-dones credit the
-    /// receiver's and `received`. Each sequence is replayed with the
-    /// per-chunk path's exact arithmetic, in chunk order, so the state at
-    /// any probed instant is bit-identical to an unbatched run.
-    fn catch_up_bulk(&mut self, bulk: &mut Bulk, now: SimTime) {
-        let h = self.flows[bulk.flow as usize].spec.src.0 as usize;
-        let d = bulk.dst as usize;
-        let w = u64::from(self.window);
-        // 1. Generate (= egress-start) chunks due by `now`. `next_start`
-        //    already folds in the window gate, so this is purely
-        //    time-driven.
-        while bulk.generated < bulk.total_chunks && bulk.next_start <= now {
-            let c = self.chunk_bytes.min(bulk.bytes_ungenerated);
-            bulk.bytes_ungenerated -= c;
-            let j = bulk.generated + 1;
-            let e = bulk.next_start + SimDuration::from_secs_f64(c as f64 / bulk.egress_rate);
-            let i_done =
-                e.max(bulk.last_i) + SimDuration::from_secs_f64(c as f64 / bulk.ingress_rate);
-            bulk.i_ring[((j - 1) % w) as usize] = i_done;
-            let gate = if j >= w {
-                bulk.i_ring[((j - w) % w) as usize]
-            } else {
-                SimTime::ZERO
-            };
-            bulk.next_start = e.max(gate);
-            bulk.last_i = i_done;
-            bulk.pipeline.push_back((c, e, i_done));
-            bulk.generated = j;
-            let f = &mut self.flows[bulk.flow as usize];
-            f.to_send -= c;
-            f.in_flight += 1;
-        }
-        // 2. Egress-done effects, in chunk order (e_j is monotone).
-        while bulk.egress_applied < bulk.generated {
-            let k = (bulk.egress_applied - bulk.ingress_applied) as usize;
-            let (c, e, _) = bulk.pipeline[k];
-            if e > now {
-                break;
-            }
-            self.egress_bytes[h] += c as f64;
-            bulk.egress_applied += 1;
-        }
-        // 3. Ingress-done effects (i_j is monotone too).
-        while let Some(&(c, _, i_done)) = bulk.pipeline.front() {
-            if i_done > now {
-                break;
-            }
-            bulk.pipeline.pop_front();
-            bulk.ingress_applied += 1;
-            self.bulk_virtual_chunks += 1;
-            let f = &mut self.flows[bulk.flow as usize];
-            f.in_flight -= 1;
-            f.received += c;
-            self.ingress_bytes[d] += c as f64;
-        }
-    }
-
-    fn on_bulk_done(&mut self, now: SimTime, h: u32) {
-        let mut bulk = self.bulk_egress[h as usize]
-            .take()
-            .expect("bulk event fired without a bulk");
-        debug_assert_eq!(bulk.finish, now);
-        self.bulk_ingress[bulk.dst as usize] = None;
-        self.active_bulks.retain(|&x| x != h);
-        self.catch_up_bulk(&mut bulk, now);
-        debug_assert_eq!(bulk.ingress_applied, bulk.total_chunks);
-        self.finish_flow(now, bulk.flow);
-    }
-
-    /// End a bulk run at `now`, reconstructing the exact per-chunk engine
-    /// state the unbatched path would hold at this instant: the chunk on
-    /// the egress wire re-enters service, chunks between the servers
-    /// refill the ingress FIFO with the front one in service, and their
-    /// completion events are rescheduled at the already-computed instants.
-    /// No-op if `h` owns no bulk.
-    fn split_bulk(&mut self, now: SimTime, h: u32) {
-        let Some(mut bulk) = self.bulk_egress[h as usize].take() else {
-            return;
-        };
-        self.bulk_ingress[bulk.dst as usize] = None;
-        self.active_bulks.retain(|&x| x != h);
-        self.queue.cancel(bulk.handle);
-        self.catch_up_bulk(&mut bulk, now);
-        let d = bulk.dst as usize;
-        // At most one generated chunk can be mid-serialization (egress is
-        // serial): the last one, when its wire time extends past `now`.
-        if bulk.egress_applied < bulk.generated {
-            debug_assert_eq!(bulk.egress_applied + 1, bulk.generated);
-            let &(c, e, _) = bulk.pipeline.back().expect("generated chunk in pipeline");
-            let handle = self.queue.schedule(e, PEv::EgressDone(h));
-            self.egress_busy[h as usize] = Some(Service {
-                flow: bulk.flow,
-                chunk: c,
-                finish: e,
-                rate: bulk.egress_rate,
-                handle,
-            });
-        }
-        let queued = (bulk.egress_applied - bulk.ingress_applied) as usize;
-        for k in 0..queued {
-            let (c, _, _) = bulk.pipeline[k];
-            self.ingress_q[d].push_back((bulk.flow, c));
-        }
-        if queued > 0 {
-            let (c, _, i_done) = bulk.pipeline[0];
-            let handle = self.queue.schedule(i_done, PEv::IngressDone(d as u32));
-            self.ingress_busy[d] = Some(Service {
-                flow: bulk.flow,
-                chunk: c,
-                finish: i_done,
-                rate: bulk.ingress_rate,
-                handle,
-            });
-        }
     }
 
     /// Put the next queued chunk into fabric link `l`'s serial server, if
@@ -1103,6 +775,8 @@ mod tests {
         done
     }
 
+    /// The analytic single-flow timing the fluid/packet agreement tests
+    /// rely on: serialization plus one chunk of store-and-forward.
     #[test]
     fn single_flow_matches_psim_timing() {
         let mut n = net(2);
@@ -1111,6 +785,27 @@ mod tests {
         assert_eq!(done.len(), 1);
         // Pipelined through two links: serialization + one chunk.
         let want = 125e6 / LINK + DEFAULT_CHUNK_BYTES as f64 / LINK;
+        let got = done[0].finished.as_secs_f64();
+        assert!((got - want).abs() < 1e-3, "got {got}, want {want}");
+    }
+
+    #[test]
+    fn single_flow_is_pipelined_through_two_links() {
+        // Egress and ingress overlap chunk by chunk, so the receiver lags
+        // the sender by exactly one chunk. A 4 MiB chunk makes that lag
+        // (~3.4 ms) larger than the tolerance, so the term is checked.
+        let chunk: u64 = 4 << 20;
+        let mut n = PacketNet::with_chunking(
+            Topology::uniform(2, Bandwidth::from_gbps(10.0)),
+            chunk,
+            DEFAULT_WINDOW,
+            EgressDiscipline::FifoFair,
+        );
+        let bytes = (30 * chunk) as f64;
+        n.start_flow(SimTime::ZERO, spec(0, 1, bytes, 0, 1));
+        let done = drain(&mut n);
+        assert_eq!(done.len(), 1);
+        let want = bytes / LINK + chunk as f64 / LINK;
         let got = done[0].finished.as_secs_f64();
         assert!((got - want).abs() < 1e-3, "got {got}, want {want}");
     }
@@ -1131,6 +826,24 @@ mod tests {
         };
         assert!((by_tag(1) - half).abs() < 0.01);
         assert!((by_tag(2) - 2.0 * half).abs() < 0.01);
+    }
+
+    #[test]
+    fn priority_staircases_fanout() {
+        // One sender, three receivers, three bands: strict priority at the
+        // shared egress finishes the flows one after another.
+        let mut n = net(4);
+        for b in 0..3u8 {
+            n.start_flow(SimTime::ZERO, spec(0, 1 + b as u32, 50e6, b, b as u64));
+        }
+        let done = drain(&mut n);
+        assert_eq!(done.len(), 3);
+        let step = 50e6 / LINK;
+        for d in &done {
+            let want = (d.tag + 1) as f64 * step;
+            let got = d.finished.as_secs_f64();
+            assert!((got - want).abs() < 0.01, "tag {}: got {got}, want {want}", d.tag);
+        }
     }
 
     #[test]
@@ -1263,98 +976,249 @@ mod tests {
         assert_eq!(inv.violation_count(), 0);
     }
 
+    /// A flow on hosts disjoint from the aborted one is untouched by the
+    /// abort: it finishes at the instant it would have alone.
     #[test]
-    fn bulk_fuses_sole_occupancy_transfers() {
-        let mut n = net(2);
-        n.start_flow(SimTime::ZERO, spec(0, 1, 125e6, 0, 1));
+    fn abort_drops_the_dying_flow_only() {
+        let mut n = net(4);
+        n.start_flow(SimTime::ZERO, spec(0, 1, 50e6, 0, 1));
+        n.start_flow(SimTime::ZERO, spec(2, 3, 50e6, 0, 2));
+        let aborted = n.abort_flows_where(SimTime::from_millis(7), |_, s| s.tag == 1);
+        assert_eq!(aborted.len(), 1);
+        assert!(n.remaining_of(FlowId(0)).is_none());
         let done = drain(&mut n);
         assert_eq!(done.len(), 1);
-        // 125 MB / 64 KiB = 1908 chunks; all of them should ride the bulk
-        // path, and the drain loop should see a single event.
-        assert_eq!(
-            n.bulk_virtual_chunks(),
-            1908,
-            "bulk service never engaged"
+        assert_eq!(done[0].tag, 2);
+        assert!(n.ingress_bytes()[1] < 50e6, "the aborted flow kept delivering");
+        assert_eq!(n.ingress_bytes()[3], 50e6);
+
+        let mut alone = net(4);
+        alone.start_flow(SimTime::ZERO, spec(2, 3, 50e6, 0, 2));
+        assert_eq!(done[0].finished, drain(&mut alone)[0].finished);
+    }
+
+    /// Completion instants in nanoseconds, in flow-id order.
+    fn finish_nanos(done: &[CompletedFlow]) -> Vec<u64> {
+        let mut by_id: Vec<_> = done.iter().map(|d| (d.id, d.finished.as_nanos())).collect();
+        by_id.sort();
+        by_id.into_iter().map(|(_, t)| t).collect()
+    }
+
+    /// Strict priority holds at chunk granularity: a higher-band flow that
+    /// arrives while a lower-band flow is sending overtakes it, even with
+    /// a two-chunk window, and both finish at their per-chunk instants.
+    #[test]
+    fn late_higher_band_flow_overtakes_with_a_two_chunk_window() {
+        let mut n = PacketNet::with_chunking(
+            Topology::uniform(2, Bandwidth::from_gbps(10.0)),
+            38_586,
+            2,
+            EgressDiscipline::Priority,
         );
-        // Completion must still match the pipelined two-server schedule.
-        let want = 125e6 / LINK + DEFAULT_CHUNK_BYTES as f64 / LINK;
+        n.start_flow(SimTime::from_micros(4_467), spec(0, 1, 1_471_442.0, 2, 2));
+        n.start_flow(SimTime::from_micros(4_925), spec(0, 1, 17_031_189.0, 1, 1));
+        let done = drain(&mut n);
+        let order: Vec<u64> = done.iter().map(|d| d.tag).collect();
+        assert_eq!(order, vec![1, 2], "band 1 must finish first");
+        assert_eq!(finish_nanos(&done), vec![19_300_069, 18_585_943]);
+    }
+
+    /// Per-chunk finish instants, to the nanosecond, of a default-chunking
+    /// scenario where two flows share a sender and two share a receiver;
+    /// a flow that starts alone on its servers gets no shortcut.
+    #[test]
+    fn shared_sender_and_receiver_finish_at_per_chunk_instants() {
+        let mut n = net(5);
+        n.start_flow(SimTime::ZERO, spec(2, 0, 11_051_988.0, 1, 1));
+        n.start_flow(SimTime::ZERO, spec(4, 2, 4_584_958.0, 2, 2));
+        n.start_flow(SimTime::ZERO, spec(4, 0, 11_571_563.0, 1, 3));
+        let done = drain(&mut n);
+        assert_eq!(finish_nanos(&done), vec![17_649_696, 8_856_401, 18_151_339]);
+    }
+
+    #[test]
+    fn window_of_one_halves_throughput() {
+        let mut n = PacketNet::with_chunking(
+            Topology::uniform(2, Bandwidth::from_gbps(10.0)),
+            DEFAULT_CHUNK_BYTES,
+            1,
+            EgressDiscipline::FifoFair,
+        );
+        n.start_flow(SimTime::ZERO, spec(0, 1, 125e6, 0, 1));
+        let done = drain(&mut n);
+        // Stop-and-wait: each chunk is serialized twice sequentially.
+        let want = 2.0 * 125e6 / LINK;
         let got = done[0].finished.as_secs_f64();
-        assert!((got - want).abs() < 1e-3, "got {got}, want {want}");
+        assert!((got - want).abs() < 1e-2, "got {got}, want {want}");
     }
 
-    /// The bulk fast path must be *bitwise* indistinguishable from the
-    /// unbatched engine: identical completion instants, identical byte
-    /// counters and remaining-bytes at every probed instant. The scenario
-    /// exercises all three split triggers — a competitor on the shared
-    /// egress, a competitor on the shared ingress, and a capacity change
-    /// mid-bulk — plus a concurrent loopback flow (which must not block
-    /// fusion).
-    #[test]
-    fn bulk_service_matches_unbatched_bit_for_bit() {
-        #[allow(clippy::type_complexity)]
-        let run = |bulk: bool| -> (Vec<(Option<f64>, Vec<u64>, Vec<u64>)>, Vec<CompletedFlow>) {
-            let mut n = net(4);
-            n.set_bulk_service(bulk);
-            let mut probes = Vec::new();
-            let mut probe = |n: &mut PacketNet, at: SimTime, flow: u64| {
-                n.advance(at);
-                probes.push((
-                    n.remaining_of(FlowId(flow)),
-                    n.egress_bytes().iter().map(|b| b.to_bits()).collect(),
-                    n.ingress_bytes().iter().map(|b| b.to_bits()).collect(),
-                ));
-            };
-            // Phase 1: flow 0 (0->1) runs alone and fuses; flow 1 (2->1)
-            // splits it on the shared ingress; flow 2 (0->3) then contends
-            // on the egress.
-            n.start_flow(SimTime::ZERO, spec(0, 1, 50e6, 0, 1));
-            probe(&mut n, SimTime::from_millis(3), 0);
-            n.start_flow(SimTime::from_millis(5), spec(2, 1, 10e6, 0, 2));
-            n.start_flow(SimTime::from_millis(9), spec(0, 3, 20e6, 1, 3));
-            probe(&mut n, SimTime::from_millis(20), 0);
-            // Phase 2: flow 3 (3->2) fuses; a capacity change on its
-            // ingress host splits it and re-rates the in-service chunks.
-            n.start_flow(SimTime::from_millis(150), spec(3, 2, 40e6, 0, 4));
-            let half = Bandwidth::from_bytes_per_sec(LINK / 2.0);
-            n.set_host_capacity(SimTime::from_millis(155), HostId(2), half, half);
-            probe(&mut n, SimTime::from_millis(160), 3);
-            // Phase 3: flow 4 (1->3) fuses next to a loopback flow; flow 6
-            // (1->0) splits it on the shared egress.
-            n.start_flow(SimTime::from_millis(300), spec(1, 3, 30e6, 0, 5));
-            n.start_flow(SimTime::from_millis(302), spec(2, 2, 10e6, 0, 6));
-            n.start_flow(SimTime::from_millis(305), spec(1, 0, 5e6, 0, 7));
-            probe(&mut n, SimTime::from_millis(310), 4);
-            let done = drain(&mut n);
-            (probes, done)
-        };
-        let fast = run(true);
-        let slow = run(false);
-        assert_eq!(fast, slow);
-        assert_eq!(fast.1.len(), 7);
+    fn fair_net(hosts: usize) -> PacketNet {
+        PacketNet::with_chunking(
+            Topology::uniform(hosts, Bandwidth::from_gbps(10.0)),
+            DEFAULT_CHUNK_BYTES,
+            DEFAULT_WINDOW,
+            EgressDiscipline::FifoFair,
+        )
     }
 
     #[test]
-    fn bulk_split_on_abort_drops_the_dying_flow_only() {
-        let run = |bulk: bool| {
-            let mut n = net(4);
-            n.set_bulk_service(bulk);
-            n.start_flow(SimTime::ZERO, spec(0, 1, 50e6, 0, 1));
-            n.start_flow(SimTime::ZERO, spec(2, 3, 50e6, 0, 2));
-            let aborted = n.abort_flows_where(SimTime::from_millis(7), |_, s| s.tag == 1);
-            assert_eq!(aborted.len(), 1);
-            assert!(n.remaining_of(FlowId(0)).is_none());
-            let done = drain(&mut n);
-            (
-                done,
-                n.egress_bytes().iter().map(|b| b.to_bits()).collect::<Vec<_>>(),
-                n.ingress_bytes().iter().map(|b| b.to_bits()).collect::<Vec<_>>(),
-            )
+    fn fanout_shares_egress_fairly() {
+        let mut n = fair_net(3);
+        n.start_flow(SimTime::ZERO, spec(0, 1, 50e6, 0, 1));
+        n.start_flow(SimTime::ZERO, spec(0, 2, 50e6, 0, 2));
+        let done = drain(&mut n);
+        assert_eq!(done.len(), 2);
+        let total = 100e6 / LINK;
+        for d in &done {
+            assert!(
+                (d.finished.as_secs_f64() - total).abs() < 0.01,
+                "both finish near the end under fair sharing: {}",
+                d.finished
+            );
+        }
+    }
+
+    #[test]
+    fn fanin_shares_ingress() {
+        // Two senders into one receiver: the ingress serializes them; both
+        // finish near total/ingress-rate.
+        let mut n = fair_net(3);
+        n.start_flow(SimTime::ZERO, spec(0, 2, 50e6, 0, 1));
+        n.start_flow(SimTime::ZERO, spec(1, 2, 50e6, 0, 2));
+        let done = drain(&mut n);
+        assert_eq!(done.len(), 2);
+        let total = 100e6 / LINK;
+        for d in &done {
+            let t = d.finished.as_secs_f64();
+            assert!((t - total).abs() < 0.02, "ingress-bound: {t}");
+        }
+    }
+
+    #[test]
+    fn window_decouples_sender_from_congested_receiver() {
+        // Flow A: 0 -> 2 (receiver shared with B, so A runs at half rate).
+        // Flow C: 0 -> 3, band 1 (lower priority than A at their shared
+        // egress). Because A's window stalls it at the congested receiver,
+        // C picks up the idle egress — work conservation at chunk level.
+        let mut n = PacketNet::with_chunking(
+            Topology::uniform(4, Bandwidth::from_gbps(10.0)),
+            DEFAULT_CHUNK_BYTES,
+            2,
+            EgressDiscipline::Priority,
+        );
+        n.start_flow(SimTime::ZERO, spec(0, 2, 50e6, 0, 1));
+        n.start_flow(SimTime::ZERO, spec(1, 2, 50e6, 0, 2));
+        n.start_flow(SimTime::ZERO, spec(0, 3, 50e6, 1, 3));
+        let done = drain(&mut n);
+        // C must finish well before a fully serialized schedule (A then C =
+        // 0.08 s + 0.04 s): it borrows A's stalled egress slots.
+        let c_done = done.iter().find(|d| d.tag == 3).unwrap().finished.as_secs_f64();
+        assert!(
+            c_done < 0.085,
+            "work conservation through windows: {c_done}"
+        );
+    }
+
+    #[test]
+    fn late_start_is_respected() {
+        let mut n = fair_net(2);
+        n.start_flow(SimTime::from_secs(3), spec(0, 1, 10e6, 0, 1));
+        let done = drain(&mut n);
+        assert!(done[0].finished > SimTime::from_secs(3));
+        assert!((done[0].finished.as_secs_f64() - 3.0 - 10e6 / LINK) < 1e-2);
+    }
+
+    #[test]
+    fn deterministic_with_simultaneous_starts() {
+        let run = || {
+            let mut n = net(5);
+            for k in 0..12u32 {
+                n.start_flow(
+                    SimTime::ZERO,
+                    spec(k % 4, 4, (5 + u64::from(k)) as f64 * 1e6, (k % 3) as u8, u64::from(k)),
+                );
+            }
+            drain(&mut n)
         };
-        let fast = run(true);
-        let slow = run(false);
-        assert_eq!(fast, slow);
-        assert_eq!(fast.0.len(), 1);
-        assert_eq!(fast.0[0].tag, 2);
+        assert_eq!(run(), run());
+    }
+
+    /// Reading the engine between events — `advance` to arbitrary
+    /// instants, `remaining_of`, byte counters — must not move any chunk:
+    /// a driver that probes finishes every flow at the same instants, with
+    /// the same counters, as one that only drains.
+    #[test]
+    fn probing_mid_run_does_not_perturb_completions() {
+        let starts = [
+            (SimTime::ZERO, spec(0, 1, 20e6, 0, 1)),
+            (SimTime::from_micros(3_100), spec(2, 1, 8e6, 0, 2)),
+            (SimTime::from_micros(5_300), spec(0, 3, 12e6, 1, 3)),
+        ];
+        let run = |probe_every: Option<u64>| {
+            let mut n = net(4);
+            let mut t = 0;
+            for &(at, s) in &starts {
+                if let Some(step) = probe_every {
+                    while t + step < at.as_nanos() {
+                        t += step;
+                        n.advance(SimTime::from_nanos(t));
+                        for id in 0..3 {
+                            let _ = n.remaining_of(FlowId(id));
+                        }
+                    }
+                }
+                n.start_flow(at, s);
+            }
+            let done = drain(&mut n);
+            let bits = |v: &[f64]| v.iter().map(|b| b.to_bits()).collect::<Vec<_>>();
+            (done, bits(n.egress_bytes()), bits(n.ingress_bytes()))
+        };
+        let drained = run(None);
+        assert_eq!(drained.0.len(), 3);
+        assert_eq!(run(Some(77_777)), drained);
+        assert_eq!(run(Some(1_000_000)), drained);
+    }
+
+    /// Every delivered byte is counted once at its sender's egress and
+    /// once at its receiver's ingress; loopback bytes at neither.
+    #[test]
+    fn byte_counters_account_every_delivered_byte() {
+        let mut n = net(4);
+        let flows = [
+            spec(0, 1, 3_000_001.0, 0, 1),
+            spec(0, 2, 2_500_000.0, 1, 2),
+            spec(3, 1, 1_234_567.0, 0, 3),
+            spec(2, 2, 9e6, 0, 4),
+        ];
+        for &f in &flows {
+            n.start_flow(SimTime::ZERO, f);
+        }
+        assert_eq!(drain(&mut n).len(), 4);
+        let mut egress = [0.0; 4];
+        let mut ingress = [0.0; 4];
+        for f in flows.iter().filter(|f| f.src != f.dst) {
+            egress[f.src.0 as usize] += f.bytes;
+            ingress[f.dst.0 as usize] += f.bytes;
+        }
+        assert_eq!(n.egress_bytes(), egress);
+        assert_eq!(n.ingress_bytes(), ingress);
+    }
+
+    /// Loopback flows touch no NIC server, so they leave the timing of
+    /// concurrent network flows on the same hosts unchanged.
+    #[test]
+    fn loopback_flows_leave_nic_flows_untouched() {
+        let nic_finish = |with_loopback: bool| {
+            let mut n = net(2);
+            let id = n.start_flow(SimTime::ZERO, spec(0, 1, 10e6, 1, 1));
+            if with_loopback {
+                n.start_flow(SimTime::ZERO, spec(0, 0, 50e6, 0, 2));
+                n.start_flow(SimTime::from_millis(2), spec(1, 1, 50e6, 0, 3));
+            }
+            let done = drain(&mut n);
+            done.iter().find(|d| d.id == id).unwrap().finished
+        };
+        assert_eq!(nic_finish(true), nic_finish(false));
     }
 
     #[test]

@@ -26,7 +26,6 @@ if [[ "${1:-}" != "fast" ]]; then
     TL_BENCH_SMOKE=1 cargo bench -p tl-bench --bench paper_experiments
     TL_BENCH_SMOKE=1 cargo bench -p tl-bench --bench telemetry
     TL_BENCH_SMOKE=1 cargo bench -p tl-bench --bench fault_overhead
-    TL_BENCH_SMOKE=1 cargo bench -p tl-bench --bench scale
     TL_BENCH_SMOKE=1 cargo bench -p tl-bench --bench analysis
     TL_BENCH_SMOKE=1 cargo bench -p tl-bench --bench alloc_single_component
 
@@ -70,9 +69,11 @@ if [[ "${1:-}" != "fast" ]]; then
     # Differential validation: the full 32-scenario fluid-vs-packet sweep
     # (24 single-switch + 8 leaf-spine multi-tier) through the DL engine
     # with invariant checks on; exits 3 on any divergence beyond tolerance
-    # (see EXPERIMENTS.md).
-    echo "==> differential validation (fluid vs packet)"
-    ./target/release/repro --experiment validate > /dev/null
+    # (see EXPERIMENTS.md). Its JSON (every per-scenario JCT and
+    # divergence) must match the committed copy byte for byte.
+    echo "==> differential validation (fluid vs packet) vs committed results/json/validate.json"
+    ./target/release/repro --experiment validate --json "$tmp/validate" > /dev/null
+    cmp "$tmp/validate/validate.json" results/json/validate.json
 
     # Scale smoke: the smallest grid cell of the scale sweep under all
     # three policies (repro asserts every job completes).

@@ -1,7 +1,8 @@
-//! Cross-validation of the two network models.
+//! Cross-validation of the fluid and chunk-level network models.
 //!
-//! The fluid engine (used by the big experiments) and the chunk-level
-//! packet engine (used for Figure 4) must agree on single-egress scenarios:
+//! The fluid engine (used by the big experiments) must agree with the
+//! single-link packet engine (used for Figure 4) on single-egress
+//! scenarios, and with the multi-host `PacketNet` on topology-wide ones:
 //! same completion times up to chunk quantization.
 
 use simcore::SimTime;
@@ -130,63 +131,73 @@ fn work_conservation_matches() {
 }
 
 // ---------------------------------------------------------------------------
-// Multi-host cross-validation: the fluid model vs the independent
-// store-and-forward chunk engine (`tl_net::psim`) on topology-wide
-// scenarios, including the paper's PS fan-out/fan-in pattern.
+// Multi-host cross-validation: the fluid model vs the store-and-forward
+// chunk engine (`tl_net::PacketNet`) on topology-wide scenarios, including
+// the paper's PS fan-out/fan-in pattern.
 
-use tl_net::{psim, EgressDiscipline, NetFlow, NetSimConfig};
+use tl_net::pnet::{DEFAULT_CHUNK_BYTES, DEFAULT_WINDOW};
+use tl_net::{CompletedFlow, EgressDiscipline, FlowId, PacketNet};
 
-fn psim_cfg(hosts: usize, d: EgressDiscipline) -> NetSimConfig {
-    NetSimConfig::new(Topology::uniform(hosts, Bandwidth::from_gbps(LINK_GBPS)), d)
+/// Record each completion's finish time (seconds) at its flow's input
+/// position.
+fn record(done: &mut [f64], ids: &[FlowId], completions: Vec<CompletedFlow>) {
+    for c in completions {
+        let k = ids.iter().position(|&i| i == c.id).expect("known flow");
+        done[k] = c.finished.as_secs_f64();
+    }
 }
 
-fn fluid_multi(hosts: usize, flows: &[NetFlow]) -> Vec<f64> {
+/// A flow and its start instant; drivers start flows in input order, so
+/// starts must not decrease.
+type Timed = (SimTime, FlowSpec);
+
+fn fluid_multi(hosts: usize, flows: &[Timed]) -> Vec<f64> {
     let mut net = FluidNet::new(Topology::uniform(hosts, Bandwidth::from_gbps(LINK_GBPS)));
-    let mut ids = Vec::new();
-    for f in flows {
-        ids.push(net.start_flow(
-            f.start,
-            FlowSpec {
-                src: f.src,
-                dst: f.dst,
-                bytes: f.bytes as f64,
-                band: f.band,
-                weight: 1.0,
-                tag: f.tag,
-            },
-        ));
-    }
+    let ids: Vec<_> = flows.iter().map(|&(at, f)| net.start_flow(at, f)).collect();
     let mut done = vec![0.0; flows.len()];
     while let Some(t) = net.next_event_time() {
-        for c in net.take_completions(t) {
-            let k = ids.iter().position(|&i| i == c.id).expect("known flow");
-            done[k] = c.finished.as_secs_f64();
-        }
+        record(&mut done, &ids, net.take_completions(t));
     }
     done
 }
 
-fn nf(src: u32, dst: u32, mb: u64, band: u8, tag: u64) -> NetFlow {
-    NetFlow {
+fn packet_multi(hosts: usize, d: EgressDiscipline, flows: &[Timed]) -> Vec<f64> {
+    let mut net = PacketNet::with_chunking(
+        Topology::uniform(hosts, Bandwidth::from_gbps(LINK_GBPS)),
+        DEFAULT_CHUNK_BYTES,
+        DEFAULT_WINDOW,
+        d,
+    );
+    let ids: Vec<_> = flows.iter().map(|&(at, f)| net.start_flow(at, f)).collect();
+    let mut done = vec![0.0; flows.len()];
+    while let Some(t) = net.next_event_time() {
+        record(&mut done, &ids, net.take_completions(t));
+    }
+    done
+}
+
+/// A flow of `mb` megabytes starting at t = 0.
+fn nf(src: u32, dst: u32, mb: u64, band: u8, tag: u64) -> Timed {
+    let spec = FlowSpec {
         src: HostId(src),
         dst: HostId(dst),
-        bytes: mb * 1_000_000,
+        bytes: (mb * 1_000_000) as f64,
         band: Band(band),
+        weight: 1.0,
         tag,
-        start: SimTime::ZERO,
-    }
+    };
+    (SimTime::ZERO, spec)
 }
 
 #[test]
 fn ps_fanout_agrees_across_models() {
     // One PS (host 0) sends a model update to each of 6 workers — the
     // paper's per-iteration egress burst.
-    let flows: Vec<NetFlow> = (1..=6).map(|w| nf(0, w, 20, 0, w as u64)).collect();
+    let flows: Vec<Timed> = (1..=6).map(|w| nf(0, w, 20, 0, w as u64)).collect();
     let fluid = fluid_multi(7, &flows);
-    let packet = psim::run(&psim_cfg(7, EgressDiscipline::FifoFair), &flows);
+    let packet = packet_multi(7, EgressDiscipline::FifoFair, &flows);
     let total = 120e6 / 1.25e9;
-    for (f, p) in fluid.iter().zip(&packet) {
-        let pt = p.finished.as_secs_f64();
+    for (f, &pt) in fluid.iter().zip(&packet) {
         assert!((f - pt).abs() < 0.01, "fanout: fluid {f} vs packet {pt}");
         assert!((pt - total).abs() < 0.01, "all finish near the burst end");
     }
@@ -196,11 +207,10 @@ fn ps_fanout_agrees_across_models() {
 fn gradient_fanin_agrees_across_models() {
     // Six workers send gradients into the PS host — the fan-in direction,
     // bottlenecked at the PS ingress.
-    let flows: Vec<NetFlow> = (1..=6).map(|w| nf(w, 0, 20, 0, w as u64)).collect();
+    let flows: Vec<Timed> = (1..=6).map(|w| nf(w, 0, 20, 0, w as u64)).collect();
     let fluid = fluid_multi(7, &flows);
-    let packet = psim::run(&psim_cfg(7, EgressDiscipline::FifoFair), &flows);
-    for (f, p) in fluid.iter().zip(&packet) {
-        let pt = p.finished.as_secs_f64();
+    let packet = packet_multi(7, EgressDiscipline::FifoFair, &flows);
+    for (f, &pt) in fluid.iter().zip(&packet) {
         assert!((f - pt).abs() < 0.01, "fanin: fluid {f} vs packet {pt}");
     }
 }
@@ -215,9 +225,8 @@ fn two_colocated_ps_priority_agrees_across_models() {
         flows.push(nf(0, 4 + w, 20, 1, 2)); // job 2, yields
     }
     let fluid = fluid_multi(7, &flows);
-    let packet = psim::run(&psim_cfg(7, EgressDiscipline::Priority), &flows);
-    for (k, (f, p)) in fluid.iter().zip(&packet).enumerate() {
-        let pt = p.finished.as_secs_f64();
+    let packet = packet_multi(7, EgressDiscipline::Priority, &flows);
+    for (k, (f, &pt)) in fluid.iter().zip(&packet).enumerate() {
         assert!((f - pt).abs() < 0.015, "flow {k}: fluid {f} vs packet {pt}");
     }
     // And the job-level story holds in both: job 1's last delivery is at
@@ -246,9 +255,29 @@ fn cross_traffic_pattern_agrees_across_models() {
         nf(2, 0, 10, 0, 4),
     ];
     let fluid = fluid_multi(4, &flows);
-    let packet = psim::run(&psim_cfg(4, EgressDiscipline::FifoFair), &flows);
-    for (k, (f, p)) in fluid.iter().zip(&packet).enumerate() {
-        let pt = p.finished.as_secs_f64();
+    let packet = packet_multi(4, EgressDiscipline::FifoFair, &flows);
+    for (k, (f, &pt)) in fluid.iter().zip(&packet).enumerate() {
         assert!((f - pt).abs() < 0.02, "flow {k}: fluid {f} vs packet {pt}");
     }
+}
+
+#[test]
+fn staggered_fanout_agrees_across_models() {
+    // The PS's model updates leave one by one, 5 ms apart, so the egress
+    // share changes at every arrival: both models must track the
+    // changing fair share, not just a static one.
+    let flows: Vec<Timed> = (1..=4u32)
+        .map(|w| {
+            let (_, spec) = nf(0, w, 20, 0, u64::from(w));
+            (SimTime::from_millis(5 * u64::from(w - 1)), spec)
+        })
+        .collect();
+    let fluid = fluid_multi(5, &flows);
+    let packet = packet_multi(5, EgressDiscipline::FifoFair, &flows);
+    for (k, (f, &pt)) in fluid.iter().zip(&packet).enumerate() {
+        assert!((f - pt).abs() < 0.01, "flow {k}: fluid {f} vs packet {pt}");
+    }
+    // Work conservation: the last update leaves at total / link rate.
+    let last = packet.iter().fold(0.0f64, |a, &b| a.max(b));
+    assert!((last - 80e6 / 1.25e9).abs() < 0.01, "last finish {last}");
 }

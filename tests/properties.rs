@@ -119,11 +119,11 @@ proptest! {
 
 // ---------------------------------------------------------------------------
 // Cross-model property: on random single-switch scenarios, the fluid
-// allocator and the independent store-and-forward chunk engine agree on
-// completion times within chunk quantization.
+// allocator and the independent store-and-forward chunk engine
+// (`PacketNet`) agree on completion times within chunk quantization.
 
 use simcore::SimTime as PTime;
-use tl_net::{psim, EgressDiscipline, FlowSpec, FluidNet, NetFlow, NetSimConfig};
+use tl_net::{FlowSpec, FluidNet};
 
 /// Flows with *distinct sources*: one per host 1..=k, random receivers.
 ///
@@ -136,7 +136,7 @@ use tl_net::{psim, EgressDiscipline, FlowSpec, FluidNet, NetFlow, NetSimConfig};
 /// * one flow per source, because flows sharing an egress replenish a
 ///   remote queue half as fast — the chunk engine reproduces TCP's
 ///   RTT/feedback bias, which ideal max-min does not have.
-fn arb_netflows(hosts: u32) -> impl Strategy<Value = Vec<NetFlow>> {
+fn arb_netflows(hosts: u32) -> impl Strategy<Value = Vec<FlowSpec>> {
     prop::collection::vec((0..hosts, 5u64..40, 0u8..3), 1..(hosts as usize)).prop_map(
         move |specs| {
             specs
@@ -147,13 +147,13 @@ fn arb_netflows(hosts: u32) -> impl Strategy<Value = Vec<NetFlow>> {
                     if d == s {
                         d = (d + 1) % hosts;
                     }
-                    NetFlow {
+                    FlowSpec {
                         src: HostId(s),
                         dst: HostId(d),
-                        bytes: mb * 1_000_000,
+                        bytes: (mb * 1_000_000) as f64,
                         band: Band(b),
+                        weight: 1.0,
                         tag: 0,
-                        start: PTime::ZERO,
                     }
                 })
                 .collect()
@@ -163,36 +163,14 @@ fn arb_netflows(hosts: u32) -> impl Strategy<Value = Vec<NetFlow>> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
-    fn fluid_and_psim_agree_on_random_scenarios(flows in arb_netflows(5)) {
-        let topo = Topology::uniform(5, Bandwidth::from_gbps(10.0));
-        // Fluid side.
-        let mut net = FluidNet::new(topo.clone());
-        let mut ids = Vec::new();
-        for f in &flows {
-            ids.push(net.start_flow(PTime::ZERO, FlowSpec {
-                src: f.src,
-                dst: f.dst,
-                bytes: f.bytes as f64,
-                band: f.band,
-                weight: 1.0,
-                tag: 0,
-            }));
-        }
-        let mut fluid = vec![0.0; flows.len()];
-        while let Some(t) = net.next_event_time() {
-            for c in net.take_completions(t) {
-                let k = ids.iter().position(|&i| i == c.id).unwrap();
-                fluid[k] = c.finished.as_secs_f64();
-            }
-        }
-        // Chunk side.
-        let cfg = NetSimConfig::new(topo, EgressDiscipline::Priority);
-        let packet = psim::run(&cfg, &flows);
+    fn fluid_and_pnet_agree_on_random_scenarios(flows in arb_netflows(5)) {
+        let fluid = fluidnet_times(5, &flows);
+        // Chunk side: default chunking, strict-priority egress.
+        let packet = packetnet_times(5, &flows);
         // Tolerance: one chunk per concurrently active flow, doubled for
         // the store-and-forward hop.
         let tol = 2.0 * flows.len() as f64 * 65536.0 / 1.25e9 + 1e-4;
-        for (k, (f, p)) in fluid.iter().zip(&packet).enumerate() {
-            let pt = p.finished.as_secs_f64();
+        for (k, (f, &pt)) in fluid.iter().zip(&packet).enumerate() {
             prop_assert!((f - pt).abs() < tol,
                 "flow {k} of {flows:?}: fluid {f} vs chunk {pt} (tol {tol})");
         }
@@ -438,15 +416,15 @@ fn perf_counters_do_not_perturb_results() {
 }
 
 // ---------------------------------------------------------------------------
-// Cross-model property against the *interactive* chunk engine: PacketNet
-// (the oracle behind `SimConfig::backend = Packet` and the validate
-// harness) must agree with the fluid allocator on single-bottleneck
-// scenarios within chunk quantization — same regime restrictions as the
-// psim property above (sizes well past the window so flows self-clock,
-// one bottleneck so RR vs weighted fairness cannot differ).
+// Cross-model property on single-bottleneck scenarios: PacketNet (the
+// oracle behind `SimConfig::backend = Packet` and the validate harness)
+// must agree with the fluid allocator within chunk quantization — same
+// regime restrictions as the random-scenario property above (sizes well
+// past the window so flows self-clock, one bottleneck so RR vs weighted
+// fairness cannot differ).
 
-/// Drive a set of specs through `PacketNet` starting at t = 0 and return
-/// completion times in input order.
+/// Drive a set of specs through `PacketNet`, started at t = 0 in input
+/// order, and return completion times in input order.
 fn packetnet_times(hosts: usize, specs: &[FlowSpec]) -> Vec<f64> {
     use tl_net::PacketNet;
     let mut net = PacketNet::new(Topology::uniform(hosts, Bandwidth::from_gbps(10.0)));
