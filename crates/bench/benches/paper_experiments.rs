@@ -12,6 +12,7 @@ use std::time::Duration;
 use tl_cluster::Table1Index;
 use tl_experiments::{
     config::ExperimentConfig, fig2, fig3, fig4, fig5, fig6, run_table1, table1, table2, PolicyKind,
+    SweepOptions,
 };
 
 fn quick() -> ExperimentConfig {
@@ -58,9 +59,10 @@ fn bench_fig2(c: &mut Criterion) {
     let mut g = c.benchmark_group("fig2_jct_placement");
     configure(&mut g);
     let cfg = quick();
+    let opts = SweepOptions::default();
     g.bench_function("placements_1_and_8_fifo", |b| {
         b.iter(|| {
-            let f = fig2::run(&cfg, &[Table1Index(1), Table1Index(8)]);
+            let f = fig2::run(&cfg, &[Table1Index(1), Table1Index(8)], &opts);
             black_box(f.gap_vs_best)
         });
     });
@@ -73,7 +75,7 @@ fn bench_fig3(c: &mut Criterion) {
     let cfg = quick();
     g.bench_function("wait_distributions", |b| {
         b.iter(|| {
-            let f = fig3::run(&cfg);
+            let f = fig3::run(&cfg, &SweepOptions::default());
             black_box((f.mean_ratio, f.var_ratio))
         });
     });
@@ -96,9 +98,10 @@ fn bench_fig5a(c: &mut Criterion) {
     let mut g = c.benchmark_group("fig5a_normalized_jct");
     configure(&mut g);
     let cfg = quick();
+    let opts = SweepOptions::default();
     g.bench_function("placements_1_and_8_all_policies", |b| {
         b.iter(|| {
-            let f = fig5::run_5a(&cfg, &[Table1Index(1), Table1Index(8)]);
+            let f = fig5::run_5a(&cfg, &[Table1Index(1), Table1Index(8)], &opts);
             black_box(f.best_tls_one_improvement)
         });
     });
@@ -111,7 +114,7 @@ fn bench_fig5b(c: &mut Criterion) {
     let cfg = quick();
     g.bench_function("batches_2_and_8", |b| {
         b.iter(|| {
-            let f = fig5::run_5b(&cfg, &[2, 8]);
+            let f = fig5::run_5b(&cfg, &[2, 8], &SweepOptions::default());
             black_box(f.best_tls_one_improvement)
         });
     });
@@ -124,7 +127,7 @@ fn bench_fig6(c: &mut Criterion) {
     let cfg = quick();
     g.bench_function("three_policies_at_placement_1", |b| {
         b.iter(|| {
-            let f = fig6::run(&cfg);
+            let f = fig6::run(&cfg, &SweepOptions::default());
             black_box(f.var_mean_reduction)
         });
     });
@@ -137,7 +140,8 @@ fn bench_table2(c: &mut Criterion) {
     let cfg = ExperimentConfig::scaled(20); // needs room for an active window
     g.bench_function("utilization_pipeline", |b| {
         b.iter(|| {
-            let t = table2::run(&cfg, Table1Index(1)).expect("20 iterations leave a window");
+            let t = table2::run(&cfg, Table1Index(1), &SweepOptions::default())
+                .expect("20 iterations leave a window");
             black_box(t.normalized.len())
         });
     });

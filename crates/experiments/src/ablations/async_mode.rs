@@ -7,20 +7,21 @@
 //! should be concentrated in the synchronous mode.
 
 use crate::config::ExperimentConfig;
+use crate::orchestrator::{run_sweep, SweepOptions};
 use crate::report::Table;
-use crate::runner::{parallel_map, PolicyKind};
-use serde::Serialize;
+use crate::runner::PolicyKind;
+use serde::{Deserialize, Serialize};
 use tl_cluster::{table1_placement, Table1Index};
 use tl_dl::{Simulation, TrainingMode};
 use tl_workloads::GridSearchConfig;
 
 /// One (mode, policy) cell.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct AsyncRow {
     /// "sync" or "async".
-    pub mode: &'static str,
+    pub mode: String,
     /// Policy label.
-    pub policy: &'static str,
+    pub policy: String,
     /// Mean JCT (s).
     pub mean_jct: f64,
 }
@@ -37,32 +38,41 @@ pub struct AsyncAblation {
 }
 
 /// Run the 2×2 (mode × policy) grid at placement #1.
-pub fn run(cfg: &ExperimentConfig) -> AsyncAblation {
+pub fn run(cfg: &ExperimentConfig, opts: &SweepOptions) -> AsyncAblation {
     let cells = vec![
         (TrainingMode::Synchronous, PolicyKind::Fifo),
         (TrainingMode::Synchronous, PolicyKind::TlsOne),
         (TrainingMode::Asynchronous, PolicyKind::Fifo),
         (TrainingMode::Asynchronous, PolicyKind::TlsOne),
     ];
-    let rows = parallel_map(cells, |(mode, policy)| {
-        let placement = table1_placement(Table1Index(1), 21, 21);
-        let mut wl = GridSearchConfig::paper_scaled(cfg.iterations);
-        wl.mode = mode;
-        let mut p = policy.build(cfg);
-        let out = Simulation::new(cfg.sim_config())
-            .jobs(wl.build(&placement))
-            .policy_ref(p.as_mut())
-            .run();
-        assert!(out.all_complete());
-        AsyncRow {
-            mode: match mode {
-                TrainingMode::Synchronous => "sync",
-                TrainingMode::Asynchronous => "async",
-            },
-            policy: policy.label(),
-            mean_jct: out.mean_jct_secs(),
-        }
-    });
+    let cfg = cfg.clone();
+    let rows = run_sweep(
+        "ablate_async",
+        &serde_json::to_string(&cfg).expect("config serializes"),
+        opts,
+        cells,
+        |(mode, policy)| format!("mode={mode:?},policy={}", policy.label()),
+        move |(mode, policy)| {
+            let placement = table1_placement(Table1Index(1), 21, 21);
+            let mut wl = GridSearchConfig::paper_scaled(cfg.iterations);
+            wl.mode = mode;
+            let mut p = policy.build(&cfg);
+            let out = Simulation::new(cfg.sim_config())
+                .jobs(wl.build(&placement))
+                .policy_ref(p.as_mut())
+                .run();
+            assert!(out.all_complete());
+            AsyncRow {
+                mode: match mode {
+                    TrainingMode::Synchronous => "sync".to_string(),
+                    TrainingMode::Asynchronous => "async".to_string(),
+                },
+                policy: policy.label().to_string(),
+                mean_jct: out.mean_jct_secs(),
+            }
+        },
+    )
+    .expect_complete();
     AsyncAblation {
         sync_improvement: 1.0 - rows[1].mean_jct / rows[0].mean_jct,
         async_improvement: 1.0 - rows[3].mean_jct / rows[2].mean_jct,
@@ -95,7 +105,7 @@ mod tests {
     #[test]
     fn barrier_amplifies_tls_benefit() {
         let cfg = ExperimentConfig::quick();
-        let a = run(&cfg);
+        let a = run(&cfg, &SweepOptions::default());
         assert_eq!(a.rows.len(), 4);
         assert!(a.sync_improvement > 0.05, "sync: {}", a.sync_improvement);
         assert!(

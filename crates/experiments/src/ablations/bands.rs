@@ -7,9 +7,9 @@
 //! separate more jobs.
 
 use crate::config::ExperimentConfig;
+use crate::orchestrator::{run_sweep, SweepOptions};
 use crate::report::Table;
-use crate::runner::parallel_map;
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 use simcore::SampleSet;
 use tensorlights::{JobOrdering, TlsOne};
 use tl_cluster::{table1_placement, Table1Index};
@@ -17,7 +17,7 @@ use tl_dl::Simulation;
 use tl_workloads::GridSearchConfig;
 
 /// One band-count data point.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct BandsRow {
     /// Number of priority bands available.
     pub num_bands: u8,
@@ -35,26 +35,35 @@ pub struct BandsAblation {
 }
 
 /// Run TLs-One at placement #1 with each band budget.
-pub fn run(cfg: &ExperimentConfig, band_counts: &[u8]) -> BandsAblation {
-    let rows = parallel_map(band_counts.to_vec(), |bands| {
-        let placement = table1_placement(Table1Index(1), 21, 21);
-        let setups = GridSearchConfig::paper_scaled(cfg.iterations).build(&placement);
-        let mut policy = TlsOne::new(JobOrdering::Random { seed: cfg.seed }).with_bands(bands);
-        let out = Simulation::new(cfg.sim_config())
-            .jobs(setups)
-            .policy_ref(&mut policy)
-            .run();
-        assert!(out.all_complete());
-        let mut vars = SampleSet::new();
-        for j in &out.jobs {
-            vars.extend_from(&j.barrier_vars);
-        }
-        BandsRow {
-            num_bands: bands,
-            mean_jct: out.mean_jct_secs(),
-            wait_variance: vars.mean(),
-        }
-    });
+pub fn run(cfg: &ExperimentConfig, band_counts: &[u8], opts: &SweepOptions) -> BandsAblation {
+    let cfg = cfg.clone();
+    let rows = run_sweep(
+        "ablate_bands",
+        &serde_json::to_string(&cfg).expect("config serializes"),
+        opts,
+        band_counts.to_vec(),
+        |bands| format!("bands={bands}"),
+        move |bands| {
+            let placement = table1_placement(Table1Index(1), 21, 21);
+            let setups = GridSearchConfig::paper_scaled(cfg.iterations).build(&placement);
+            let mut policy = TlsOne::new(JobOrdering::Random { seed: cfg.seed }).with_bands(bands);
+            let out = Simulation::new(cfg.sim_config())
+                .jobs(setups)
+                .policy_ref(&mut policy)
+                .run();
+            assert!(out.all_complete());
+            let mut vars = SampleSet::new();
+            for j in &out.jobs {
+                vars.extend_from(&j.barrier_vars);
+            }
+            BandsRow {
+                num_bands: bands,
+                mean_jct: out.mean_jct_secs(),
+                wait_variance: vars.mean(),
+            }
+        },
+    )
+    .expect_complete();
     BandsAblation { rows }
 }
 
@@ -83,7 +92,7 @@ mod tests {
     #[test]
     fn one_band_is_fifo_and_more_bands_help() {
         let cfg = ExperimentConfig::quick();
-        let a = run(&cfg, &[1, 6]);
+        let a = run(&cfg, &[1, 6], &SweepOptions::default());
         assert_eq!(a.rows.len(), 2);
         assert!(
             a.rows[1].mean_jct < a.rows[0].mean_jct * 0.85,

@@ -8,19 +8,20 @@
 //! verifies TensorLights still helps and never hurts.
 
 use crate::config::ExperimentConfig;
+use crate::orchestrator::{run_sweep, SweepOptions};
 use crate::report::Table;
-use crate::runner::{parallel_map, PolicyKind};
-use serde::Serialize;
+use crate::runner::PolicyKind;
+use serde::{Deserialize, Serialize};
 use simcore::{RngFactory, SimDuration};
 use tl_cluster::{table1_placement, Table1Index};
 use tl_dl::Simulation;
 use tl_workloads::{poisson_arrivals, with_arrivals, GridSearchConfig};
 
 /// One policy's outcome under churn.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ChurnRow {
     /// Policy label.
-    pub policy: &'static str,
+    pub policy: String,
     /// Mean JCT (s).
     pub mean_jct: f64,
     /// Max JCT (s) — the job that suffered the most contention epochs.
@@ -40,26 +41,38 @@ pub struct ChurnStudy {
 ///
 /// `mean_gap_secs` controls overlap: a gap well below the per-job runtime
 /// keeps many jobs concurrent; a huge gap degenerates to sequential jobs.
-pub fn run(cfg: &ExperimentConfig, mean_gap_secs: f64) -> ChurnStudy {
+pub fn run(cfg: &ExperimentConfig, mean_gap_secs: f64, opts: &SweepOptions) -> ChurnStudy {
     let mut rng = RngFactory::new(cfg.seed).stream("churn.arrivals");
     let arrivals = poisson_arrivals(&mut rng, 21, SimDuration::from_secs_f64(mean_gap_secs));
-    let rows = parallel_map(PolicyKind::all().to_vec(), |policy| {
-        let placement = table1_placement(Table1Index(1), 21, 21);
-        let wl = GridSearchConfig::paper_scaled(cfg.iterations);
-        let setups = with_arrivals(wl.build(&placement), &arrivals);
-        let mut p = policy.build(cfg);
-        let out = Simulation::new(cfg.sim_config())
-            .jobs(setups)
-            .policy_ref(p.as_mut())
-            .run();
-        assert!(out.all_complete());
-        let jcts: Vec<f64> = out.jobs.iter().map(|j| j.jct_secs().unwrap()).collect();
-        ChurnRow {
-            policy: policy.label(),
-            mean_jct: out.mean_jct_secs(),
-            max_jct: jcts.iter().fold(0.0f64, |a, &b| a.max(b)),
-        }
-    });
+    let cfg = cfg.clone();
+    let rows = run_sweep(
+        "ablate_churn",
+        &format!(
+            "cfg={};mean_gap_secs={mean_gap_secs}",
+            serde_json::to_string(&cfg).expect("config serializes")
+        ),
+        opts,
+        PolicyKind::all().to_vec(),
+        |policy| format!("policy={}", policy.label()),
+        move |policy| {
+            let placement = table1_placement(Table1Index(1), 21, 21);
+            let wl = GridSearchConfig::paper_scaled(cfg.iterations);
+            let setups = with_arrivals(wl.build(&placement), &arrivals);
+            let mut p = policy.build(&cfg);
+            let out = Simulation::new(cfg.sim_config())
+                .jobs(setups)
+                .policy_ref(p.as_mut())
+                .run();
+            assert!(out.all_complete());
+            let jcts: Vec<f64> = out.jobs.iter().map(|j| j.jct_secs().unwrap()).collect();
+            ChurnRow {
+                policy: policy.label().to_string(),
+                mean_jct: out.mean_jct_secs(),
+                max_jct: jcts.iter().fold(0.0f64, |a, &b| a.max(b)),
+            }
+        },
+    )
+    .expect_complete();
     ChurnStudy {
         mean_gap_secs,
         rows,
@@ -97,7 +110,7 @@ mod tests {
         cfg.iterations = 40;
         // Gaps around a tenth of the per-job runtime: heavy overlap with
         // constant arrival-driven reconfiguration.
-        let s = run(&cfg, 3.0);
+        let s = run(&cfg, 3.0, &SweepOptions::default());
         assert_eq!(s.rows.len(), 3);
         let jct = |label: &str| {
             s.rows

@@ -9,8 +9,9 @@
 //! takes over, bounding where TensorLights is the right tool.
 
 use crate::config::ExperimentConfig;
+use crate::orchestrator::{run_sweep, SweepOptions};
 use crate::report::Table;
-use crate::runner::{parallel_map, PolicyKind};
+use crate::runner::PolicyKind;
 use serde::Serialize;
 use tl_cluster::{table1_placement, Table1Index};
 use tl_dl::Simulation;
@@ -37,32 +38,41 @@ pub struct FabricAblation {
 }
 
 /// Sweep fabric oversubscription at placement #8.
-pub fn run(cfg: &ExperimentConfig, factors: &[f64]) -> FabricAblation {
+pub fn run(cfg: &ExperimentConfig, factors: &[f64], opts: &SweepOptions) -> FabricAblation {
     let mut tasks = Vec::new();
     for &f in factors {
         for p in [PolicyKind::Fifo, PolicyKind::TlsOne] {
             tasks.push((f, p));
         }
     }
-    let outs = parallel_map(tasks, |(factor, policy)| {
-        assert!(factor >= 1.0, "oversubscription factor must be >= 1");
-        let placement = table1_placement(Table1Index(8), 21, 21);
-        let setups = GridSearchConfig::paper_scaled(cfg.iterations).build(&placement);
-        let mut sim_cfg = cfg.sim_config();
-        if factor > 1.0 {
-            // Edge aggregate: 21 hosts × link. The core carries 1/factor of
-            // it (factor == 1.0 keeps the paper's non-blocking switch).
-            let edge_gbps = 21.0 * sim_cfg.link.gbps();
-            sim_cfg.core_capacity = Some(Bandwidth::from_gbps(edge_gbps / factor));
-        }
-        let mut p = policy.build(cfg);
-        let out = Simulation::new(sim_cfg)
-            .jobs(setups)
-            .policy_ref(p.as_mut())
-            .run();
-        assert!(out.all_complete());
-        out.mean_jct_secs()
-    });
+    let cfg = cfg.clone();
+    let outs = run_sweep(
+        "ablate_fabric",
+        &serde_json::to_string(&cfg).expect("config serializes"),
+        opts,
+        tasks,
+        |(factor, policy)| format!("oversub={factor},policy={}", policy.label()),
+        move |(factor, policy)| {
+            assert!(factor >= 1.0, "oversubscription factor must be >= 1");
+            let placement = table1_placement(Table1Index(8), 21, 21);
+            let setups = GridSearchConfig::paper_scaled(cfg.iterations).build(&placement);
+            let mut sim_cfg = cfg.sim_config();
+            if factor > 1.0 {
+                // Edge aggregate: 21 hosts × link. The core carries 1/factor of
+                // it (factor == 1.0 keeps the paper's non-blocking switch).
+                let edge_gbps = 21.0 * sim_cfg.link.gbps();
+                sim_cfg.core_capacity = Some(Bandwidth::from_gbps(edge_gbps / factor));
+            }
+            let mut p = policy.build(&cfg);
+            let out = Simulation::new(sim_cfg)
+                .jobs(setups)
+                .policy_ref(p.as_mut())
+                .run();
+            assert!(out.all_complete());
+            out.mean_jct_secs()
+        },
+    )
+    .expect_complete();
     let rows = factors
         .iter()
         .enumerate()
@@ -100,7 +110,7 @@ mod tests {
     #[test]
     fn fabric_bottleneck_is_policy_agnostic() {
         let cfg = ExperimentConfig::quick();
-        let a = run(&cfg, &[1.0, 32.0]);
+        let a = run(&cfg, &[1.0, 32.0], &SweepOptions::default());
         // Oversubscription slows everyone down...
         assert!(a.rows[1].fifo_jct > a.rows[0].fifo_jct * 1.2);
         // ...and end-host priorities cannot buy it back (no NIC contention

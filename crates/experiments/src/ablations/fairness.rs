@@ -12,19 +12,20 @@
 //! for TLs-One vs TLs-RR at placement #1.
 
 use crate::config::ExperimentConfig;
+use crate::orchestrator::{run_sweep, SweepOptions};
 use crate::report::Table;
-use crate::runner::{parallel_map, PolicyKind};
-use serde::Serialize;
+use crate::runner::PolicyKind;
+use serde::{Deserialize, Serialize};
 use simcore::SimDuration;
 use tl_cluster::{table1_placement, Table1Index};
 use tl_dl::Simulation;
 use tl_workloads::GridSearchConfig;
 
 /// One policy's progress-spread trajectory.
-#[derive(Debug, Serialize)]
+#[derive(Debug, Serialize, Deserialize)]
 pub struct FairnessSide {
     /// Policy label.
-    pub label: &'static str,
+    pub label: String,
     /// `(seconds, spread as fraction of the step target)` over time.
     pub spread_series: Vec<(f64, f64)>,
     /// The worst spread seen at any sample.
@@ -41,36 +42,48 @@ pub struct FairnessStudy {
 }
 
 /// Sample progress under both TLs variants at placement #1.
-pub fn run(cfg: &ExperimentConfig, sample_secs: f64) -> FairnessStudy {
-    let sides = parallel_map(vec![PolicyKind::TlsOne, PolicyKind::TlsRr], |policy| {
-        let placement = table1_placement(Table1Index(1), 21, 21);
-        let wl = GridSearchConfig::paper_scaled(cfg.iterations);
-        let target = wl.target_global_steps as f64;
-        let setups = wl.build(&placement);
-        let mut sim_cfg = cfg.sim_config();
-        sim_cfg.sample_interval = Some(SimDuration::from_secs_f64(sample_secs));
-        let mut p = policy.build(cfg);
-        let out = Simulation::new(sim_cfg)
-            .jobs(setups)
-            .policy_ref(p.as_mut())
-            .run();
-        assert!(out.all_complete());
-        let spread_series: Vec<(f64, f64)> = out
-            .samples
-            .iter()
-            .map(|s| {
-                let max = *s.job_progress.iter().max().expect("jobs present");
-                let min = *s.job_progress.iter().min().expect("jobs present");
-                (s.at.as_secs_f64(), (max - min) as f64 / target)
-            })
-            .collect();
-        FairnessSide {
-            label: policy.label(),
-            max_spread: spread_series.iter().map(|&(_, s)| s).fold(0.0f64, f64::max),
-            mean_jct: out.mean_jct_secs(),
-            spread_series,
-        }
-    });
+pub fn run(cfg: &ExperimentConfig, sample_secs: f64, opts: &SweepOptions) -> FairnessStudy {
+    let cfg = cfg.clone();
+    let sides = run_sweep(
+        "ablate_fairness",
+        &format!(
+            "cfg={};sample_secs={sample_secs}",
+            serde_json::to_string(&cfg).expect("config serializes")
+        ),
+        opts,
+        vec![PolicyKind::TlsOne, PolicyKind::TlsRr],
+        |policy| format!("policy={}", policy.label()),
+        move |policy| {
+            let placement = table1_placement(Table1Index(1), 21, 21);
+            let wl = GridSearchConfig::paper_scaled(cfg.iterations);
+            let target = wl.target_global_steps as f64;
+            let setups = wl.build(&placement);
+            let mut sim_cfg = cfg.sim_config();
+            sim_cfg.sample_interval = Some(SimDuration::from_secs_f64(sample_secs));
+            let mut p = policy.build(&cfg);
+            let out = Simulation::new(sim_cfg)
+                .jobs(setups)
+                .policy_ref(p.as_mut())
+                .run();
+            assert!(out.all_complete());
+            let spread_series: Vec<(f64, f64)> = out
+                .samples
+                .iter()
+                .map(|s| {
+                    let max = *s.job_progress.iter().max().expect("jobs present");
+                    let min = *s.job_progress.iter().min().expect("jobs present");
+                    (s.at.as_secs_f64(), (max - min) as f64 / target)
+                })
+                .collect();
+            FairnessSide {
+                label: policy.label().to_string(),
+                max_spread: spread_series.iter().map(|&(_, s)| s).fold(0.0f64, f64::max),
+                mean_jct: out.mean_jct_secs(),
+                spread_series,
+            }
+        },
+    )
+    .expect_complete();
     FairnessStudy { sides }
 }
 
@@ -102,7 +115,7 @@ mod tests {
         cfg.iterations = 60;
         // Rotate briskly so the short run sees many rotations.
         cfg.rr_interval = simcore::SimDuration::from_secs_f64(0.5);
-        let s = run(&cfg, 1.0);
+        let s = run(&cfg, 1.0, &SweepOptions::default());
         let one = &s.sides[0];
         let rr = &s.sides[1];
         assert!(!one.spread_series.is_empty());

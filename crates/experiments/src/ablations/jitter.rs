@@ -7,14 +7,15 @@
 //! TensorLights' relative advantage should persist across the range.
 
 use crate::config::ExperimentConfig;
+use crate::orchestrator::{run_sweep, SweepOptions};
 use crate::report::Table;
-use crate::runner::{parallel_map, run_table1, PolicyKind};
-use serde::Serialize;
+use crate::runner::{run_table1, PolicyKind};
+use serde::{Deserialize, Serialize};
 use simcore::SampleSet;
 use tl_cluster::Table1Index;
 
 /// One jitter data point.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct JitterRow {
     /// Lognormal sigma of per-flow weights.
     pub sigma: f64,
@@ -34,24 +35,33 @@ pub struct JitterAblation {
 }
 
 /// Sweep the jitter sigma at placement #1.
-pub fn run(cfg: &ExperimentConfig, sigmas: &[f64]) -> JitterAblation {
-    let rows = parallel_map(sigmas.to_vec(), |sigma| {
-        let mut c = cfg.clone();
-        c.net_sigma = sigma;
-        let fifo = run_table1(&c, Table1Index(1), PolicyKind::Fifo);
-        let one = run_table1(&c, Table1Index(1), PolicyKind::TlsOne);
-        assert!(fifo.all_complete() && one.all_complete());
-        let mut vars = SampleSet::new();
-        for j in &fifo.jobs {
-            vars.extend_from(&j.barrier_vars);
-        }
-        JitterRow {
-            sigma,
-            fifo_jct: fifo.mean_jct_secs(),
-            tls_one_norm: one.mean_jct_secs() / fifo.mean_jct_secs(),
-            fifo_wait_variance: vars.mean(),
-        }
-    });
+pub fn run(cfg: &ExperimentConfig, sigmas: &[f64], opts: &SweepOptions) -> JitterAblation {
+    let cfg = cfg.clone();
+    let rows = run_sweep(
+        "ablate_jitter",
+        &serde_json::to_string(&cfg).expect("config serializes"),
+        opts,
+        sigmas.to_vec(),
+        |sigma| format!("sigma={sigma}"),
+        move |sigma| {
+            let mut c = cfg.clone();
+            c.net_sigma = sigma;
+            let fifo = run_table1(&c, Table1Index(1), PolicyKind::Fifo);
+            let one = run_table1(&c, Table1Index(1), PolicyKind::TlsOne);
+            assert!(fifo.all_complete() && one.all_complete());
+            let mut vars = SampleSet::new();
+            for j in &fifo.jobs {
+                vars.extend_from(&j.barrier_vars);
+            }
+            JitterRow {
+                sigma,
+                fifo_jct: fifo.mean_jct_secs(),
+                tls_one_norm: one.mean_jct_secs() / fifo.mean_jct_secs(),
+                fifo_wait_variance: vars.mean(),
+            }
+        },
+    )
+    .expect_complete();
     JitterAblation { rows }
 }
 
@@ -81,7 +91,7 @@ mod tests {
     #[test]
     fn jitter_drives_straggler_variance() {
         let cfg = ExperimentConfig::quick();
-        let a = run(&cfg, &[0.0, 0.5]);
+        let a = run(&cfg, &[0.0, 0.5], &SweepOptions::default());
         assert!(
             a.rows[1].fifo_wait_variance > a.rows[0].fifo_wait_variance * 2.0,
             "jitter raises variance: {} vs {}",

@@ -7,16 +7,16 @@
 //! advantage.
 
 use crate::config::ExperimentConfig;
+use crate::orchestrator::{run_sweep, SweepOptions};
 use crate::report::Table;
-use crate::runner::parallel_map;
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 use tensorlights::{FifoPolicy, JobOrdering, PriorityPolicy, TlsOne};
 use tl_cluster::{table1_placement, Table1Index};
 use tl_dl::{ModelSpec, Simulation};
 use tl_workloads::GridSearchConfig;
 
 /// One model-size data point.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ModelSizeRow {
     /// Update size in megabytes.
     pub update_mb: u64,
@@ -34,29 +34,39 @@ pub struct ModelSizeAblation {
 }
 
 /// Sweep synthetic update sizes at placement #1.
-pub fn run(cfg: &ExperimentConfig, sizes_mb: &[u64]) -> ModelSizeAblation {
-    let rows = parallel_map(sizes_mb.to_vec(), |mb| {
-        let placement = table1_placement(Table1Index(1), 21, 21);
-        let mut wl = GridSearchConfig::paper_scaled(cfg.iterations);
-        wl.model = ModelSpec::synthetic_mb(mb);
-        let mut fifo = FifoPolicy;
-        let base = Simulation::new(cfg.sim_config())
-            .jobs(wl.build(&placement))
-            .policy_ref(&mut fifo)
-            .run();
-        let mut one: Box<dyn PriorityPolicy + Send> =
-            Box::new(TlsOne::new(JobOrdering::Random { seed: cfg.seed }).with_bands(cfg.num_bands));
-        let tls = Simulation::new(cfg.sim_config())
-            .jobs(wl.build(&placement))
-            .policy_ref(one.as_mut())
-            .run();
-        assert!(base.all_complete() && tls.all_complete());
-        ModelSizeRow {
-            update_mb: mb,
-            fifo_jct: base.mean_jct_secs(),
-            tls_one_norm: tls.mean_jct_secs() / base.mean_jct_secs(),
-        }
-    });
+pub fn run(cfg: &ExperimentConfig, sizes_mb: &[u64], opts: &SweepOptions) -> ModelSizeAblation {
+    let cfg = cfg.clone();
+    let rows = run_sweep(
+        "ablate_model_size",
+        &serde_json::to_string(&cfg).expect("config serializes"),
+        opts,
+        sizes_mb.to_vec(),
+        |mb| format!("update_mb={mb}"),
+        move |mb| {
+            let placement = table1_placement(Table1Index(1), 21, 21);
+            let mut wl = GridSearchConfig::paper_scaled(cfg.iterations);
+            wl.model = ModelSpec::synthetic_mb(mb);
+            let mut fifo = FifoPolicy;
+            let base = Simulation::new(cfg.sim_config())
+                .jobs(wl.build(&placement))
+                .policy_ref(&mut fifo)
+                .run();
+            let mut one: Box<dyn PriorityPolicy + Send> = Box::new(
+                TlsOne::new(JobOrdering::Random { seed: cfg.seed }).with_bands(cfg.num_bands),
+            );
+            let tls = Simulation::new(cfg.sim_config())
+                .jobs(wl.build(&placement))
+                .policy_ref(one.as_mut())
+                .run();
+            assert!(base.all_complete() && tls.all_complete());
+            ModelSizeRow {
+                update_mb: mb,
+                fifo_jct: base.mean_jct_secs(),
+                tls_one_norm: tls.mean_jct_secs() / base.mean_jct_secs(),
+            }
+        },
+    )
+    .expect_complete();
     ModelSizeAblation { rows }
 }
 
@@ -85,7 +95,7 @@ mod tests {
     #[test]
     fn bigger_models_contend_more() {
         let cfg = ExperimentConfig::quick();
-        let a = run(&cfg, &[1, 8]);
+        let a = run(&cfg, &[1, 8], &SweepOptions::default());
         assert!(a.rows[1].fifo_jct > a.rows[0].fifo_jct, "bigger = slower");
         assert!(
             a.rows[1].tls_one_norm < a.rows[0].tls_one_norm,

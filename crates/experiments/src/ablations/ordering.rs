@@ -8,16 +8,16 @@
 //! compare orderings.
 
 use crate::config::ExperimentConfig;
+use crate::orchestrator::{run_sweep, SweepOptions};
 use crate::report::Table;
-use crate::runner::parallel_map;
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 use tensorlights::{JobOrdering, TlsOne};
 use tl_cluster::{table1_placement, Table1Index};
 use tl_dl::{ModelSpec, Simulation};
 use tl_workloads::{heterogeneous_mix, GridSearchConfig};
 
 /// One ordering's outcome.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct OrderingRow {
     /// Ordering label.
     pub label: String,
@@ -37,7 +37,7 @@ pub struct OrderingAblation {
 }
 
 /// Run the heterogeneous mix under each ordering.
-pub fn run(cfg: &ExperimentConfig) -> OrderingAblation {
+pub fn run(cfg: &ExperimentConfig, opts: &SweepOptions) -> OrderingAblation {
     let orderings: Vec<(String, JobOrdering)> = vec![
         ("random".into(), JobOrdering::Random { seed: cfg.seed }),
         ("by-arrival".into(), JobOrdering::ByArrival),
@@ -47,31 +47,40 @@ pub fn run(cfg: &ExperimentConfig) -> OrderingAblation {
         ),
     ];
     let models = [ModelSpec::resnet32(), ModelSpec::alexnet()];
-    let rows = parallel_map(orderings, |(label, ordering)| {
-        let placement = table1_placement(Table1Index(1), 21, 21);
-        let wl = GridSearchConfig::paper_scaled(cfg.iterations);
-        let setups = heterogeneous_mix(&wl, &models, &placement);
-        let small: Vec<usize> = (0..21).filter(|i| i % 2 == 0).collect();
-        let large: Vec<usize> = (0..21).filter(|i| i % 2 == 1).collect();
-        let mut policy = TlsOne::new(ordering).with_bands(cfg.num_bands);
-        let out = Simulation::new(cfg.sim_config())
-            .jobs(setups)
-            .policy_ref(&mut policy)
-            .run();
-        assert!(out.all_complete());
-        let jct = |idx: &[usize]| {
-            idx.iter()
-                .map(|&i| out.jobs[i].jct_secs().unwrap())
-                .sum::<f64>()
-                / idx.len() as f64
-        };
-        OrderingRow {
-            label,
-            mean_jct: out.mean_jct_secs(),
-            small_jobs_jct: jct(&small),
-            large_jobs_jct: jct(&large),
-        }
-    });
+    let cfg = cfg.clone();
+    let rows = run_sweep(
+        "ablate_ordering",
+        &serde_json::to_string(&cfg).expect("config serializes"),
+        opts,
+        orderings,
+        |(label, _)| format!("ordering={label}"),
+        move |(label, ordering)| {
+            let placement = table1_placement(Table1Index(1), 21, 21);
+            let wl = GridSearchConfig::paper_scaled(cfg.iterations);
+            let setups = heterogeneous_mix(&wl, &models, &placement);
+            let small: Vec<usize> = (0..21).filter(|i| i % 2 == 0).collect();
+            let large: Vec<usize> = (0..21).filter(|i| i % 2 == 1).collect();
+            let mut policy = TlsOne::new(ordering).with_bands(cfg.num_bands);
+            let out = Simulation::new(cfg.sim_config())
+                .jobs(setups)
+                .policy_ref(&mut policy)
+                .run();
+            assert!(out.all_complete());
+            let jct = |idx: &[usize]| {
+                idx.iter()
+                    .map(|&i| out.jobs[i].jct_secs().unwrap())
+                    .sum::<f64>()
+                    / idx.len() as f64
+            };
+            OrderingRow {
+                label,
+                mean_jct: out.mean_jct_secs(),
+                small_jobs_jct: jct(&small),
+                large_jobs_jct: jct(&large),
+            }
+        },
+    )
+    .expect_complete();
     OrderingAblation { rows }
 }
 
@@ -107,7 +116,7 @@ mod tests {
     fn smallest_first_protects_small_jobs() {
         let mut cfg = ExperimentConfig::quick();
         cfg.iterations = 20;
-        let a = run(&cfg);
+        let a = run(&cfg, &SweepOptions::default());
         let by = |label: &str| {
             a.rows
                 .iter()

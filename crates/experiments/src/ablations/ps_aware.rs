@@ -8,14 +8,15 @@
 //! worst-case placement.
 
 use crate::config::ExperimentConfig;
+use crate::orchestrator::{run_sweep, SweepOptions};
 use crate::report::Table;
-use crate::runner::{parallel_map, run_grid_search, PolicyKind};
-use serde::Serialize;
+use crate::runner::{run_grid_search, PolicyKind};
+use serde::{Deserialize, Serialize};
 use simcore::RngFactory;
 use tl_cluster::{make_placement, table1_placement, Placement, PlacementStrategy, Table1Index};
 
 /// One scenario's outcome.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct PsAwareRow {
     /// Scenario label.
     pub label: String,
@@ -31,7 +32,7 @@ pub struct PsAwareStudy {
 }
 
 /// Run the comparison.
-pub fn run(cfg: &ExperimentConfig) -> PsAwareStudy {
+pub fn run(cfg: &ExperimentConfig, opts: &SweepOptions) -> PsAwareStudy {
     let mut rng = RngFactory::new(cfg.seed).stream("ps_aware.random_placement");
     let scenarios: Vec<(String, Placement, PolicyKind)> = vec![
         (
@@ -60,14 +61,23 @@ pub fn run(cfg: &ExperimentConfig) -> PsAwareStudy {
             PolicyKind::Fifo,
         ),
     ];
-    let rows = parallel_map(scenarios, |(label, placement, policy)| {
-        let out = run_grid_search(cfg, &placement, policy, 4, None);
-        assert!(out.all_complete(), "{label}");
-        PsAwareRow {
-            label,
-            mean_jct: out.mean_jct_secs(),
-        }
-    });
+    let cfg = cfg.clone();
+    let rows = run_sweep(
+        "ablate_ps_aware",
+        &serde_json::to_string(&cfg).expect("config serializes"),
+        opts,
+        scenarios,
+        |(label, _, _)| label.clone(),
+        move |(label, placement, policy)| {
+            let out = run_grid_search(&cfg, &placement, policy, 4, None);
+            assert!(out.all_complete(), "{label}");
+            PsAwareRow {
+                label,
+                mean_jct: out.mean_jct_secs(),
+            }
+        },
+    )
+    .expect_complete();
     PsAwareStudy { rows }
 }
 
@@ -101,7 +111,7 @@ mod tests {
     #[test]
     fn spread_is_best_but_tls_recovers_most() {
         let cfg = ExperimentConfig::quick();
-        let s = run(&cfg);
+        let s = run(&cfg, &SweepOptions::default());
         let worst = s.jct("colocated (#1) + FIFO");
         let rescued = s.jct("colocated (#1) + TLs-One");
         let spread = s.jct("PS-aware spread + FIFO");

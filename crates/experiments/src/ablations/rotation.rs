@@ -7,9 +7,9 @@
 //! progress). The fairness metric is the spread of job completion times.
 
 use crate::config::ExperimentConfig;
+use crate::orchestrator::{run_sweep, SweepOptions};
 use crate::report::Table;
-use crate::runner::parallel_map;
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 use simcore::SimDuration;
 use tensorlights::{JobOrdering, TlsRr};
 use tl_cluster::{table1_placement, Table1Index};
@@ -17,7 +17,7 @@ use tl_dl::Simulation;
 use tl_workloads::GridSearchConfig;
 
 /// One rotation-interval data point.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct RotationRow {
     /// Rotation interval in seconds.
     pub interval_secs: f64,
@@ -35,27 +35,40 @@ pub struct RotationAblation {
 }
 
 /// Run TLs-RR at placement #1 with each interval.
-pub fn run(cfg: &ExperimentConfig, intervals_secs: &[f64]) -> RotationAblation {
-    let rows = parallel_map(intervals_secs.to_vec(), |t| {
-        let placement = table1_placement(Table1Index(1), 21, 21);
-        let setups = GridSearchConfig::paper_scaled(cfg.iterations).build(&placement);
-        let mut policy = TlsRr::new(JobOrdering::Random { seed: cfg.seed })
-            .with_bands(cfg.num_bands)
-            .with_interval(SimDuration::from_secs_f64(t));
-        let out = Simulation::new(cfg.sim_config())
-            .jobs(setups)
-            .policy_ref(&mut policy)
-            .run();
-        assert!(out.all_complete());
-        let jcts: Vec<f64> = out.jobs.iter().map(|j| j.jct_secs().unwrap()).collect();
-        let min = jcts.iter().fold(f64::INFINITY, |a, &b| a.min(b));
-        let max = jcts.iter().fold(0.0f64, |a, &b| a.max(b));
-        RotationRow {
-            interval_secs: t,
-            mean_jct: out.mean_jct_secs(),
-            jct_spread: max - min,
-        }
-    });
+pub fn run(
+    cfg: &ExperimentConfig,
+    intervals_secs: &[f64],
+    opts: &SweepOptions,
+) -> RotationAblation {
+    let cfg = cfg.clone();
+    let rows = run_sweep(
+        "ablate_rotation",
+        &serde_json::to_string(&cfg).expect("config serializes"),
+        opts,
+        intervals_secs.to_vec(),
+        |t| format!("interval_secs={t}"),
+        move |t| {
+            let placement = table1_placement(Table1Index(1), 21, 21);
+            let setups = GridSearchConfig::paper_scaled(cfg.iterations).build(&placement);
+            let mut policy = TlsRr::new(JobOrdering::Random { seed: cfg.seed })
+                .with_bands(cfg.num_bands)
+                .with_interval(SimDuration::from_secs_f64(t));
+            let out = Simulation::new(cfg.sim_config())
+                .jobs(setups)
+                .policy_ref(&mut policy)
+                .run();
+            assert!(out.all_complete());
+            let jcts: Vec<f64> = out.jobs.iter().map(|j| j.jct_secs().unwrap()).collect();
+            let min = jcts.iter().fold(f64::INFINITY, |a, &b| a.min(b));
+            let max = jcts.iter().fold(0.0f64, |a, &b| a.max(b));
+            RotationRow {
+                interval_secs: t,
+                mean_jct: out.mean_jct_secs(),
+                jct_spread: max - min,
+            }
+        },
+    )
+    .expect_complete();
     RotationAblation { rows }
 }
 
@@ -85,7 +98,7 @@ mod tests {
     fn fast_rotation_is_fairer() {
         let mut cfg = ExperimentConfig::quick();
         cfg.iterations = 40;
-        let a = run(&cfg, &[0.5, 1e6]); // very fast vs effectively never
+        let a = run(&cfg, &[0.5, 1e6], &SweepOptions::default()); // very fast vs effectively never
         assert_eq!(a.rows.len(), 2);
         assert!(
             a.rows[0].jct_spread < a.rows[1].jct_spread,

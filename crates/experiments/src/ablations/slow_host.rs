@@ -10,20 +10,21 @@
 //! boundary on the paper's claims.
 
 use crate::config::ExperimentConfig;
+use crate::orchestrator::{run_sweep, SweepOptions};
 use crate::report::Table;
-use crate::runner::{parallel_map, PolicyKind};
-use serde::Serialize;
+use crate::runner::PolicyKind;
+use serde::{Deserialize, Serialize};
 use tl_cluster::{table1_placement, HostSpec, Table1Index};
 use tl_dl::Simulation;
 use tl_workloads::GridSearchConfig;
 
 /// One (scenario, policy) cell.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SlowHostRow {
     /// "uniform" or "one slow host".
-    pub scenario: &'static str,
+    pub scenario: String,
     /// Policy label.
-    pub policy: &'static str,
+    pub policy: String,
     /// Mean JCT (s).
     pub mean_jct: f64,
     /// Mean per-barrier wait variance.
@@ -39,40 +40,49 @@ pub struct SlowHostStudy {
 
 /// Run placement #8 with and without a half-speed host, under FIFO and
 /// TLs-One.
-pub fn run(cfg: &ExperimentConfig) -> SlowHostStudy {
+pub fn run(cfg: &ExperimentConfig, opts: &SweepOptions) -> SlowHostStudy {
     let mut tasks = Vec::new();
     for scenario in ["uniform", "one slow host"] {
         for p in [PolicyKind::Fifo, PolicyKind::TlsOne] {
             tasks.push((scenario, p));
         }
     }
-    let rows = parallel_map(tasks, |(scenario, policy)| {
-        let placement = table1_placement(Table1Index(8), 21, 21);
-        let setups = GridSearchConfig::paper_scaled(cfg.iterations).build(&placement);
-        let mut sim_cfg = cfg.sim_config();
-        if scenario == "one slow host" {
-            // Host 5 (a worker host for most jobs) loses half its cores.
-            sim_cfg
-                .host_spec_overrides
-                .push((5, HostSpec::with_cores(sim_cfg.host_spec.cores / 2.0)));
-        }
-        let mut p = policy.build(cfg);
-        let out = Simulation::new(sim_cfg)
-            .jobs(setups)
-            .policy_ref(p.as_mut())
-            .run();
-        assert!(out.all_complete());
-        let mut vars = simcore::SampleSet::new();
-        for j in &out.jobs {
-            vars.extend_from(&j.barrier_vars);
-        }
-        SlowHostRow {
-            scenario,
-            policy: policy.label(),
-            mean_jct: out.mean_jct_secs(),
-            wait_variance: vars.mean(),
-        }
-    });
+    let cfg = cfg.clone();
+    let rows = run_sweep(
+        "ablate_slow_host",
+        &serde_json::to_string(&cfg).expect("config serializes"),
+        opts,
+        tasks,
+        |(scenario, policy)| format!("scenario={scenario},policy={}", policy.label()),
+        move |(scenario, policy)| {
+            let placement = table1_placement(Table1Index(8), 21, 21);
+            let setups = GridSearchConfig::paper_scaled(cfg.iterations).build(&placement);
+            let mut sim_cfg = cfg.sim_config();
+            if scenario == "one slow host" {
+                // Host 5 (a worker host for most jobs) loses half its cores.
+                sim_cfg
+                    .host_spec_overrides
+                    .push((5, HostSpec::with_cores(sim_cfg.host_spec.cores / 2.0)));
+            }
+            let mut p = policy.build(&cfg);
+            let out = Simulation::new(sim_cfg)
+                .jobs(setups)
+                .policy_ref(p.as_mut())
+                .run();
+            assert!(out.all_complete());
+            let mut vars = simcore::SampleSet::new();
+            for j in &out.jobs {
+                vars.extend_from(&j.barrier_vars);
+            }
+            SlowHostRow {
+                scenario: scenario.to_string(),
+                policy: policy.label().to_string(),
+                mean_jct: out.mean_jct_secs(),
+                wait_variance: vars.mean(),
+            }
+        },
+    )
+    .expect_complete();
     SlowHostStudy { rows }
 }
 
@@ -111,7 +121,7 @@ mod tests {
     #[test]
     fn nic_priorities_cannot_fix_compute_stragglers() {
         let cfg = ExperimentConfig::quick();
-        let s = run(&cfg);
+        let s = run(&cfg, &SweepOptions::default());
         // The slow host drags every job (each has a worker there).
         assert!(
             s.jct("one slow host", "FIFO") > s.jct("uniform", "FIFO") * 1.3,

@@ -10,19 +10,20 @@
 //! near-steady stream.
 
 use crate::config::ExperimentConfig;
+use crate::orchestrator::{run_sweep, SweepOptions};
 use crate::report::Table;
-use crate::runner::{parallel_map, PolicyKind};
-use serde::Serialize;
+use crate::runner::PolicyKind;
+use serde::{Deserialize, Serialize};
 use simcore::{SampleSet, SimDuration};
 use tl_cluster::{table1_placement, Table1Index};
 use tl_dl::Simulation;
 use tl_workloads::GridSearchConfig;
 
 /// One policy's egress-utilization time series at the PS host.
-#[derive(Debug, Serialize)]
+#[derive(Debug, Serialize, Deserialize)]
 pub struct TimelineSide {
     /// Policy label.
-    pub label: &'static str,
+    pub label: String,
     /// `(seconds, PS-host egress utilization)` samples.
     pub series: Vec<(f64, f64)>,
     /// Mean utilization while any job runs.
@@ -39,39 +40,51 @@ pub struct TimelineStudy {
 }
 
 /// Sample the PS-host (host 0) egress under FIFO and TLs-One.
-pub fn run(cfg: &ExperimentConfig, sample_ms: u64) -> TimelineStudy {
-    let sides = parallel_map(vec![PolicyKind::Fifo, PolicyKind::TlsOne], |policy| {
-        let placement = table1_placement(Table1Index(1), 21, 21);
-        let setups = GridSearchConfig::paper_scaled(cfg.iterations).build(&placement);
-        let mut sim_cfg = cfg.sim_config();
-        sim_cfg.sample_interval = Some(SimDuration::from_millis(sample_ms));
-        let mut p = policy.build(cfg);
-        let out = Simulation::new(sim_cfg)
-            .jobs(setups)
-            .policy_ref(p.as_mut())
-            .run();
-        assert!(out.all_complete());
-        let series: Vec<(f64, f64)> = out
-            .samples
-            .iter()
-            .map(|s| (s.at.as_secs_f64(), s.per_host[0].net_out))
-            .collect();
-        let mut stats = SampleSet::new();
-        for &(_, u) in &series {
-            stats.push(u);
-        }
-        let mean = stats.mean();
-        TimelineSide {
-            label: policy.label(),
-            burstiness: if mean > 0.0 {
-                stats.variance().sqrt() / mean
-            } else {
-                0.0
-            },
-            mean,
-            series,
-        }
-    });
+pub fn run(cfg: &ExperimentConfig, sample_ms: u64, opts: &SweepOptions) -> TimelineStudy {
+    let cfg = cfg.clone();
+    let sides = run_sweep(
+        "ablate_timeline",
+        &format!(
+            "cfg={};sample_ms={sample_ms}",
+            serde_json::to_string(&cfg).expect("config serializes")
+        ),
+        opts,
+        vec![PolicyKind::Fifo, PolicyKind::TlsOne],
+        |policy| format!("policy={}", policy.label()),
+        move |policy| {
+            let placement = table1_placement(Table1Index(1), 21, 21);
+            let setups = GridSearchConfig::paper_scaled(cfg.iterations).build(&placement);
+            let mut sim_cfg = cfg.sim_config();
+            sim_cfg.sample_interval = Some(SimDuration::from_millis(sample_ms));
+            let mut p = policy.build(&cfg);
+            let out = Simulation::new(sim_cfg)
+                .jobs(setups)
+                .policy_ref(p.as_mut())
+                .run();
+            assert!(out.all_complete());
+            let series: Vec<(f64, f64)> = out
+                .samples
+                .iter()
+                .map(|s| (s.at.as_secs_f64(), s.per_host[0].net_out))
+                .collect();
+            let mut stats = SampleSet::new();
+            for &(_, u) in &series {
+                stats.push(u);
+            }
+            let mean = stats.mean();
+            TimelineSide {
+                label: policy.label().to_string(),
+                burstiness: if mean > 0.0 {
+                    stats.variance().sqrt() / mean
+                } else {
+                    0.0
+                },
+                mean,
+                series,
+            }
+        },
+    )
+    .expect_complete();
     TimelineStudy { sides }
 }
 
@@ -120,7 +133,7 @@ mod tests {
     fn fifo_is_burstier_tls_is_fuller() {
         let mut cfg = ExperimentConfig::quick();
         cfg.iterations = 40;
-        let s = run(&cfg, 300);
+        let s = run(&cfg, 300, &SweepOptions::default());
         let fifo = &s.sides[0];
         let tls = &s.sides[1];
         assert!(fifo.series.len() > 10);

@@ -13,16 +13,16 @@
 //! `--full` runs at the paper's 1500 iterations (slow); the default is the
 //! scaled 300-iteration configuration, which preserves every result's shape.
 //!
-//! Every sweep (`scale`, `fabric`, `validate`, `faults`, `explain`) runs
-//! through the crash-safe orchestrator (DESIGN.md §9): each cell executes
-//! in isolation, failures are recorded rather than aborting the run, and
-//! when a ledger directory is available (`--ledger-dir`, defaulting to
-//! `--json`) completed cells stream to an append-only
-//! `<sweep>.cells.jsonl` checkpoint. `--resume` loads that ledger and
+//! Every grid of runs — the paper figures and Table II, the ablations,
+//! and the `scale`, `fabric`, `validate`, `faults` and `explain` sweeps —
+//! runs through the crash-safe orchestrator (DESIGN.md §9): each cell
+//! executes in isolation, failures are recorded rather than aborting the
+//! run, and when a ledger directory is available (`--ledger-dir`,
+//! defaulting to `--json`) completed cells stream to an append-only
+//! `<artifact>.cells.jsonl` checkpoint. `--resume` loads that ledger and
 //! re-runs only the missing or failed cells; the merged output is
-//! byte-identical to an uninterrupted run. Figures, tables, and ablations
-//! are likewise isolated so one panic cannot take down the rest of the
-//! report.
+//! byte-identical to an uninterrupted run. Each report block is isolated
+//! too, so one failed cell costs its table, not the rest of the report.
 //!
 //! `--trace-out` writes structured telemetry from experiments that produce
 //! it (`fig4`, `perf`): a Chrome `trace_event` JSON document loadable in
@@ -70,7 +70,7 @@ struct Args {
 }
 
 impl Args {
-    /// Orchestrator options shared by every sweep this invocation runs.
+    /// Orchestrator options shared by every grid this invocation runs.
     fn sweep_opts(&self) -> SweepOptions {
         SweepOptions {
             workers: None,
@@ -296,7 +296,13 @@ fn check_trace(path: &std::path::Path) -> i32 {
     0
 }
 
-fn emit(args: &Args, name: &str, table: &Table, summary: Option<String>, json: String) {
+fn emit(
+    args: &Args,
+    name: &str,
+    table: &Table,
+    summary: Option<String>,
+    result: &impl serde::Serialize,
+) {
     println!("{}", table.render());
     if let Some(s) = &summary {
         println!("{s}\n");
@@ -308,6 +314,7 @@ fn emit(args: &Args, name: &str, table: &Table, summary: Option<String>, json: S
     }
     if let Some(dir) = &args.json_dir {
         std::fs::create_dir_all(dir).expect("create json dir");
+        let json = serde_json::to_string_pretty(result).expect("json");
         write_atomic(&dir.join(format!("{name}.json")), json.as_bytes()).expect("write json");
     }
     if let Some((_, body)) = args.markdown.borrow_mut().as_mut() {
@@ -350,6 +357,7 @@ fn main() {
     install_sigint_handler();
     let args = parse_args();
     let cfg = &args.cfg;
+    let opts = args.sweep_opts();
     let wanted = |name: &str| args.experiment == "all" || args.experiment == name;
     let mut ran = 0;
     let t0 = std::time::Instant::now();
@@ -377,19 +385,13 @@ fn main() {
     if wanted("table1") {
         isolated!("table1", {
             let r = table1::run();
-            emit(
-                &args,
-                "table1",
-                &r.table(),
-                None,
-                serde_json::to_string_pretty(&r.table()).expect("json"),
-            );
+            emit(&args, "table1", &r.table(), None, &r.table());
         });
         ran += 1;
     }
     if wanted("fig2") {
         isolated!("fig2", {
-            let r = fig2::run(cfg, &Table1Index::all());
+            let r = fig2::run(cfg, &Table1Index::all(), &opts);
             summaries.insert("fig2", r.summary());
             let bars: Vec<(String, f64)> = r
                 .rows
@@ -402,14 +404,14 @@ fn main() {
                 "fig2",
                 &r.table(),
                 Some(format!("{chart}\n{}", r.summary())),
-                serde_json::to_string_pretty(&r).expect("json"),
+                &r,
             );
         });
         ran += 1;
     }
     if wanted("fig3") {
         isolated!("fig3", {
-            let r = fig3::run(cfg);
+            let r = fig3::run(cfg, &opts);
             summaries.insert("fig3", r.summary());
             let chart = tl_experiments::charts::cdf_chart(
                 "CDF of per-barrier mean wait (s)",
@@ -422,7 +424,7 @@ fn main() {
                 "fig3",
                 &r.table(),
                 Some(format!("{chart}\n{}", r.summary())),
-                serde_json::to_string_pretty(&r).expect("json"),
+                &r,
             );
         });
         ran += 1;
@@ -431,13 +433,7 @@ fn main() {
         isolated!("fig4", {
             let fig_cfg = fig4::Fig4Config::default();
             let r = fig4::run(&fig_cfg);
-            emit(
-                &args,
-                "fig4",
-                &r.table(),
-                Some(r.ascii.clone()),
-                serde_json::to_string_pretty(&r).expect("json"),
-            );
+            emit(&args, "fig4", &r.table(), Some(r.ascii.clone()), &r);
             if let Some(path) = &args.trace_out {
                 let events = fig4::telemetry_events(&fig_cfg);
                 write_events(path, &events);
@@ -447,42 +443,30 @@ fn main() {
     }
     if wanted("fig5a") {
         isolated!("fig5a", {
-            let r = fig5::run_5a(cfg, &Table1Index::all());
+            let r = fig5::run_5a(cfg, &Table1Index::all(), &opts);
             summaries.insert("fig5a", r.summary());
-            emit(
-                &args,
-                "fig5a",
-                &r.table(),
-                Some(r.summary()),
-                serde_json::to_string_pretty(&r).expect("json"),
-            );
+            emit(&args, "fig5a", &r.table(), Some(r.summary()), &r);
         });
         ran += 1;
     }
     if wanted("fig5b") {
         isolated!("fig5b", {
-            let r = fig5::run_5b(cfg, &[1, 2, 4, 8, 16, 32]);
+            let r = fig5::run_5b(cfg, &[1, 2, 4, 8, 16, 32], &opts);
             summaries.insert("fig5b", r.summary());
-            emit(
-                &args,
-                "fig5b",
-                &r.table(),
-                Some(r.summary()),
-                serde_json::to_string_pretty(&r).expect("json"),
-            );
+            emit(&args, "fig5b", &r.table(), Some(r.summary()), &r);
         });
         ran += 1;
     }
     if wanted("fig6") {
         isolated!("fig6", {
-            let r = fig6::run(cfg);
+            let r = fig6::run(cfg, &opts);
             summaries.insert("fig6", r.summary());
             let chart = tl_experiments::charts::cdf_chart(
                 "CDF of per-barrier wait variance (s^2), placement #1",
                 &[
-                    (r.sides[0].label, &r.sides[0].cdf_var),
-                    (r.sides[1].label, &r.sides[1].cdf_var),
-                    (r.sides[2].label, &r.sides[2].cdf_var),
+                    (r.sides[0].label.as_str(), &r.sides[0].cdf_var),
+                    (r.sides[1].label.as_str(), &r.sides[1].cdf_var),
+                    (r.sides[2].label.as_str(), &r.sides[2].cdf_var),
                 ],
                 56,
                 12,
@@ -492,7 +476,7 @@ fn main() {
                 "fig6",
                 &r.table(),
                 Some(format!("{chart}\n{}", r.summary())),
-                serde_json::to_string_pretty(&r).expect("json"),
+                &r,
             );
         });
         ran += 1;
@@ -501,16 +485,10 @@ fn main() {
         isolated!("table2", {
             // Too short a run leaves no window for any seed-dependent
             // threshold argv could check: a usage error, not a cell failure.
-            let r =
-                table2::run(cfg, Table1Index(1)).unwrap_or_else(|e| usage_error(&e.to_string()));
+            let r = table2::run(cfg, Table1Index(1), &opts)
+                .unwrap_or_else(|e| usage_error(&e.to_string()));
             summaries.insert("table2", r.summary());
-            emit(
-                &args,
-                "table2",
-                &r.table(),
-                Some(r.summary()),
-                serde_json::to_string_pretty(&r).expect("json"),
-            );
+            emit(&args, "table2", &r.table(), Some(r.summary()), &r);
         });
         ran += 1;
     }
@@ -529,7 +507,7 @@ fn main() {
                 BarrierLossPolicy::DropAndContinue => "faults_drop",
             };
             isolated!(name, {
-                let (r, records) = faults::run_with(cfg, &intensities, loss, &args.sweep_opts());
+                let (r, records) = faults::run(cfg, &intensities, loss, &opts);
                 collect_failures(&mut failures, name, &records);
                 for row in &r.rows {
                     if row.completed != 21 {
@@ -543,13 +521,7 @@ fn main() {
                     eprintln!("{name}: no cells completed; skipping report");
                 } else {
                     summaries.insert(name, r.summary());
-                    emit(
-                        &args,
-                        name,
-                        &r.table(),
-                        Some(r.summary()),
-                        serde_json::to_string_pretty(&r).expect("json"),
-                    );
+                    emit(&args, name, &r.table(), Some(r.summary()), &r);
                 }
             });
         }
@@ -567,20 +539,14 @@ fn main() {
         // any divergence beyond tolerance or invariant violation fails
         // the process (exit 3, raised only after everything else drains).
         isolated!("validate", {
-            let (r, records) = validate::run_with(cfg, &args.sweep_opts());
+            let (r, records) = validate::run(cfg, &opts);
             collect_failures(&mut failures, "validate", &records);
             if r.rows.is_empty() {
                 eprintln!("validate: no scenarios completed; skipping report");
                 validation_failed = true;
             } else {
                 summaries.insert("validate", r.summary());
-                emit(
-                    &args,
-                    "validate",
-                    &r.table(),
-                    Some(r.summary()),
-                    serde_json::to_string_pretty(&r).expect("json"),
-                );
+                emit(&args, "validate", &r.table(), Some(r.summary()), &r);
                 if let Some(path) = &args.trace_out {
                     write_events(path, &r.mark_events());
                 }
@@ -604,7 +570,7 @@ fn main() {
                 // policies); run_xl panics unless every job completes.
                 (scale::run_xl(cfg), Vec::new())
             } else {
-                scale::run_with(cfg, args.quick, &args.sweep_opts())
+                scale::run(cfg, args.quick, &opts)
             };
             collect_failures(&mut failures, "scale", &records);
             for row in &r.rows {
@@ -619,13 +585,7 @@ fn main() {
                 eprintln!("scale: no cells completed; skipping report");
             } else {
                 summaries.insert("scale", r.summary());
-                emit(
-                    &args,
-                    "scale",
-                    &r.table(),
-                    Some(r.summary()),
-                    serde_json::to_string_pretty(&r).expect("json"),
-                );
+                emit(&args, "scale", &r.table(), Some(r.summary()), &r);
                 // Deterministic projection (wall-clock columns stripped,
                 // floats as bit patterns): byte-identical across runs and
                 // processes; check.sh compares it with the committed copy.
@@ -647,7 +607,7 @@ fn main() {
         // workload under policy x oversubscription x traffic pattern on a
         // 3-rack leaf-spine topology. Every cell must complete all jobs.
         isolated!("fabric", {
-            let (r, records) = fabric_sweep::run_with(cfg, args.quick, &args.sweep_opts());
+            let (r, records) = fabric_sweep::run(cfg, args.quick, &opts);
             collect_failures(&mut failures, "fabric", &records);
             for row in &r.rows {
                 if row.completed as u32 != row.jobs {
@@ -661,13 +621,7 @@ fn main() {
                 eprintln!("fabric: no cells completed; skipping report");
             } else {
                 summaries.insert("fabric", r.summary());
-                emit(
-                    &args,
-                    "fabric",
-                    &r.table(),
-                    Some(r.summary()),
-                    serde_json::to_string_pretty(&r).expect("json"),
-                );
+                emit(&args, "fabric", &r.table(), Some(r.summary()), &r);
             }
         });
         ran += 1;
@@ -680,7 +634,7 @@ fn main() {
         // competing jobs that caused it, and extract critical paths.
         use tl_experiments::explain;
         isolated!("explain", {
-            let (r, records) = explain::run_with(cfg, args.quick, &args.sweep_opts());
+            let (r, records) = explain::run(cfg, args.quick, &opts);
             collect_failures(&mut failures, "explain", &records);
             for c in &r.cells {
                 if let Err(e) = c.report.check_conservation() {
@@ -699,7 +653,7 @@ fn main() {
                     "explain",
                     &r.table(),
                     Some(format!("{}\n{}", r.report_text(), r.summary())),
-                    serde_json::to_string_pretty(&r).expect("json"),
+                    &r,
                 );
             }
         });
@@ -822,169 +776,79 @@ fn main() {
         let acfg = ExperimentConfig::scaled(cfg.iterations.min(80));
 
         isolated!("ablate_bands", {
-            let r = bands::run(&acfg, &[1, 2, 3, 4, 6, 8]);
-            emit(
-                &args,
-                "ablate_bands",
-                &r.table(),
-                None,
-                serde_json::to_string_pretty(&r).expect("json"),
-            );
+            let r = bands::run(&acfg, &[1, 2, 3, 4, 6, 8], &opts);
+            emit(&args, "ablate_bands", &r.table(), None, &r);
         });
 
         isolated!("ablate_rotation", {
-            let r = rotation::run(&acfg, &[0.5, 1.0, 2.0, 5.0, 20.0, 1e6]);
-            emit(
-                &args,
-                "ablate_rotation",
-                &r.table(),
-                None,
-                serde_json::to_string_pretty(&r).expect("json"),
-            );
+            let r = rotation::run(&acfg, &[0.5, 1.0, 2.0, 5.0, 20.0, 1e6], &opts);
+            emit(&args, "ablate_rotation", &r.table(), None, &r);
         });
 
         isolated!("ablate_jitter", {
-            let r = jitter::run(&acfg, &[0.0, 0.15, 0.3, 0.5, 0.8]);
-            emit(
-                &args,
-                "ablate_jitter",
-                &r.table(),
-                None,
-                serde_json::to_string_pretty(&r).expect("json"),
-            );
+            let r = jitter::run(&acfg, &[0.0, 0.15, 0.3, 0.5, 0.8], &opts);
+            emit(&args, "ablate_jitter", &r.table(), None, &r);
         });
 
         isolated!("ablate_ordering", {
-            let r = ordering::run(&acfg);
-            emit(
-                &args,
-                "ablate_ordering",
-                &r.table(),
-                None,
-                serde_json::to_string_pretty(&r).expect("json"),
-            );
+            let r = ordering::run(&acfg, &opts);
+            emit(&args, "ablate_ordering", &r.table(), None, &r);
         });
 
         isolated!("ablate_model_size", {
-            let r = model_size::run(&acfg, &[1, 2, 4, 8, 16]);
-            emit(
-                &args,
-                "ablate_model_size",
-                &r.table(),
-                None,
-                serde_json::to_string_pretty(&r).expect("json"),
-            );
+            let r = model_size::run(&acfg, &[1, 2, 4, 8, 16], &opts);
+            emit(&args, "ablate_model_size", &r.table(), None, &r);
         });
 
         isolated!("ablate_rate_control", {
             let r = rate_control::run(&acfg);
-            emit(
-                &args,
-                "ablate_rate_control",
-                &r.table(),
-                None,
-                serde_json::to_string_pretty(&r).expect("json"),
-            );
+            emit(&args, "ablate_rate_control", &r.table(), None, &r);
         });
 
         isolated!("ablate_async", {
-            let r = async_mode::run(&acfg);
-            emit(
-                &args,
-                "ablate_async",
-                &r.table(),
-                None,
-                serde_json::to_string_pretty(&r).expect("json"),
-            );
+            let r = async_mode::run(&acfg, &opts);
+            emit(&args, "ablate_async", &r.table(), None, &r);
         });
 
         isolated!("ablate_ps_aware", {
-            let r = ps_aware::run(&acfg);
-            emit(
-                &args,
-                "ablate_ps_aware",
-                &r.table(),
-                None,
-                serde_json::to_string_pretty(&r).expect("json"),
-            );
+            let r = ps_aware::run(&acfg, &opts);
+            emit(&args, "ablate_ps_aware", &r.table(), None, &r);
         });
 
         isolated!("ablate_qdisc", {
             let r = qdisc::run();
-            emit(
-                &args,
-                "ablate_qdisc",
-                &r.table(),
-                None,
-                serde_json::to_string_pretty(&r).expect("json"),
-            );
+            emit(&args, "ablate_qdisc", &r.table(), None, &r);
         });
 
         isolated!("ablate_churn", {
-            let r = churn::run(&acfg, 5.0);
-            emit(
-                &args,
-                "ablate_churn",
-                &r.table(),
-                None,
-                serde_json::to_string_pretty(&r).expect("json"),
-            );
+            let r = churn::run(&acfg, 5.0, &opts);
+            emit(&args, "ablate_churn", &r.table(), None, &r);
         });
 
         isolated!("ablate_timeline", {
-            let r = timeline::run(&acfg, 250);
+            let r = timeline::run(&acfg, 250, &opts);
             let chart = r.ascii(100);
-            emit(
-                &args,
-                "ablate_timeline",
-                &r.table(),
-                Some(chart),
-                serde_json::to_string_pretty(&r).expect("json"),
-            );
+            emit(&args, "ablate_timeline", &r.table(), Some(chart), &r);
         });
 
         isolated!("ablate_fabric", {
-            let r = fabric::run(&acfg, &[1.0, 8.0, 16.0, 32.0]);
-            emit(
-                &args,
-                "ablate_fabric",
-                &r.table(),
-                None,
-                serde_json::to_string_pretty(&r).expect("json"),
-            );
+            let r = fabric::run(&acfg, &[1.0, 8.0, 16.0, 32.0], &opts);
+            emit(&args, "ablate_fabric", &r.table(), None, &r);
         });
 
         isolated!("ablate_fairness", {
-            let r = fairness::run(&acfg, 2.0);
-            emit(
-                &args,
-                "ablate_fairness",
-                &r.table(),
-                None,
-                serde_json::to_string_pretty(&r).expect("json"),
-            );
+            let r = fairness::run(&acfg, 2.0, &opts);
+            emit(&args, "ablate_fairness", &r.table(), None, &r);
         });
 
         isolated!("ablate_sharded_ps", {
-            let r = sharded_ps::run(&acfg, &[1, 2, 4]);
-            emit(
-                &args,
-                "ablate_sharded_ps",
-                &r.table(),
-                None,
-                serde_json::to_string_pretty(&r).expect("json"),
-            );
+            let r = sharded_ps::run(&acfg, &[1, 2, 4], &opts);
+            emit(&args, "ablate_sharded_ps", &r.table(), None, &r);
         });
 
         isolated!("ablate_slow_host", {
-            let r = slow_host::run(&acfg);
-            emit(
-                &args,
-                "ablate_slow_host",
-                &r.table(),
-                None,
-                serde_json::to_string_pretty(&r).expect("json"),
-            );
+            let r = slow_host::run(&acfg, &opts);
+            emit(&args, "ablate_slow_host", &r.table(), None, &r);
         });
 
         ran += 15;

@@ -124,34 +124,10 @@ pub fn run_cell(cfg: &ExperimentConfig, oversub: f64, policy: PolicyKind) -> Exp
     }
 }
 
-/// Run every cell of [`CELLS`]. `quick` drops to a smoke-test iteration
-/// count. `workers` forces the sweep's thread count (for determinism
-/// tests); pass `None` for one worker per core. Panics if any cell
-/// fails; `repro` uses [`run_with`] and degrades instead.
-pub fn run_with_workers(
-    cfg: &ExperimentConfig,
-    quick: bool,
-    workers: Option<usize>,
-) -> ExplainResult {
-    let opts = SweepOptions {
-        workers,
-        ..SweepOptions::ephemeral()
-    };
-    let (result, records) = run_with(cfg, quick, &opts);
-    if let Some(bad) = records.iter().find(|c| !c.outcome.is_ok()) {
-        panic!("explain cell {} — {}", bad.label, bad.outcome);
-    }
-    result
-}
-
-/// Run every cell of [`CELLS`] with the default worker pool.
-pub fn run(cfg: &ExperimentConfig, quick: bool) -> ExplainResult {
-    run_with_workers(cfg, quick, None)
-}
-
-/// The explain cells through the crash-safe orchestrator: per-cell
-/// isolation, optional checkpoint ledger, and the per-cell audit trail.
-pub fn run_with(
+/// Run every cell of [`CELLS`] through the crash-safe orchestrator:
+/// per-cell isolation, optional checkpoint ledger, and the per-cell audit
+/// trail. `quick` drops to a smoke-test iteration count.
+pub fn run(
     cfg: &ExperimentConfig,
     quick: bool,
     opts: &SweepOptions,
@@ -400,7 +376,11 @@ mod tests {
 
     #[test]
     fn result_renders_and_serializes() {
-        let r = run_with_workers(&tiny_cfg(), true, Some(1));
+        let opts = SweepOptions {
+            workers: Some(1),
+            ..SweepOptions::default()
+        };
+        let (r, _) = run(&tiny_cfg(), true, &opts);
         assert_eq!(r.cells.len(), CELLS.len());
         assert!(r.table().render().contains("top blame"));
         assert!(r.summary().contains("explain:"));

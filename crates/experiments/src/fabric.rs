@@ -122,21 +122,12 @@ pub fn run_cell(
     }
 }
 
-/// Run the sweep: every (oversubscription × pattern × policy) cell.
-/// `quick` keeps the full grid but drops to a smoke-test iteration count
-/// — the grid itself is the coverage, not the run length. Panics if any
-/// cell fails; `repro` uses [`run_with`] and degrades instead.
-pub fn run(cfg: &ExperimentConfig, quick: bool) -> FabricResult {
-    let (result, records) = run_with(cfg, quick, &SweepOptions::ephemeral());
-    if let Some(bad) = records.iter().find(|c| !c.outcome.is_ok()) {
-        panic!("fabric cell {} — {}", bad.label, bad.outcome);
-    }
-    result
-}
-
-/// [`run`] through the crash-safe orchestrator: per-cell isolation,
-/// optional checkpoint ledger, and the per-cell audit trail.
-pub fn run_with(
+/// Run the sweep through the crash-safe orchestrator: every
+/// (oversubscription × pattern × policy) cell, isolated, with an optional
+/// checkpoint ledger and the per-cell audit trail. `quick` keeps the full
+/// grid but drops to a smoke-test iteration count — the grid itself is
+/// the coverage, not the run length.
+pub fn run(
     cfg: &ExperimentConfig,
     quick: bool,
     opts: &SweepOptions,
@@ -263,7 +254,7 @@ mod tests {
 
     #[test]
     fn quick_sweep_covers_the_grid_and_completes() {
-        let r = run(&tiny_cfg(), true);
+        let (r, _) = run(&tiny_cfg(), true, &SweepOptions::default());
         assert_eq!(r.rows.len(), 27, "3 oversubs x 3 patterns x 3 policies");
         for row in &r.rows {
             assert_eq!(

@@ -78,20 +78,11 @@ fn loss_label(loss: BarrierLossPolicy) -> &'static str {
 }
 
 /// Run the failure sweep at the given intensities (0 = healthy baseline)
-/// under barrier-loss policy `loss`, on Table I placement #1. Panics if
-/// any cell fails; `repro` uses [`run_with`] and degrades instead.
-pub fn run(cfg: &ExperimentConfig, intensities: &[f64], loss: BarrierLossPolicy) -> FaultsResult {
-    let (result, records) = run_with(cfg, intensities, loss, &SweepOptions::ephemeral());
-    if let Some(bad) = records.iter().find(|c| !c.outcome.is_ok()) {
-        panic!("faults cell {} — {}", bad.label, bad.outcome);
-    }
-    result
-}
-
-/// [`run`] through the crash-safe orchestrator. The sweep name carries
-/// the barrier-loss policy (`faults-stall-until-recovery` /
-/// `faults-drop-and-continue`) so the two variants keep separate ledgers.
-pub fn run_with(
+/// under barrier-loss policy `loss`, on Table I placement #1, through the
+/// crash-safe orchestrator. The sweep name carries the barrier-loss policy
+/// (`faults-stall-until-recovery` / `faults-drop-and-continue`) so the two
+/// variants keep separate ledgers.
+pub fn run(
     cfg: &ExperimentConfig,
     intensities: &[f64],
     loss: BarrierLossPolicy,
@@ -248,7 +239,8 @@ mod tests {
     #[test]
     fn sweep_reports_faults_and_completions() {
         let cfg = ExperimentConfig::quick();
-        let r = run(&cfg, &[0.0, 1.0, 2.0], BarrierLossPolicy::DropAndContinue);
+        let loss = BarrierLossPolicy::DropAndContinue;
+        let (r, _) = run(&cfg, &[0.0, 1.0, 2.0], loss, &SweepOptions::default());
         assert_eq!(r.rows.len(), 9, "3 intensities x 3 policies");
         // Healthy baseline: no fault machinery engaged.
         for row in r.rows.iter().filter(|r| r.intensity == 0.0) {
@@ -276,8 +268,13 @@ mod tests {
     #[test]
     fn sweep_is_deterministic() {
         let cfg = ExperimentConfig::quick();
-        let a = run(&cfg, &[1.0], BarrierLossPolicy::StallUntilRecovery);
-        let b = run(&cfg, &[1.0], BarrierLossPolicy::StallUntilRecovery);
+        let sweep = || {
+            let loss = BarrierLossPolicy::StallUntilRecovery;
+            run(&cfg, &[1.0], loss, &SweepOptions::default()).0
+        };
+        let (a, b) = (sweep(), sweep());
+        assert_eq!(a.rows.len(), 3, "1 intensity x 3 policies");
+        assert_eq!(b.rows.len(), 3);
         for (x, y) in a.rows.iter().zip(&b.rows) {
             assert_eq!(x.mean_jct.to_bits(), y.mean_jct.to_bits());
             assert_eq!(x.p99_jct.map(f64::to_bits), y.p99_jct.map(f64::to_bits));

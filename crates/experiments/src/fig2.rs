@@ -4,13 +4,14 @@
 //! be as large as 75% due to placement of PS tasks."
 
 use crate::config::ExperimentConfig;
+use crate::orchestrator::{run_sweep, SweepOptions};
 use crate::report::{pct, Table};
-use crate::runner::{parallel_map, run_table1, PolicyKind};
-use serde::Serialize;
+use crate::runner::{run_table1, PolicyKind};
+use serde::{Deserialize, Serialize};
 use tl_cluster::Table1Index;
 
 /// One placement's results.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Fig2Row {
     /// Table I index.
     pub index: u8,
@@ -31,17 +32,26 @@ pub struct Fig2 {
 
 /// Run Figure 2 for the given placement indexes (pass
 /// `Table1Index::all()` for the full figure).
-pub fn run(cfg: &ExperimentConfig, indexes: &[Table1Index]) -> Fig2 {
-    let rows = parallel_map(indexes.to_vec(), |idx| {
-        let out = run_table1(cfg, idx, PolicyKind::Fifo);
-        assert!(out.all_complete(), "placement {idx:?} did not finish");
-        let jcts: Vec<f64> = out.jobs.iter().map(|j| j.jct_secs().unwrap()).collect();
-        Fig2Row {
-            index: idx.0,
-            mean_jct: jcts.iter().sum::<f64>() / jcts.len() as f64,
-            jcts,
-        }
-    });
+pub fn run(cfg: &ExperimentConfig, indexes: &[Table1Index], opts: &SweepOptions) -> Fig2 {
+    let cfg = cfg.clone();
+    let rows = run_sweep(
+        "fig2",
+        &serde_json::to_string(&cfg).expect("config serializes"),
+        opts,
+        indexes.to_vec(),
+        |idx| format!("placement=#{}", idx.0),
+        move |idx| {
+            let out = run_table1(&cfg, idx, PolicyKind::Fifo);
+            assert!(out.all_complete(), "placement {idx:?} did not finish");
+            let jcts: Vec<f64> = out.jobs.iter().map(|j| j.jct_secs().unwrap()).collect();
+            Fig2Row {
+                index: idx.0,
+                mean_jct: jcts.iter().sum::<f64>() / jcts.len() as f64,
+                jcts,
+            }
+        },
+    )
+    .expect_complete();
     let best = rows
         .iter()
         .map(|r| r.mean_jct)
@@ -89,7 +99,11 @@ mod tests {
     #[test]
     fn colocation_hurts() {
         let cfg = ExperimentConfig::quick();
-        let f = run(&cfg, &[Table1Index(1), Table1Index(8)]);
+        let f = run(
+            &cfg,
+            &[Table1Index(1), Table1Index(8)],
+            &SweepOptions::default(),
+        );
         assert_eq!(f.rows.len(), 2);
         assert!(
             f.rows[0].mean_jct > f.rows[1].mean_jct * 1.2,
@@ -104,7 +118,7 @@ mod tests {
     #[test]
     fn each_row_has_all_jobs() {
         let cfg = ExperimentConfig::quick();
-        let f = run(&cfg, &[Table1Index(8)]);
+        let f = run(&cfg, &[Table1Index(8)], &SweepOptions::default());
         assert_eq!(f.rows[0].jcts.len(), 21);
         assert!(f.rows[0].jcts.iter().all(|&j| j > 0.0));
         let t = f.table().render();

@@ -6,14 +6,15 @@
 //! placement #1 is 4.37× of that under placement #8".
 
 use crate::config::ExperimentConfig;
+use crate::orchestrator::{run_sweep, SweepOptions};
 use crate::report::{ratio, Table};
-use crate::runner::{parallel_map, run_table1, PolicyKind};
-use serde::Serialize;
+use crate::runner::{run_table1, PolicyKind};
+use serde::{Deserialize, Serialize};
 use simcore::SampleSet;
 use tl_cluster::Table1Index;
 
 /// Barrier-wait distributions for one placement.
-#[derive(Debug, Serialize)]
+#[derive(Debug, Serialize, Deserialize)]
 pub struct Fig3Side {
     /// Table I index.
     pub index: u8,
@@ -59,10 +60,17 @@ fn collect_side(cfg: &ExperimentConfig, idx: Table1Index, cdf_points: usize) -> 
 }
 
 /// Run Figure 3.
-pub fn run(cfg: &ExperimentConfig) -> Fig3 {
-    let mut sides = parallel_map(vec![Table1Index(1), Table1Index(8)], |idx| {
-        collect_side(cfg, idx, 64)
-    });
+pub fn run(cfg: &ExperimentConfig, opts: &SweepOptions) -> Fig3 {
+    let cfg = cfg.clone();
+    let mut sides = run_sweep(
+        "fig3",
+        &serde_json::to_string(&cfg).expect("config serializes"),
+        opts,
+        vec![Table1Index(1), Table1Index(8)],
+        |idx| format!("placement=#{}", idx.0),
+        move |idx| collect_side(&cfg, idx, 64),
+    )
+    .expect_complete();
     let mild = sides.pop().expect("two sides");
     let heavy = sides.pop().expect("two sides");
     Fig3 {
@@ -107,7 +115,7 @@ mod tests {
     #[test]
     fn contention_inflates_wait_and_variance() {
         let cfg = ExperimentConfig::quick();
-        let f = run(&cfg);
+        let f = run(&cfg, &SweepOptions::default());
         assert!(f.mean_ratio > 1.5, "mean ratio {}", f.mean_ratio);
         assert!(f.var_ratio > 1.5, "var ratio {}", f.var_ratio);
         assert_eq!(f.heavy.index, 1);

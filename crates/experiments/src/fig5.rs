@@ -10,8 +10,9 @@
 //! enlarges the improvement over FIFO ... to 31% (or 17%)."
 
 use crate::config::ExperimentConfig;
+use crate::orchestrator::{run_sweep, SweepOptions};
 use crate::report::{pct, Table};
-use crate::runner::{parallel_map, run_grid_search, PolicyKind};
+use crate::runner::{run_grid_search, PolicyKind};
 use serde::Serialize;
 use tl_cluster::{table1_placement, Table1Index};
 
@@ -68,23 +69,39 @@ fn run_axis(
     cfg: &ExperimentConfig,
     label: &'static str,
     points: Vec<(u32, Table1Index, u32)>, // (x, placement index, batch)
+    opts: &SweepOptions,
 ) -> Fig5 {
     // One run per (point, policy), all in parallel.
     let mut tasks = Vec::new();
-    for &(x, idx, batch) in &points {
+    for &(_, idx, batch) in &points {
         for policy in PolicyKind::all() {
-            tasks.push((x, idx, batch, policy));
+            tasks.push((idx, batch, policy));
         }
     }
-    let outs = parallel_map(tasks.clone(), |(_, idx, batch, policy)| {
-        let placement = table1_placement(idx, 21, 21);
-        let out = run_grid_search(cfg, &placement, policy, batch, None);
-        assert!(out.all_complete(), "{idx:?}/{policy:?} did not finish");
-        out.jobs
-            .iter()
-            .map(|j| j.jct_secs().unwrap())
-            .collect::<Vec<f64>>()
-    });
+    let cfg = cfg.clone();
+    let outs = run_sweep(
+        &format!("fig{label}"),
+        &serde_json::to_string(&cfg).expect("config serializes"),
+        opts,
+        tasks,
+        |(idx, batch, policy)| {
+            format!(
+                "placement=#{},batch={batch},policy={}",
+                idx.0,
+                policy.label()
+            )
+        },
+        move |(idx, batch, policy)| {
+            let placement = table1_placement(idx, 21, 21);
+            let out = run_grid_search(&cfg, &placement, policy, batch, None);
+            assert!(out.all_complete(), "{idx:?}/{policy:?} did not finish");
+            out.jobs
+                .iter()
+                .map(|j| j.jct_secs().unwrap())
+                .collect::<Vec<f64>>()
+        },
+    )
+    .expect_complete();
     let mut rows = Vec::new();
     for (pi, &(x, _, _)) in points.iter().enumerate() {
         let base = pi * 3;
@@ -109,20 +126,22 @@ fn run_axis(
 }
 
 /// Figure 5a: normalized JCT across the given placements (batch size 4).
-pub fn run_5a(cfg: &ExperimentConfig, indexes: &[Table1Index]) -> Fig5 {
+pub fn run_5a(cfg: &ExperimentConfig, indexes: &[Table1Index], opts: &SweepOptions) -> Fig5 {
     run_axis(
         cfg,
         "5a",
         indexes.iter().map(|&i| (i.0 as u32, i, 4)).collect(),
+        opts,
     )
 }
 
 /// Figure 5b: normalized JCT across local batch sizes at placement #1.
-pub fn run_5b(cfg: &ExperimentConfig, batches: &[u32]) -> Fig5 {
+pub fn run_5b(cfg: &ExperimentConfig, batches: &[u32], opts: &SweepOptions) -> Fig5 {
     run_axis(
         cfg,
         "5b",
         batches.iter().map(|&b| (b, Table1Index(1), b)).collect(),
+        opts,
     )
 }
 
@@ -177,7 +196,11 @@ mod tests {
     #[test]
     fn tls_wins_under_contention_only() {
         let cfg = ExperimentConfig::quick();
-        let f = run_5a(&cfg, &[Table1Index(1), Table1Index(8)]);
+        let f = run_5a(
+            &cfg,
+            &[Table1Index(1), Table1Index(8)],
+            &SweepOptions::default(),
+        );
         let heavy = &f.rows[0];
         let mild = &f.rows[1];
         assert!(
@@ -197,7 +220,7 @@ mod tests {
     #[test]
     fn smaller_batch_amplifies_improvement() {
         let cfg = ExperimentConfig::quick();
-        let f = run_5b(&cfg, &[1, 16]);
+        let f = run_5b(&cfg, &[1, 16], &SweepOptions::default());
         let small = &f.rows[0];
         let large = &f.rows[1];
         assert!(

@@ -6,17 +6,18 @@
 //! (or 40%), and under TLs-RR by 15% (or 30%)."
 
 use crate::config::ExperimentConfig;
+use crate::orchestrator::{run_sweep, SweepOptions};
 use crate::report::{pct, Table};
-use crate::runner::{parallel_map, run_table1, PolicyKind};
-use serde::Serialize;
+use crate::runner::{run_table1, PolicyKind};
+use serde::{Deserialize, Serialize};
 use simcore::SampleSet;
 use tl_cluster::Table1Index;
 
 /// One policy's barrier-wait distributions.
-#[derive(Debug, Serialize)]
+#[derive(Debug, Serialize, Deserialize)]
 pub struct Fig6Side {
     /// Policy label.
-    pub label: &'static str,
+    pub label: String,
     /// CDF of per-barrier mean waits (seconds).
     pub cdf_mean: Vec<(f64, f64)>,
     /// CDF of per-barrier wait variances (seconds²).
@@ -41,25 +42,34 @@ pub struct Fig6 {
 }
 
 /// Run Figure 6.
-pub fn run(cfg: &ExperimentConfig) -> Fig6 {
-    let sides = parallel_map(PolicyKind::all().to_vec(), |policy| {
-        let out = run_table1(cfg, Table1Index(1), policy);
-        assert!(out.all_complete());
-        let mut means = SampleSet::new();
-        let mut vars = SampleSet::new();
-        for j in &out.jobs {
-            means.extend_from(&j.barrier_means);
-            vars.extend_from(&j.barrier_vars);
-        }
-        Fig6Side {
-            label: policy.label(),
-            mean_of_means: means.mean(),
-            mean_of_vars: vars.mean(),
-            median_of_vars: vars.median().unwrap_or(f64::NAN),
-            cdf_mean: means.cdf(64),
-            cdf_var: vars.cdf(64),
-        }
-    });
+pub fn run(cfg: &ExperimentConfig, opts: &SweepOptions) -> Fig6 {
+    let cfg = cfg.clone();
+    let sides = run_sweep(
+        "fig6",
+        &serde_json::to_string(&cfg).expect("config serializes"),
+        opts,
+        PolicyKind::all().to_vec(),
+        |policy| format!("policy={}", policy.label()),
+        move |policy| {
+            let out = run_table1(&cfg, Table1Index(1), policy);
+            assert!(out.all_complete());
+            let mut means = SampleSet::new();
+            let mut vars = SampleSet::new();
+            for j in &out.jobs {
+                means.extend_from(&j.barrier_means);
+                vars.extend_from(&j.barrier_vars);
+            }
+            Fig6Side {
+                label: policy.label().to_string(),
+                mean_of_means: means.mean(),
+                mean_of_vars: vars.mean(),
+                median_of_vars: vars.median().unwrap_or(f64::NAN),
+                cdf_mean: means.cdf(64),
+                cdf_var: vars.cdf(64),
+            }
+        },
+    )
+    .expect_complete();
     let red = |x: f64, base: f64| 1.0 - x / base;
     let fifo_mean = sides[0].mean_of_vars;
     let fifo_median = sides[0].median_of_vars;
@@ -90,7 +100,7 @@ impl Fig6 {
         );
         for s in &self.sides {
             t.push_row(vec![
-                s.label.to_string(),
+                s.label.clone(),
                 format!("{:.3}", s.mean_of_means),
                 format!("{:.5}", s.mean_of_vars),
                 format!("{:.5}", s.median_of_vars),
@@ -119,7 +129,7 @@ mod tests {
     #[test]
     fn tensorlights_reduces_wait_variance() {
         let cfg = ExperimentConfig::quick();
-        let f = run(&cfg);
+        let f = run(&cfg, &SweepOptions::default());
         assert_eq!(f.sides.len(), 3);
         assert_eq!(f.sides[0].label, "FIFO");
         assert!(

@@ -33,7 +33,4 @@ pub use orchestrator::{
     install_sigint_handler, interrupted, run_isolated, run_sweep, write_atomic, CellRecord,
     SweepOptions, SweepOutcome,
 };
-pub use runner::{
-    parallel_map, parallel_map_with_workers, run_grid_search, run_grid_search_telemetry,
-    run_table1, PolicyKind,
-};
+pub use runner::{run_grid_search, run_grid_search_telemetry, run_table1, PolicyKind};

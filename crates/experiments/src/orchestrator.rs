@@ -1,8 +1,9 @@
 //! Crash-safe sweep orchestrator: checkpoint/resume, per-cell isolation,
 //! timeouts, and streaming results.
 //!
-//! Every sweep in the suite (scale, fabric, validate, faults, explain) runs
-//! through [`run_sweep`]: the grid is broken into independent *cells*, each
+//! Every grid in the suite runs through [`run_sweep`]: the paper figures
+//! and Table II, the ablations, and the scale, fabric, validate, faults and
+//! explain sweeps. The grid is broken into independent *cells*, each
 //! identified by a stable content hash of its configuration, executed by a
 //! work-stealing pool with every cell wrapped in `catch_unwind` plus an
 //! optional wall-clock timeout. Results stream to an append-only JSONL
@@ -173,20 +174,13 @@ pub struct SweepOptions {
     /// `None` disables the budget.
     pub max_failures: Option<usize>,
     /// Directory for the `<sweep>.cells.jsonl` ledger. `None` runs the
-    /// sweep ephemeral (no checkpointing) — the mode unit tests use.
+    /// sweep without checkpointing — the default, which tests use.
     pub ledger_dir: Option<PathBuf>,
     /// Load completed cells from an existing ledger instead of re-running
     /// them. Without this flag an existing ledger is overwritten.
     pub resume: bool,
     /// Emit a progress/ETA line to stderr as cells complete.
     pub progress: bool,
-}
-
-impl SweepOptions {
-    /// No ledger, no timeout, default worker count, quiet.
-    pub fn ephemeral() -> Self {
-        SweepOptions::default()
-    }
 }
 
 /// What happened to one cell of a sweep, for reports and the ledger.
@@ -248,10 +242,11 @@ impl<R> SweepOutcome<R> {
             .collect()
     }
 
-    /// Panic if any cell failed or was skipped, quoting the first failure.
-    /// Library `run()` entry points use this to keep the historical
-    /// contract (a broken cell aborts) for tests and benches; `repro`
-    /// inspects the outcome instead and degrades gracefully.
+    /// Panic if any cell failed or was skipped, quoting the first such
+    /// cell in input order (deterministic however the workers raced).
+    /// Figures, tables and ablations end with this: they need every cell
+    /// to build their result, and `repro` records the panic as a failure
+    /// after the finished cells are checkpointed.
     pub fn expect_complete(self) -> Vec<R> {
         if let Some(line) = self.failure_lines().first() {
             panic!("sweep cell failed: {line}");
@@ -690,10 +685,11 @@ where
     }
 }
 
-/// Run one non-sweep unit of work (a figure, table, or ablation) with the
-/// same isolation contract as a sweep cell: panics are caught and recorded
-/// instead of aborting the run, and a pending interrupt skips the work.
-/// No timeout — the closure need not be `'static`.
+/// Run one unit of work that is not a sweep cell (a whole report block in
+/// `repro`, such as a figure whose sweep failed a cell) with the same
+/// isolation contract as a cell: panics are caught and recorded instead
+/// of aborting the run, and a pending interrupt skips the work. No
+/// timeout — the closure need not be `'static`.
 pub fn run_isolated<T>(name: &str, f: impl FnOnce() -> T) -> (Option<T>, CellRecord) {
     let id = content_hash(name.as_bytes());
     if interrupted() {
@@ -769,7 +765,7 @@ mod tests {
         let out: SweepOutcome<i64> = run_sweep(
             "unit-panic",
             "ctx",
-            &SweepOptions::ephemeral(),
+            &SweepOptions::default(),
             (0..8).collect(),
             |c| format!("cell={c}"),
             |c: i64| {
@@ -843,7 +839,7 @@ mod tests {
         let out: SweepOutcome<u32> = run_sweep(
             "unit-expect",
             "ctx",
-            &SweepOptions::ephemeral(),
+            &SweepOptions::default(),
             vec![0u32, 1],
             |c| format!("cell={c}"),
             |c: u32| {
@@ -856,6 +852,43 @@ mod tests {
         let err = catch_unwind(AssertUnwindSafe(|| out.expect_complete()))
             .expect_err("must re-raise");
         assert!(panic_message(err).contains("nope"));
+    }
+
+    #[test]
+    fn expect_complete_quotes_the_lowest_failed_cell() {
+        // With several failing cells the quoted one must not depend on
+        // which worker finished first: the lowest input index wins, and
+        // every other cell still runs before the panic is raised.
+        use std::sync::atomic::AtomicUsize;
+        for round in 0..24 {
+            let ran = Arc::new(AtomicUsize::new(0));
+            let counter = Arc::clone(&ran);
+            let out: SweepOutcome<u32> = run_sweep(
+                "unit-lowest",
+                "ctx",
+                &SweepOptions {
+                    workers: Some(4),
+                    ..SweepOptions::default()
+                },
+                (0..64).collect(),
+                |c| format!("cell={c}"),
+                move |c: u32| {
+                    if c == 7 || c == 23 || c == 55 {
+                        panic!("boom at {c}");
+                    }
+                    counter.fetch_add(1, Ordering::SeqCst);
+                    c
+                },
+            );
+            let err = catch_unwind(AssertUnwindSafe(|| out.expect_complete()))
+                .expect_err("failed cells must re-raise");
+            let msg = panic_message(err);
+            assert!(
+                msg.contains("cell=7 ") && msg.contains("boom at 7"),
+                "round {round}: expected the lowest failed cell, got {msg}"
+            );
+            assert_eq!(ran.load(Ordering::SeqCst), 61, "round {round}: queue drained");
+        }
     }
 
     #[test]

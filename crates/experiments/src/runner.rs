@@ -1,5 +1,6 @@
-//! Shared experiment plumbing: policies by name, grid-search runs, and
-//! parallel sweeps.
+//! Shared experiment plumbing: policies by name and grid-search runs.
+//! Every grid of runs fans out through
+//! [`run_sweep`](crate::orchestrator::run_sweep).
 
 use crate::config::ExperimentConfig;
 use serde::{Deserialize, Serialize};
@@ -101,119 +102,6 @@ pub fn run_table1(cfg: &ExperimentConfig, index: Table1Index, policy: PolicyKind
     run_grid_search(cfg, &placement, policy, 4, None)
 }
 
-/// Run independent jobs across a bounded pool of worker threads (at most
-/// one per available core), preserving input order in the output. Workers
-/// pull from a shared queue, so uneven job costs balance dynamically.
-/// Used by the sweep experiments.
-///
-/// If a closure panics, the panic payload of the *lowest input index* that
-/// panicked is re-raised on the calling thread, but only after the entire
-/// remaining queue drains — siblings keep running to completion and the
-/// original message survives, instead of every worker dying with a
-/// misleading "sweep queue poisoned"/"sweep worker panicked". Picking the
-/// lowest index (rather than whichever thread lost the race) keeps the
-/// surfaced error deterministic across interleavings; the orchestrator's
-/// cell isolation relies on the drain guarantee.
-pub fn parallel_map<I, O, F>(inputs: Vec<I>, f: F) -> Vec<O>
-where
-    I: Send,
-    O: Send,
-    F: Fn(I) -> O + Sync,
-{
-    parallel_map_with_workers(inputs, None, f)
-}
-
-/// [`parallel_map`] with the worker count forced to `workers` (when
-/// `Some`) instead of the available core count. `Some(1)` runs strictly
-/// sequentially on the calling thread. Exists so determinism tests can
-/// prove results are byte-identical no matter how many threads ran the
-/// sweep; everything else should use [`parallel_map`].
-pub fn parallel_map_with_workers<I, O, F>(inputs: Vec<I>, workers: Option<usize>, f: F) -> Vec<O>
-where
-    I: Send,
-    O: Send,
-    F: Fn(I) -> O + Sync,
-{
-    use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-    let n = inputs.len();
-    let workers = workers
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1)
-        })
-        .max(1)
-        .min(n);
-    type Panic = (usize, Box<dyn std::any::Any + Send>);
-    // Keep the panic from the lowest input index: deterministic regardless
-    // of which worker hit its panic first.
-    fn keep_earliest(slot: &mut Option<Panic>, idx: usize, payload: Box<dyn std::any::Any + Send>) {
-        match slot {
-            Some((held, _)) if *held <= idx => {}
-            _ => *slot = Some((idx, payload)),
-        }
-    }
-    if workers <= 1 {
-        // Same drain-then-reraise semantics as the threaded path.
-        let mut out = Vec::with_capacity(n);
-        let mut first_panic: Option<Panic> = None;
-        for (i, input) in inputs.into_iter().enumerate() {
-            match catch_unwind(AssertUnwindSafe(|| f(input))) {
-                Ok(o) => out.push(o),
-                Err(payload) => keep_earliest(&mut first_panic, i, payload),
-            }
-        }
-        if let Some((_, payload)) = first_panic {
-            resume_unwind(payload);
-        }
-        return out;
-    }
-    let queue = std::sync::Mutex::new(inputs.into_iter().enumerate());
-    let first_panic: std::sync::Mutex<Option<Panic>> = std::sync::Mutex::new(None);
-    let mut results: Vec<(usize, O)> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                let queue = &queue;
-                let first_panic = &first_panic;
-                let f = &f;
-                s.spawn(move || {
-                    let mut done = Vec::new();
-                    loop {
-                        // `into_inner` recovers a poisoned queue: the lock
-                        // only guards the iterator cursor, which a panic
-                        // elsewhere cannot corrupt.
-                        let next = queue.lock().unwrap_or_else(|e| e.into_inner()).next();
-                        match next {
-                            Some((i, input)) => {
-                                match catch_unwind(AssertUnwindSafe(|| f(input))) {
-                                    Ok(out) => done.push((i, out)),
-                                    Err(payload) => keep_earliest(
-                                        &mut first_panic
-                                            .lock()
-                                            .unwrap_or_else(|e| e.into_inner()),
-                                        i,
-                                        payload,
-                                    ),
-                                }
-                            }
-                            None => return done,
-                        }
-                    }
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("sweep worker died outside the job closure"))
-            .collect()
-    });
-    if let Some((_, payload)) = first_panic.into_inner().unwrap_or_else(|e| e.into_inner()) {
-        resume_unwind(payload);
-    }
-    results.sort_by_key(|(i, _)| *i);
-    results.into_iter().map(|(_, o)| o).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -241,77 +129,6 @@ mod tests {
         assert_eq!(out.jobs.len(), 21);
         for j in &out.jobs {
             assert_eq!(j.iterations, cfg.iterations);
-        }
-    }
-
-    #[test]
-    fn parallel_map_preserves_order() {
-        let out = parallel_map((0..16).collect(), |x: i32| x * x);
-        assert_eq!(out, (0..16).map(|x| x * x).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn parallel_map_propagates_original_panic() {
-        // Regression: a panicking closure used to surface as "sweep worker
-        // panicked" (or poison siblings) — the original payload must win.
-        let result = std::panic::catch_unwind(|| {
-            parallel_map((0..32).collect(), |x: i32| {
-                if x == 3 {
-                    panic!("boom at {x}");
-                }
-                x
-            })
-        });
-        let payload = result.expect_err("panic in a sweep job must propagate");
-        let msg = payload
-            .downcast_ref::<String>()
-            .expect("payload is the original format string");
-        assert!(msg.contains("boom at 3"), "original panic lost: {msg}");
-    }
-
-    #[test]
-    fn parallel_map_drains_siblings_after_panic() {
-        // Items other than the panicking one still run to completion.
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let ran = AtomicUsize::new(0);
-        let result = std::panic::catch_unwind(|| {
-            parallel_map((0..16).collect(), |x: i32| {
-                if x == 0 {
-                    panic!("early item panics");
-                }
-                ran.fetch_add(1, Ordering::SeqCst);
-                x
-            })
-        });
-        assert!(result.is_err());
-        assert_eq!(ran.load(Ordering::SeqCst), 15, "remaining items drained");
-    }
-
-    #[test]
-    fn parallel_map_reraises_lowest_index_panic() {
-        // Regression: with several panicking items, the surfaced payload
-        // used to be whichever worker reached the shared slot first —
-        // nondeterministic across interleavings. The drain guarantee means
-        // every item runs, so the lowest panicking index must always win.
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        for round in 0..24 {
-            let ran = AtomicUsize::new(0);
-            let result = std::panic::catch_unwind(|| {
-                parallel_map((0..64).collect(), |x: i32| {
-                    if x == 7 || x == 23 || x == 55 {
-                        panic!("boom at {x}");
-                    }
-                    ran.fetch_add(1, Ordering::SeqCst);
-                    x
-                })
-            });
-            let payload = result.expect_err("panics must propagate");
-            let msg = payload.downcast_ref::<String>().expect("original payload");
-            assert!(
-                msg.contains("boom at 7"),
-                "round {round}: expected lowest-index panic, got {msg}"
-            );
-            assert_eq!(ran.load(Ordering::SeqCst), 61, "round {round}: queue drained");
         }
     }
 }

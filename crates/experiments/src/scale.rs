@@ -114,7 +114,7 @@ fn cell_config(cfg: &ExperimentConfig, iters: u64) -> ExperimentConfig {
 
 /// Run one grid cell and return its raw [`SimOutput`]. Public so the
 /// determinism tests can push the exact cell the sweep runs through
-/// `parallel_map` with a forced worker count.
+/// [`orchestrator::run_sweep`] with a forced worker count.
 pub fn run_cell(cfg: &ExperimentConfig, hosts: u32, jobs: u32, policy: PolicyKind) -> SimOutput {
     run_cell_inner(cfg, hosts, jobs, policy, false)
 }
@@ -185,24 +185,14 @@ fn measure(cfg: &ExperimentConfig, iters: u64, hosts: u32, jobs: u32, policy: Po
     }
 }
 
-/// Run the sweep. `quick` restricts it to the smallest grid cell
-/// (21 hosts × 21 jobs, all three policies) — the check-script smoke run.
-/// Panics if any cell fails; `repro` uses [`run_with`] and degrades
-/// instead.
-pub fn run(cfg: &ExperimentConfig, quick: bool) -> ScaleResult {
-    let (result, records) = run_with(cfg, quick, &SweepOptions::ephemeral());
-    if let Some(bad) = records.iter().find(|c| !c.outcome.is_ok()) {
-        panic!("scale cell {} — {}", bad.label, bad.outcome);
-    }
-    result
-}
-
-/// [`run`] through the crash-safe orchestrator. The worker count is
-/// forced to one regardless of `opts` — cells time themselves, and
-/// parallel siblings would pollute the wall-clock columns — but the
-/// ledger/resume/timeout machinery all applies. Note that resumed cells
-/// keep the wall-clock numbers of the run that produced them.
-pub fn run_with(
+/// Run the sweep through the crash-safe orchestrator. `quick` restricts
+/// it to the smallest grid cell (21 hosts × 21 jobs, all three policies)
+/// — the check-script smoke run. The worker count is forced to one
+/// regardless of `opts` — cells time themselves, and parallel siblings
+/// would pollute the wall-clock columns — but the ledger/resume/timeout
+/// machinery all applies. Note that resumed cells keep the wall-clock
+/// numbers of the run that produced them.
+pub fn run(
     cfg: &ExperimentConfig,
     quick: bool,
     opts: &SweepOptions,
@@ -468,7 +458,6 @@ pub fn canonical_json(out: &SimOutput) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::parallel_map_with_workers;
 
     fn tiny_cfg() -> ExperimentConfig {
         ExperimentConfig {
@@ -490,7 +479,7 @@ mod tests {
 
     #[test]
     fn sweep_rows_cover_the_grid() {
-        let result = run(&tiny_cfg(), true);
+        let (result, _) = run(&tiny_cfg(), true, &SweepOptions::default());
         assert_eq!(result.rows.len(), 3, "quick = smallest cell x 3 policies");
         assert!(result.rows.iter().all(|r| r.hosts == 21 && r.jobs == 21));
         assert!(result.rows.iter().all(|r| r.events > 0 && r.completed == 21));
@@ -575,26 +564,36 @@ mod tests {
     }
 
     #[test]
-    fn deterministic_across_parallel_map_worker_counts() {
-        // The satellite guarantee: a sweep cell run under `parallel_map`
+    fn deterministic_across_sweep_worker_counts() {
+        // The satellite guarantee: a sweep cell run under `run_sweep`
         // serializes to byte-identical JSON whether the pool had one
         // worker or many — thread count can never leak into results.
-        let cfg = tiny_cfg();
-        let run_with = |workers: usize| -> Vec<String> {
+        let sweep = |workers: usize| -> Vec<String> {
+            let cfg = tiny_cfg();
+            let opts = SweepOptions {
+                workers: Some(workers),
+                ..SweepOptions::default()
+            };
             let cells: Vec<PolicyKind> = PolicyKind::all().to_vec();
-            parallel_map_with_workers(cells, Some(workers), |policy| {
-                canonical_json(&run_cell(&cfg, GRID_HOSTS[0], GRID_JOBS[0], policy))
-            })
+            orchestrator::run_sweep(
+                "scale-workers",
+                "worker-counts",
+                &opts,
+                cells,
+                |p| p.label().to_string(),
+                move |policy| canonical_json(&run_cell(&cfg, GRID_HOSTS[0], GRID_JOBS[0], policy)),
+            )
+            .expect_complete()
         };
-        let sequential = run_with(1);
-        let threaded = run_with(4);
+        let sequential = sweep(1);
+        let threaded = sweep(4);
         assert!(sequential[0].contains("\"jobs\":["));
         assert_eq!(sequential, threaded, "worker count changed results");
     }
 
     #[test]
     fn deterministic_after_kill_mid_sweep_and_resume() {
-        // Extends `deterministic_across_parallel_map_worker_counts` to the
+        // Extends `deterministic_across_sweep_worker_counts` to the
         // crash path: the same cells through the orchestrator, with the
         // ledger truncated after the first completed cell (a simulated
         // kill -9 mid-append), then resumed under a different worker

@@ -12,18 +12,19 @@
 //! every job is active throughout the window under every policy.
 
 use crate::config::ExperimentConfig;
+use crate::orchestrator::{run_sweep, SweepOptions};
 use crate::report::{ratio, Table};
-use crate::runner::{parallel_map, run_table1, PolicyKind};
-use serde::Serialize;
+use crate::runner::{run_grid_search, run_table1, PolicyKind};
+use serde::{Deserialize, Serialize};
 use simcore::SimTime;
 use std::fmt;
 use tl_cluster::{mean_utilization, table1_placement, HostUtilization, Table1Index};
 
 /// Utilization of one policy, split by host group.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Table2Side {
     /// Policy label.
-    pub label: &'static str,
+    pub label: String,
     /// Mean utilization of hosts carrying PSes.
     pub ps_hosts: HostUtilization,
     /// Mean utilization of worker-only hosts.
@@ -72,17 +73,35 @@ impl fmt::Display for Table2Error {
 impl std::error::Error for Table2Error {}
 
 /// Run Table II at the given placement (the paper uses #1).
-pub fn run(cfg: &ExperimentConfig, index: Table1Index) -> Result<Table2, Table2Error> {
+pub fn run(
+    cfg: &ExperimentConfig,
+    index: Table1Index,
+    opts: &SweepOptions,
+) -> Result<Table2, Table2Error> {
+    let key = |p: &PolicyKind| format!("policy={}", p.label());
     // Pass 1: find a window inside every policy's run.
-    let probes = parallel_map(PolicyKind::all().to_vec(), |p| {
-        let out = run_table1(cfg, index, p);
-        assert!(out.all_complete());
-        out.jobs
-            .iter()
-            .map(|j| j.completion.unwrap())
-            .min()
-            .expect("jobs present")
-    });
+    let probe_cfg = cfg.clone();
+    let probes = run_sweep(
+        "table2_probe",
+        &format!(
+            "cfg={};placement={}",
+            serde_json::to_string(cfg).expect("config serializes"),
+            index.0
+        ),
+        opts,
+        PolicyKind::all().to_vec(),
+        key,
+        move |p| {
+            let out = run_table1(&probe_cfg, index, p);
+            assert!(out.all_complete());
+            out.jobs
+                .iter()
+                .map(|j| j.completion.unwrap())
+                .min()
+                .expect("jobs present")
+        },
+    )
+    .expect_complete();
     let min_completion = probes.into_iter().min().expect("three probes");
     let start = SimTime::from_secs_f64(2.2); // just after the last 0.1 s-staggered launch
     let end = SimTime::from_secs_f64(min_completion.as_secs_f64() * 0.9);
@@ -103,17 +122,29 @@ pub fn run(cfg: &ExperimentConfig, index: Table1Index) -> Result<Table2, Table2E
     let worker_hosts: Vec<usize> = (0..21usize).filter(|h| !ps_hosts.contains(h)).collect();
     let all_hosts: Vec<usize> = (0..21).collect();
 
-    let sides = parallel_map(PolicyKind::all().to_vec(), |p| {
-        let placement = table1_placement(index, 21, 21);
-        let out = crate::runner::run_grid_search(cfg, &placement, p, 4, Some((start, end)));
-        let util = out.utilization.expect("window inside the run");
-        Table2Side {
-            label: p.label(),
-            ps_hosts: mean_utilization(&util, &ps_hosts),
-            worker_hosts: mean_utilization(&util, &worker_hosts),
-            all_hosts: mean_utilization(&util, &all_hosts),
-        }
-    });
+    let measure_cfg = cfg.clone();
+    let sides = run_sweep(
+        "table2",
+        &format!(
+            "cfg={};placement={};window={start:?}..{end:?}",
+            serde_json::to_string(cfg).expect("config serializes"),
+            index.0
+        ),
+        opts,
+        PolicyKind::all().to_vec(),
+        key,
+        move |p| {
+            let out = run_grid_search(&measure_cfg, &placement, p, 4, Some((start, end)));
+            let util = out.utilization.expect("window inside the run");
+            Table2Side {
+                label: p.label().to_string(),
+                ps_hosts: mean_utilization(&util, &ps_hosts),
+                worker_hosts: mean_utilization(&util, &worker_hosts),
+                all_hosts: mean_utilization(&util, &all_hosts),
+            }
+        },
+    )
+    .expect_complete();
 
     let fifo = sides[0].clone();
     let mut normalized = Vec::new();
@@ -177,7 +208,8 @@ mod tests {
     fn tensorlights_improves_utilization() {
         let mut cfg = ExperimentConfig::quick();
         cfg.iterations = 60; // long enough for a meaningful window
-        let t = run(&cfg, Table1Index(1)).expect("60 iterations leave a window");
+        let t = run(&cfg, Table1Index(1), &SweepOptions::default())
+            .expect("60 iterations leave a window");
         assert_eq!(t.sides.len(), 3);
         // Under heavy contention, TLs should not hurt utilization; network
         // utilization should improve.
@@ -197,7 +229,8 @@ mod tests {
     fn runs_too_short_for_a_window_are_an_error() {
         let mut cfg = ExperimentConfig::quick();
         cfg.iterations = 2;
-        let err = run(&cfg, Table1Index(1)).expect_err("two iterations end before the last launch");
+        let err = run(&cfg, Table1Index(1), &SweepOptions::default())
+            .expect_err("two iterations end before the last launch");
         assert!(matches!(err, Table2Error::RunsTooShort { start, end } if end <= start));
         assert!(err
             .to_string()

@@ -456,23 +456,11 @@ fn run_scenario(ecfg: &ExperimentConfig, sc: &Scenario) -> ScenarioRow {
     row
 }
 
-/// Run the differential sweep: every scenario through both backends.
-/// Panics if any scenario cell fails outright (engine errors are still
-/// per-row data, not failures); `repro` uses [`run_with`] and degrades.
-pub fn run(master: &ExperimentConfig) -> ValidateResult {
-    let (result, records) = run_with(master, &SweepOptions::ephemeral());
-    if let Some(bad) = records.iter().find(|c| !c.outcome.is_ok()) {
-        panic!("validate cell {} — {}", bad.label, bad.outcome);
-    }
-    result
-}
-
-/// [`run`] through the crash-safe orchestrator: per-scenario isolation,
-/// optional checkpoint ledger, and the per-cell audit trail.
-pub fn run_with(
-    master: &ExperimentConfig,
-    opts: &SweepOptions,
-) -> (ValidateResult, Vec<CellRecord>) {
+/// Run the differential sweep through the crash-safe orchestrator: every
+/// scenario through both backends, isolated per scenario, with an optional
+/// checkpoint ledger and the per-cell audit trail. Engine errors are
+/// per-row data, not cell failures.
+pub fn run(master: &ExperimentConfig, opts: &SweepOptions) -> (ValidateResult, Vec<CellRecord>) {
     let ecfg = scenario_cfg(master);
     let context = format!(
         "cfg={};tol={TOL_REL_HEALTHY}/{TOL_REL_FAULTED}/{TOL_ABS_SECS}",
@@ -705,7 +693,7 @@ mod tests {
     #[test]
     fn sweep_passes_and_serializes() {
         let cfg = ExperimentConfig::quick();
-        let r = run(&cfg);
+        let (r, _) = run(&cfg, &SweepOptions::default());
         assert_eq!(r.rows.len(), NUM_SCENARIOS);
         for row in &r.rows {
             assert!(

@@ -149,3 +149,46 @@ fn failed_cell_exits_4_then_resume_recovers_to_0() {
 
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+#[test]
+fn failed_figure_cell_exits_4_then_resume_matches_an_uninterrupted_run() {
+    // Figures run their grids through the orchestrator too: an injected
+    // panic in one Figure 6 cell drains the rest, exits 4 with the cell
+    // checkpointed as failed, and a resume re-runs only that cell.
+    let dir = temp_dir("fig6");
+    let fig6 = |dir: &std::path::Path, extra: &[&str], inject: Option<&str>| {
+        let mut cmd = repro();
+        cmd.args(["--experiment", "fig6", "--iterations", "20", "--json"])
+            .arg(dir)
+            .args(extra);
+        if let Some(spec) = inject {
+            cmd.env("TL_SWEEP_PANIC_AT", spec);
+        }
+        cmd.output().unwrap()
+    };
+
+    let out = fig6(&dir, &[], Some("fig6:1"));
+    assert_eq!(out.status.code(), Some(4));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("did not complete") && stderr.contains("injected test fault"),
+        "per-cell failure report missing: {stderr}"
+    );
+    let ledger = std::fs::read_to_string(dir.join("fig6.cells.jsonl")).unwrap();
+    assert!(ledger.contains("\"Panicked\""), "failure checkpointed in the ledger");
+
+    let out = fig6(&dir, &["--resume"], None);
+    assert_eq!(out.status.code(), Some(0), "resume after the fault cleared must pass");
+
+    let fresh = temp_dir("fig6-ref");
+    let out = fig6(&fresh, &[], None);
+    assert_eq!(out.status.code(), Some(0));
+    assert!(
+        std::fs::read(dir.join("fig6.json")).unwrap()
+            == std::fs::read(fresh.join("fig6.json")).unwrap(),
+        "resumed fig6.json differs from an uninterrupted run's"
+    );
+
+    std::fs::remove_dir_all(&dir).unwrap();
+    std::fs::remove_dir_all(&fresh).unwrap();
+}

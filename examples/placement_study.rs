@@ -6,7 +6,7 @@
 //! ```
 
 use tl_cluster::Table1Index;
-use tl_experiments::{parallel_map, run_table1, ExperimentConfig, PolicyKind};
+use tl_experiments::{run_sweep, run_table1, ExperimentConfig, PolicyKind, SweepOptions};
 
 fn main() {
     let iterations: u64 = std::env::args()
@@ -24,7 +24,16 @@ fn main() {
             tasks.push((idx, p));
         }
     }
-    let outs = parallel_map(tasks, |(idx, p)| run_table1(&cfg, idx, p).mean_jct_secs());
+    let context = serde_json::to_string(&cfg).expect("config serializes");
+    let outs = run_sweep(
+        "placement_study",
+        &context,
+        &SweepOptions::default(),
+        tasks,
+        |(idx, p)| format!("placement=#{},policy={}", idx.0, p.label()),
+        move |(idx, p)| run_table1(&cfg, idx, p).mean_jct_secs(),
+    )
+    .expect_complete();
     for (k, idx) in Table1Index::all().into_iter().enumerate() {
         let fifo = outs[3 * k];
         let one = outs[3 * k + 1];

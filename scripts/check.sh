@@ -90,19 +90,44 @@ if [[ "${1:-}" != "fast" ]]; then
     cmp "$tmp/scale/scale.canonical.json" results/json/scale.canonical.json
 
     # Paper-artifact oracle: regenerate every paper table and figure at the
-    # default 300 iterations and compare each CSV that has a committed copy
-    # in results/csv/ byte for byte. All eight paper CSVs must be present.
-    echo "==> paper CSVs vs committed results/csv/"
-    ./target/release/repro --experiment all --csv "$tmp/paper" > /dev/null
+    # default 300 iterations and compare each CSV and JSON that has a
+    # committed copy in results/ byte for byte. All eight paper CSVs and
+    # the six gated paper JSONs must be present.
+    # Not compared, with the reason:
+    #   fig2.json, fig5a.json — per-job JCTs drift by ~1 ns against their
+    #   older committed copies (the CSVs round it away); explaining and
+    #   re-baselining them is open in ROADMAP.md ("one artifact gate").
+    echo "==> paper CSVs and JSONs vs committed results/"
+    ./target/release/repro --experiment all --csv "$tmp/paper" --json "$tmp/paper" > /dev/null
     compared=0
-    for f in "$tmp"/paper/*.csv; do
-        ref="results/csv/$(basename "$f")"
+    for f in "$tmp"/paper/*.csv "$tmp"/paper/*.json; do
+        name="$(basename "$f")"
+        case "$name" in fig2.json | fig5a.json) continue ;; esac
+        ref="results/${name##*.}/$name"
         [[ -f "$ref" ]] || continue
         cmp "$f" "$ref"
         compared=$((compared + 1))
     done
-    [[ "$compared" -ge 8 ]] || {
-        echo "expected the 8 paper CSVs to have committed copies, compared $compared"; exit 1
+    [[ "$compared" -ge 14 ]] || {
+        echo "expected 8 paper CSVs + 6 JSONs with committed copies, compared $compared"; exit 1
+    }
+
+    # Ablation-artifact oracle: regenerate all fifteen ablations (80
+    # iterations) and compare their 15 CSVs and 15 JSONs with the
+    # committed copies in results/ byte for byte (~100 s on two cores).
+    echo "==> ablation CSVs and JSONs vs committed results/"
+    ./target/release/repro --experiment ablations --csv "$tmp/ablations" \
+        --json "$tmp/ablations" > /dev/null
+    compared=0
+    for f in "$tmp"/ablations/*.csv "$tmp"/ablations/*.json; do
+        name="$(basename "$f")"
+        ref="results/${name##*.}/$name"
+        [[ -f "$ref" ]] || continue
+        cmp "$f" "$ref"
+        compared=$((compared + 1))
+    done
+    [[ "$compared" -ge 30 ]] || {
+        echo "expected 30 ablation files with committed copies, compared $compared"; exit 1
     }
 
     # Fabric smoke: the full policy x oversubscription x pattern grid on
@@ -132,14 +157,16 @@ if [[ "${1:-}" != "fast" ]]; then
     grep -q '"critical_path"' "$tmp/explain/explain.json"
     grep -q '"alloc.solve"' "$tmp/explain/profile.json"
 
-    # Orchestrator routing: every sweep module must run its cells through
-    # the crash-safe orchestrator (per-cell isolation + checkpoint ledger),
-    # not bare parallel_map.
-    echo "==> orchestrator routing check"
-    for s in scale fabric validate faults explain; do
-        grep -q 'orchestrator::run_sweep' "crates/experiments/src/$s.rs" \
-            || { echo "sweep $s does not route through the orchestrator"; exit 1; }
-    done
+    # One cell executor: the orchestrator owns the only thread pool in the
+    # experiments crate, so every grid gets its per-cell isolation,
+    # checkpoint ledger and timeouts. No other source file may start
+    # threads.
+    echo "==> one cell executor check"
+    spawners="$(grep -rlE 'thread::(scope|spawn|Builder)' crates/experiments/src \
+        | grep -v '^crates/experiments/src/orchestrator\.rs$' || true)"
+    [[ -z "$spawners" ]] || {
+        echo "threads started outside orchestrator.rs: $spawners"; exit 1
+    }
 
     # Crash-and-resume smoke: inject a panic into one scale cell — repro
     # must drain the sweep, report the cell, and exit 4 with the surviving

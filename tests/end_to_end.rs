@@ -3,7 +3,9 @@
 //! shape.
 
 use tl_cluster::Table1Index;
-use tl_experiments::{config::ExperimentConfig, fig2, fig3, fig4, fig5, fig6, table1};
+use tl_experiments::{
+    config::ExperimentConfig, fig2, fig3, fig4, fig5, fig6, table1, SweepOptions,
+};
 
 #[test]
 fn table1_is_the_paper_table() {
@@ -16,7 +18,12 @@ fn table1_is_the_paper_table() {
 #[test]
 fn fig2_shape_holds() {
     let cfg = ExperimentConfig::quick();
-    let f = fig2::run(&cfg, &[Table1Index(1), Table1Index(4), Table1Index(8)]);
+    let opts = SweepOptions::default();
+    let f = fig2::run(
+        &cfg,
+        &[Table1Index(1), Table1Index(4), Table1Index(8)],
+        &opts,
+    );
     // Monotone trend: more colocation, worse mean JCT.
     assert!(f.rows[0].mean_jct > f.rows[1].mean_jct);
     assert!(f.rows[1].mean_jct >= f.rows[2].mean_jct * 0.95);
@@ -26,7 +33,7 @@ fn fig2_shape_holds() {
 #[test]
 fn fig3_shape_holds() {
     let cfg = ExperimentConfig::quick();
-    let f = fig3::run(&cfg);
+    let f = fig3::run(&cfg, &SweepOptions::default());
     assert!(f.mean_ratio > 1.5 && f.mean_ratio < 10.0);
     assert!(f.var_ratio > 1.5 && f.var_ratio < 20.0);
 }
@@ -44,7 +51,8 @@ fn fig4_shape_holds() {
 #[test]
 fn fig5a_shape_holds() {
     let cfg = ExperimentConfig::quick();
-    let f = fig5::run_5a(&cfg, &[Table1Index(1), Table1Index(6)]);
+    let opts = SweepOptions::default();
+    let f = fig5::run_5a(&cfg, &[Table1Index(1), Table1Index(6)], &opts);
     // Gains concentrate in the contended placement.
     assert!(f.rows[0].tls_one.mean < 0.85);
     assert!(f.rows[1].tls_one.mean > 0.9);
@@ -58,7 +66,7 @@ fn fig5a_shape_holds() {
 #[test]
 fn fig6_shape_holds() {
     let cfg = ExperimentConfig::quick();
-    let f = fig6::run(&cfg);
+    let f = fig6::run(&cfg, &SweepOptions::default());
     // Variance reduction is the headline; both TLs variants deliver it.
     assert!(f.var_mean_reduction.0 > 0.1);
     assert!(f.var_mean_reduction.1 > 0.1);

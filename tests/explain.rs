@@ -8,7 +8,7 @@ use tl_dl::{
     BarrierLossPolicy, ComputeModel, FaultPlan, JobId, JobSpec, ModelSpec, SimConfig, SimOutput,
     Simulation, TopologySpec, TrainingMode,
 };
-use tl_experiments::{explain, ExperimentConfig, PolicyKind};
+use tl_experiments::{explain, ExperimentConfig, PolicyKind, SweepOptions};
 use tl_net::{HostId, Topology};
 
 fn tiny_cfg() -> ExperimentConfig {
@@ -34,8 +34,16 @@ fn explain_sweep_is_identical_on_one_and_four_workers() {
     // The sweep's thread count must not leak into results: strictly
     // sequential and 4-way parallel runs serialize to the same bytes.
     let cfg = tiny_cfg();
-    let seq = explain::run_with_workers(&cfg, true, Some(1));
-    let par = explain::run_with_workers(&cfg, true, Some(4));
+    let sweep = |workers| {
+        let opts = SweepOptions {
+            workers: Some(workers),
+            ..SweepOptions::default()
+        };
+        let (result, cells) = explain::run(&cfg, true, &opts);
+        assert!(cells.iter().all(|c| c.outcome.is_ok()), "{cells:?}");
+        result
+    };
+    let (seq, par) = (sweep(1), sweep(4));
     let a = serde_json::to_string_pretty(&seq).expect("json");
     let b = serde_json::to_string_pretty(&par).expect("json");
     assert_eq!(a, b);
