@@ -1,10 +1,11 @@
 //! Overhead of the analysis layer and the engine self-profiler.
 //!
 //! The contract is zero-cost-when-disabled: `baseline` (no telemetry, no
-//! profiler) must match `telemetry_overhead/disabled` in
-//! `BENCH_telemetry.json` within noise — the profiler hooks on the event
+//! profiler) must match `telemetry_overhead/disabled` from the
+//! `telemetry` bench within noise — the profiler hooks on the event
 //! queue, allocator, and handler loop compile down to a `None` check when
-//! off. `profile_on` prices those hooks when live, `events_and_explain`
+//! off (end-to-end baselines: the "Baselines" tables of
+//! `crates/bench/src/bin/tl-benchmark/README.md`). `profile_on` prices those hooks when live, `events_and_explain`
 //! prices full event capture plus a complete [`tl_analysis::explain`]
 //! pass, and `explain_only` isolates the analyzer itself on a pre-captured
 //! stream.

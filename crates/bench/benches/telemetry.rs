@@ -1,8 +1,10 @@
 //! Overhead of the telemetry layer on the hot simulation loop.
 //!
 //! The contract is zero-cost-when-disabled: a grid-search run with
-//! telemetry disabled must match the un-instrumented PR-1 numbers in
-//! `BENCH_incremental_maxmin.json` (within noise). The enabled variants
+//! telemetry disabled must cost what the same run costs in the
+//! repository benchmark, whose end-to-end baselines are the "Baselines"
+//! tables of `crates/bench/src/bin/tl-benchmark/README.md` (within
+//! noise). The enabled variants
 //! quantify what full event capture and metrics sampling cost, so future
 //! changes can't silently put allocations on the disabled path.
 

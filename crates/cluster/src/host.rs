@@ -11,7 +11,7 @@ use serde::{Deserialize, Serialize};
 pub struct HostSpec {
     /// Effective parallel compute capacity in cores (hardware threads).
     pub cores: f64,
-    /// Memory in GiB (used by the resource manager for admission checks).
+    /// Memory in GiB (descriptive: the simulator does not model memory).
     pub ram_gib: f64,
 }
 

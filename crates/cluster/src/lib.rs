@@ -9,8 +9,6 @@
 //!   threads contend, exactly as in §III);
 //! * [`placement`] — Table I placement generation plus general strategies
 //!   (colocated / spread / random);
-//! * [`manager::ResourceManager`] — a functionality-agnostic scheduler
-//!   front-end that validates and materializes placements;
 //! * [`monitor`] — Table II's active-window utilization measurement over
 //!   simulator counters instead of vmstat/ifstat.
 
@@ -18,13 +16,11 @@
 
 pub mod cpu;
 pub mod host;
-pub mod manager;
 pub mod monitor;
 pub mod placement;
 
 pub use cpu::{CompletedTask, CpuEngine, CpuTaskId};
 pub use host::HostSpec;
-pub use manager::{PlacementError, ResourceManager, TaskAssignment, TaskRole};
 pub use monitor::{
     mean_utilization, record_utilization, snapshot, utilization_between, HostUtilization,
     ResourceSnapshot,

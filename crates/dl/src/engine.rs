@@ -57,21 +57,17 @@ pub struct SimConfig {
     pub active_window: Option<(SimTime, SimTime)>,
     /// Hard stop; jobs unfinished by then report `completion: None`.
     pub max_sim_time: SimTime,
-    /// Record typed telemetry events (debugging / Figure-4 narratives /
-    /// Chrome-trace export). See [`SimOutput::telemetry`].
-    pub trace: bool,
+    /// What the telemetry layer collects: typed events (debugging /
+    /// Figure-4 narratives / Chrome-trace export) and, on its
+    /// `metrics_interval` cadence, the metrics registry's timeseries
+    /// (per-host utilization, allocator counters, per-job progress). See
+    /// [`SimOutput::telemetry`]. Sampling stops when the last job
+    /// completes.
+    pub telemetry: TelemetryConfig,
     /// If set, every model-update flow is additionally capped at this rate
     /// (bytes/sec) at the sender — models the paper's §VII alternative of
     /// explicit sender rate allocation instead of work-conserving priority.
     pub model_update_rate_cap: Option<f64>,
-    /// If set, record per-host utilization averaged over consecutive
-    /// intervals of this length (a utilization time series, as `ifstat`
-    /// would report). Sampling stops when the last job completes.
-    pub sample_interval: Option<simcore::SimDuration>,
-    /// If set, sample the telemetry metrics registry (host utilization
-    /// gauges, allocator counters, per-job progress) on this cadence into
-    /// timeseries exported via [`SimOutput::telemetry`].
-    pub metrics_interval: Option<simcore::SimDuration>,
     /// Optional switch-fabric aggregate capacity (an oversubscribed core);
     /// `None` keeps the paper's non-blocking switch.
     pub core_capacity: Option<Bandwidth>,
@@ -124,10 +120,8 @@ impl Default for SimConfig {
             seed: 1,
             active_window: None,
             max_sim_time: SimTime::from_secs(7 * 24 * 3600),
-            trace: false,
+            telemetry: TelemetryConfig::disabled(),
             model_update_rate_cap: None,
-            sample_interval: None,
-            metrics_interval: None,
             core_capacity: None,
             topology: TopologySpec::SingleSwitch,
             pattern: TrafficPattern::PsStar,
@@ -221,17 +215,6 @@ impl JobResult {
     }
 }
 
-/// One point of the utilization time series.
-#[derive(Debug, Clone)]
-pub struct UtilizationSample {
-    /// End of the averaging interval.
-    pub at: SimTime,
-    /// Mean utilization per host over the interval just ended.
-    pub per_host: Vec<HostUtilization>,
-    /// Global step of each job at the sample instant (progress fairness).
-    pub job_progress: Vec<u64>,
-}
-
 /// Everything a simulation run produces.
 #[derive(Debug)]
 pub struct SimOutput {
@@ -241,8 +224,6 @@ pub struct SimOutput {
     pub window_snapshots: Option<(ResourceSnapshot, ResourceSnapshot)>,
     /// Per-host utilization over the active window, when available.
     pub utilization: Option<Vec<HostUtilization>>,
-    /// Utilization time series (empty unless `SimConfig::sample_interval`).
-    pub samples: Vec<UtilizationSample>,
     /// When the simulation stopped.
     pub end_time: SimTime,
     /// Total events processed (progress/perf metric).
@@ -250,8 +231,8 @@ pub struct SimOutput {
     /// Rate-allocator performance counters for the whole run (invocations,
     /// components solved vs retained, rounds, flows touched, wall time).
     pub alloc_stats: AllocStats,
-    /// Structured telemetry: typed events (empty unless `SimConfig::trace`)
-    /// and metric timeseries (empty unless `SimConfig::metrics_interval`).
+    /// Structured telemetry: typed events and metric timeseries, each
+    /// empty unless [`SimConfig::telemetry`] asks for it.
     /// Export with [`TelemetryOutput::to_jsonl`] /
     /// [`TelemetryOutput::to_chrome_trace`] / [`TelemetryOutput::metrics_json`].
     pub telemetry: TelemetryOutput,
@@ -302,7 +283,6 @@ enum Ev {
     PolicyUpdate,
     SnapshotStart,
     SnapshotEnd,
-    Sample,
     MetricsSample,
     /// Apply `timeline[i]` (a compiled fault action).
     Fault(usize),
@@ -518,8 +498,6 @@ struct Sim<'a, N: NetBackend> {
     weight_noise: UnitLogNormal,
     snap_start: Option<ResourceSnapshot>,
     snap_end: Option<ResourceSnapshot>,
-    last_sample: Option<ResourceSnapshot>,
-    samples: Vec<UtilizationSample>,
     done_count: usize,
     telemetry: Telemetry,
     metrics_prev: Option<ResourceSnapshot>,
@@ -567,7 +545,6 @@ impl std::fmt::Debug for PolicyHolder<'_> {
 /// # let setups = vec![];
 /// let out = Simulation::new(SimConfig::default())
 ///     .jobs(setups)
-///     .trace(false)
 ///     .run();
 /// assert!(out.all_complete());
 /// ```
@@ -624,18 +601,10 @@ impl<'p> Simulation<'p> {
         self
     }
 
-    /// Enable or disable event tracing (overrides `cfg.trace`).
-    pub fn trace(mut self, enabled: bool) -> Self {
-        self.cfg.trace = enabled;
-        self
-    }
-
-    /// Configure the structured telemetry layer in one call: `spec.events`
-    /// overrides `cfg.trace` and `spec.metrics_interval` overrides
-    /// `cfg.metrics_interval`.
+    /// Configure the structured telemetry layer (overrides
+    /// `cfg.telemetry`).
     pub fn telemetry(mut self, spec: TelemetryConfig) -> Self {
-        self.cfg.trace = spec.events;
-        self.cfg.metrics_interval = spec.metrics_interval;
+        self.cfg.telemetry = spec;
         self
     }
 
@@ -777,11 +746,7 @@ fn run_with_net<N: NetBackend>(
         queue.schedule(a, Ev::SnapshotStart);
         queue.schedule(b, Ev::SnapshotEnd);
     }
-    if let Some(dt) = cfg.sample_interval {
-        assert!(!dt.is_zero(), "sample interval must be positive");
-        queue.schedule(SimTime::ZERO + dt, Ev::Sample);
-    }
-    if let Some(dt) = cfg.metrics_interval {
+    if let Some(dt) = cfg.telemetry.metrics_interval {
         assert!(!dt.is_zero(), "metrics interval must be positive");
         queue.schedule(SimTime::ZERO + dt, Ev::MetricsSample);
     }
@@ -799,10 +764,7 @@ fn run_with_net<N: NetBackend>(
         Profiler::disabled()
     };
     queue.set_profiler(profiler.clone());
-    let mut telemetry = Telemetry::from_config(TelemetryConfig {
-        events: cfg.trace,
-        metrics_interval: cfg.metrics_interval,
-    });
+    let mut telemetry = Telemetry::from_config(cfg.telemetry);
     telemetry.set_profiler(profiler.clone());
 
     let jobs: Vec<JobRt> = setups
@@ -929,8 +891,6 @@ fn run_with_net<N: NetBackend>(
         weight_noise,
         snap_start: None,
         snap_end: None,
-        last_sample: None,
-        samples: Vec::new(),
         done_count: 0,
         telemetry,
         metrics_prev: None,
@@ -973,7 +933,6 @@ impl<'a, N: NetBackend> Sim<'a, N> {
                     self.cpu.advance(t);
                     self.snap_end = Some(monitor::snapshot(t, &self.cpu, self.net.egress_bytes(), self.net.ingress_bytes()));
                 }
-                Ev::Sample => self.on_sample(t),
                 Ev::MetricsSample => self.on_metrics_sample(t),
             }
             // Same-timestamp batching: while more events are queued at
@@ -1006,7 +965,6 @@ impl<'a, N: NetBackend> Sim<'a, N> {
         };
         let events = self.queue.events_processed();
         Ok(SimOutput {
-            samples: self.samples,
             jobs: self
                 .jobs
                 .into_iter()
@@ -1821,26 +1779,6 @@ impl<'a, N: NetBackend> Sim<'a, N> {
         self.refresh_policy(now);
     }
 
-    fn on_sample(&mut self, now: SimTime) {
-        self.net.advance(now);
-        self.cpu.advance(now);
-        let snap = monitor::snapshot(now, &self.cpu, self.net.egress_bytes(), self.net.ingress_bytes());
-        if let Some(prev) = self.last_sample.take() {
-            let specs = self.cfg.host_specs(self.net.topology().num_hosts());
-            self.samples.push(UtilizationSample {
-                at: now,
-                per_host: monitor::utilization_between(&prev, &snap, &specs, self.net.topology()),
-                job_progress: self.jobs.iter().map(|j| j.global_steps).collect(),
-            });
-        }
-        self.last_sample = Some(snap);
-        // Keep sampling while any job is still running.
-        if self.done_count < self.jobs.len() {
-            let dt = self.cfg.sample_interval.expect("sampling configured");
-            self.queue.schedule(now + dt, Ev::Sample);
-        }
-    }
-
     /// Sample the telemetry metrics registry: per-host utilization gauges
     /// over the interval just ended, cumulative allocator counters, and
     /// per-job progress gauges.
@@ -1862,6 +1800,7 @@ impl<'a, N: NetBackend> Sim<'a, N> {
                 Some(prev) => {
                     let dt = self
                         .cfg
+                        .telemetry
                         .metrics_interval
                         .expect("metrics configured")
                         .as_secs_f64();
@@ -1887,18 +1826,7 @@ impl<'a, N: NetBackend> Sim<'a, N> {
             if let Some(util) = &util {
                 monitor::record_utilization(reg, util);
             }
-            // The wall-clock field (`wall_nanos`) stays out: exported
-            // metrics must be deterministic.
-            for (name, v) in [
-                ("alloc.invocations", alloc.invocations),
-                ("alloc.full_solves", alloc.full_solves),
-                ("alloc.components_solved", alloc.components_solved),
-                ("alloc.components_retained", alloc.components_retained),
-                ("alloc.rounds", alloc.rounds),
-                ("alloc.freeze_rounds", alloc.freeze_rounds),
-                ("alloc.links_touched", alloc.links_touched),
-                ("alloc.flows_touched", alloc.flows_touched),
-            ] {
+            for (name, v) in alloc.counters() {
                 let id = reg.register(name, MetricKind::Counter);
                 reg.set(id, v as f64);
             }
@@ -1913,7 +1841,7 @@ impl<'a, N: NetBackend> Sim<'a, N> {
             reg.sample(now);
         });
         if self.done_count < self.jobs.len() {
-            let dt = self.cfg.metrics_interval.expect("metrics configured");
+            let dt = self.cfg.telemetry.metrics_interval.expect("metrics configured");
             self.queue.schedule(now + dt, Ev::MetricsSample);
         }
     }
@@ -2921,7 +2849,7 @@ mod tests {
     fn trace_records_job_lifecycle() {
         let mut policy = FifoPolicy;
         let mut cfg = fast_cfg();
-        cfg.trace = true;
+        cfg.telemetry = TelemetryConfig::events();
         let out = Simulation::new(cfg)
             .jobs(small_setup(2))
             .policy_ref(&mut policy)
@@ -2972,26 +2900,46 @@ mod tests {
                 simcore::SimDuration::from_millis(50),
             ))
             .run();
-        let mut names: Vec<&str> = out
+        let names: Vec<&str> = out
             .telemetry
             .metrics
             .entries()
             .map(|(name, _, _)| name)
             .filter(|name| name.starts_with("alloc."))
             .collect();
-        names.sort_unstable();
+        let table: Vec<&str> = AllocStats::default()
+            .counters()
+            .iter()
+            .map(|&(name, _)| name)
+            .collect();
+        assert_eq!(names, table);
+        assert!(!names.iter().any(|n| n.contains("wall")));
+    }
+
+    #[test]
+    fn telemetry_config_field_matches_the_builder() {
+        // `SimConfig::telemetry` is the switch itself: setting the field
+        // collects exactly what the builder override collects.
+        let spec = TelemetryConfig::full(simcore::SimDuration::from_millis(50));
+        let mut cfg = fast_cfg();
+        cfg.telemetry = spec;
+        let mut policy = FifoPolicy;
+        let by_field = Simulation::new(cfg)
+            .jobs(small_setup(2))
+            .policy_ref(&mut policy)
+            .run();
+        let mut policy = FifoPolicy;
+        let by_builder = Simulation::new(fast_cfg())
+            .jobs(small_setup(2))
+            .policy_ref(&mut policy)
+            .telemetry(spec)
+            .run();
+        assert!(!by_field.telemetry.events.is_empty());
+        assert!(!by_field.telemetry.metrics.is_empty());
+        assert_eq!(by_field.telemetry.to_jsonl(), by_builder.telemetry.to_jsonl());
         assert_eq!(
-            names,
-            [
-                "alloc.components_retained",
-                "alloc.components_solved",
-                "alloc.flows_touched",
-                "alloc.freeze_rounds",
-                "alloc.full_solves",
-                "alloc.invocations",
-                "alloc.links_touched",
-                "alloc.rounds",
-            ]
+            by_field.telemetry.metrics_json(),
+            by_builder.telemetry.metrics_json()
         );
     }
 
@@ -3069,8 +3017,11 @@ mod sampling_tests {
     use tensorlights::FifoPolicy;
     use tl_net::HostId;
 
-    #[test]
-    fn sampling_records_a_time_series() {
+    const INTERVAL: SimDuration = SimDuration::from_millis(200);
+
+    /// One 20-step job (PS on host 0, workers on hosts 1–2) that runs for
+    /// several sampling intervals.
+    fn run_sampled(telemetry: TelemetryConfig) -> SimOutput {
         let setups = vec![JobSetup {
             spec: JobSpec {
                 id: JobId(0),
@@ -3085,62 +3036,78 @@ mod sampling_tests {
             },
             placement: JobPlacement::new(HostId(0), vec![HostId(1), HostId(2)]),
         }];
-        let mut cfg = SimConfig {
+        let cfg = SimConfig {
             compute: ComputeModel {
                 per_sample_core_secs: 0.05,
                 ..Default::default()
             },
+            telemetry,
             ..Default::default()
         };
-        cfg.sample_interval = Some(SimDuration::from_millis(200));
         let mut policy = FifoPolicy;
         let out = Simulation::new(cfg)
             .jobs(setups)
             .policy_ref(&mut policy)
             .run();
         assert!(out.all_complete());
-        assert!(out.samples.len() >= 3, "got {} samples", out.samples.len());
-        // Timestamps are strictly increasing and interval-spaced.
-        assert!(out
-            .samples
-            .windows(2)
-            .all(|w| w[1].at.since(w[0].at) == SimDuration::from_millis(200)));
+        out
+    }
+
+    #[test]
+    fn sampling_records_a_time_series() {
+        let out = run_sampled(TelemetryConfig::metrics(INTERVAL));
+        let reg = &out.telemetry.metrics;
+        let egress = reg.series(reg.lookup("host0.net_out").expect("PS egress gauge"));
+        assert!(egress.len() >= 3, "got {} samples", egress.len());
         // Utilization is a valid fraction and the PS egress was used.
-        let mut saw_egress = false;
-        for s in &out.samples {
-            assert_eq!(s.per_host.len(), 3);
-            for h in &s.per_host {
-                assert!(h.net_out >= -1e-9 && h.net_out <= 1.0 + 1e-9);
-            }
-            if s.per_host[0].net_out > 0.2 {
-                saw_egress = true;
+        for h in 0..3 {
+            let id = reg.lookup(&format!("host{h}.net_out")).expect("egress gauge");
+            for &(_, u) in reg.series(id) {
+                assert!((-1e-9..=1.0 + 1e-9).contains(&u), "host{h} egress {u}");
             }
         }
-        assert!(saw_egress, "no sample saw PS egress traffic");
+        assert!(
+            egress.iter().any(|&(_, u)| u > 0.2),
+            "no sample saw PS egress traffic"
+        );
+    }
+
+    #[test]
+    fn metrics_series_start_on_their_first_full_interval() {
+        // Progress and counters are levels, recorded from the first tick;
+        // utilization averages over the interval behind a tick, so the
+        // first tick (with no interval behind it) has none.
+        let out = run_sampled(TelemetryConfig::metrics(INTERVAL));
+        let first = SimTime::ZERO + INTERVAL;
+        let mut hosts = 0;
+        for (name, _, series) in out.telemetry.metrics.entries() {
+            let start = if name.starts_with("host") {
+                hosts += 1;
+                for &(_, u) in series {
+                    assert!((-1e-9..=1.0 + 1e-9).contains(&u), "{name} = {u}");
+                }
+                first + INTERVAL
+            } else {
+                first
+            };
+            assert_eq!(series.first().map(|p| p.0), Some(start), "{name}");
+            assert!(
+                series.windows(2).all(|w| w[1].0.since(w[0].0) == INTERVAL),
+                "{name} is not interval-spaced"
+            );
+        }
+        assert_eq!(hosts, 9, "cpu, net_in and net_out for each of 3 hosts");
+        let steps = out.telemetry.metrics.lookup("job0.steps").expect("progress gauge");
+        let steps = out.telemetry.metrics.series(steps);
+        assert!(steps.windows(2).all(|w| w[0].1 <= w[1].1), "progress never falls");
     }
 
     #[test]
     fn sampling_disabled_means_no_samples() {
-        let setups = vec![JobSetup {
-            spec: JobSpec {
-                id: JobId(0),
-                model: ModelSpec::synthetic_mb(10),
-                num_workers: 2,
-                local_batch_size: 4,
-                target_global_steps: 4,
-                mode: TrainingMode::Synchronous,
-                launch_time: SimTime::ZERO,
-                ps_port: 2222,
-                pattern: None,
-            },
-            placement: JobPlacement::new(HostId(0), vec![HostId(1), HostId(2)]),
-        }];
-        let mut policy = FifoPolicy;
-        let out = Simulation::new(SimConfig::default())
-            .jobs(setups)
-            .policy_ref(&mut policy)
-            .run();
-        assert!(out.samples.is_empty());
+        // Events alone schedule no sampling tick and register no metric.
+        let out = run_sampled(TelemetryConfig::events());
+        assert!(!out.telemetry.events.is_empty());
+        assert!(out.telemetry.metrics.is_empty());
     }
 }
 
@@ -3334,7 +3301,7 @@ mod fault_tests {
                 per_sample_core_secs: 0.01,
                 ..Default::default()
             },
-            trace: true,
+            telemetry: TelemetryConfig::events(),
             ..Default::default()
         }
     }

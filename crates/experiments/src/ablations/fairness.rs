@@ -19,6 +19,7 @@ use serde::{Deserialize, Serialize};
 use simcore::SimDuration;
 use tl_cluster::{table1_placement, Table1Index};
 use tl_dl::Simulation;
+use tl_telemetry::TelemetryConfig;
 use tl_workloads::GridSearchConfig;
 
 /// One policy's progress-spread trajectory.
@@ -59,20 +60,28 @@ pub fn run(cfg: &ExperimentConfig, sample_secs: f64, opts: &SweepOptions) -> Fai
             let target = wl.target_global_steps as f64;
             let setups = wl.build(&placement);
             let mut sim_cfg = cfg.sim_config();
-            sim_cfg.sample_interval = Some(SimDuration::from_secs_f64(sample_secs));
+            sim_cfg.telemetry = TelemetryConfig::metrics(SimDuration::from_secs_f64(sample_secs));
             let mut p = policy.build(&cfg);
             let out = Simulation::new(sim_cfg)
                 .jobs(setups)
                 .policy_ref(p.as_mut())
                 .run();
             assert!(out.all_complete());
-            let spread_series: Vec<(f64, f64)> = out
-                .samples
-                .iter()
-                .map(|s| {
-                    let max = *s.job_progress.iter().max().expect("jobs present");
-                    let min = *s.job_progress.iter().min().expect("jobs present");
-                    (s.at.as_secs_f64(), (max - min) as f64 / target)
+            // Every job's `steps` gauge shares the sampling ticks. The
+            // first tick has no interval behind it, so the spread series
+            // starts at the second, in step with the utilization gauges.
+            let reg = &out.telemetry.metrics;
+            let steps: Vec<_> = (0..wl.num_jobs)
+                .filter_map(|j| reg.lookup(&format!("job{j}.steps")))
+                .map(|id| reg.series(id))
+                .collect();
+            let ticks = steps.first().map_or(0, |s| s.len());
+            let spread_series: Vec<(f64, f64)> = (1..ticks)
+                .map(|k| {
+                    let at_k = steps.iter().map(|s| s[k].1);
+                    let max = at_k.clone().fold(f64::MIN, f64::max);
+                    let min = at_k.fold(f64::MAX, f64::min);
+                    (steps[0][k].0.as_secs_f64(), (max - min) / target)
                 })
                 .collect();
             FairnessSide {
@@ -126,5 +135,21 @@ mod tests {
             one.max_spread
         );
         assert!(s.table().render().contains("progress spread"));
+    }
+
+    #[test]
+    fn spread_series_starts_one_interval_in() {
+        // The first sampling tick has no interval behind it; the spread
+        // series starts at the second and keeps the sampling cadence.
+        let mut cfg = ExperimentConfig::quick();
+        cfg.iterations = 10;
+        let s = run(&cfg, 0.5, &SweepOptions::default());
+        for side in &s.sides {
+            let times: Vec<f64> = side.spread_series.iter().map(|&(t, _)| t).collect();
+            assert!(times.len() >= 2, "{}: {} samples", side.label, times.len());
+            assert_eq!(times[0], 1.0, "{}", side.label);
+            assert!(times.windows(2).all(|w| (w[1] - w[0] - 0.5).abs() < 1e-9));
+            assert!(side.spread_series.iter().all(|&(_, x)| (0.0..=1.0).contains(&x)));
+        }
     }
 }

@@ -17,6 +17,7 @@ use serde::{Deserialize, Serialize};
 use simcore::{SampleSet, SimDuration};
 use tl_cluster::{table1_placement, Table1Index};
 use tl_dl::Simulation;
+use tl_telemetry::TelemetryConfig;
 use tl_workloads::GridSearchConfig;
 
 /// One policy's egress-utilization time series at the PS host.
@@ -55,17 +56,21 @@ pub fn run(cfg: &ExperimentConfig, sample_ms: u64, opts: &SweepOptions) -> Timel
             let placement = table1_placement(Table1Index(1), 21, 21);
             let setups = GridSearchConfig::paper_scaled(cfg.iterations).build(&placement);
             let mut sim_cfg = cfg.sim_config();
-            sim_cfg.sample_interval = Some(SimDuration::from_millis(sample_ms));
+            sim_cfg.telemetry = TelemetryConfig::metrics(SimDuration::from_millis(sample_ms));
             let mut p = policy.build(&cfg);
             let out = Simulation::new(sim_cfg)
                 .jobs(setups)
                 .policy_ref(p.as_mut())
                 .run();
             assert!(out.all_complete());
-            let series: Vec<(f64, f64)> = out
-                .samples
+            // Utilization gauges start one tick in, once an interval lies
+            // behind the sample.
+            let reg = &out.telemetry.metrics;
+            let series: Vec<(f64, f64)> = reg
+                .lookup("host0.net_out")
+                .map_or(&[][..], |id| reg.series(id))
                 .iter()
-                .map(|s| (s.at.as_secs_f64(), s.per_host[0].net_out))
+                .map(|&(at, u)| (at.as_secs_f64(), u))
                 .collect();
             let mut stats = SampleSet::new();
             for &(_, u) in &series {
@@ -152,5 +157,21 @@ mod tests {
         let a = s.ascii(60);
         assert!(a.contains("FIFO") && a.contains("TLs-One"));
         assert!(s.table().render().contains("burstiness"));
+    }
+
+    #[test]
+    fn series_starts_one_interval_in() {
+        // Utilization averages over the interval behind a tick, so the
+        // series starts at the second tick and keeps the cadence.
+        let mut cfg = ExperimentConfig::quick();
+        cfg.iterations = 10;
+        let s = run(&cfg, 250, &SweepOptions::default());
+        for side in &s.sides {
+            let times: Vec<f64> = side.series.iter().map(|&(t, _)| t).collect();
+            assert!(times.len() >= 2, "{}: {} samples", side.label, times.len());
+            assert_eq!(times[0], 0.5, "{}", side.label);
+            assert!(times.windows(2).all(|w| (w[1] - w[0] - 0.25).abs() < 1e-9));
+            assert!(side.series.iter().all(|&(_, u)| (-1e-9..=1.0 + 1e-9).contains(&u)));
+        }
     }
 }

@@ -197,9 +197,9 @@ fn parse_args() -> Args {
                      --resume         load completed cells from the ledger; re-run only the rest\n\
                      --cell-timeout S abandon a sweep cell after S wall-clock seconds\n\
                      --max-failures N stop dispatching cells after N failures; skip the rest\n\
-                     --trace-out PATH     write telemetry as Chrome trace_event JSON (Perfetto);\n\
-                     \x20                    .jsonl extension switches to a JSONL event log\n\
-                     --metrics-out PATH   write sampled metrics timeseries JSON (perf)\n\
+                     --trace-out PATH     all|fig4|faults|validate|perf: write telemetry as Chrome\n\
+                     \x20                    trace_event JSON (Perfetto); .jsonl writes a JSONL event log\n\
+                     --metrics-out PATH   perf: write sampled metrics timeseries JSON\n\
                      --check-trace PATH   validate a Chrome trace file and exit (0 ok, 2 bad)\n\
                      --markdown FILE  also write all tables as one markdown report\n\
                      \n\
@@ -220,6 +220,24 @@ fn parse_args() -> Args {
     }
     if let Some(p) = pattern {
         cfg.pattern = p;
+    }
+    // Flags only some experiments honour: anywhere else they would exit 0
+    // with nothing written.
+    for (flag, given, honoured_by) in [
+        ("--metrics-out", metrics_out.is_some(), &["perf"][..]),
+        (
+            "--trace-out",
+            trace_out.is_some(),
+            &["all", "fig4", "faults", "validate", "perf"][..],
+        ),
+        ("--xl", xl, &["scale"][..]),
+    ] {
+        if given && !honoured_by.contains(&experiment.as_str()) {
+            usage_error(&format!(
+                "{flag} applies only to --experiment {}",
+                honoured_by.join(", ")
+            ));
+        }
     }
     if experiment == "faults" && cfg.pattern != tl_dl::TrafficPattern::PsStar {
         usage_error("--experiment faults models fault injection for the ps-star pattern only");
@@ -245,6 +263,16 @@ fn parse_args() -> Args {
         cell_timeout,
         max_failures,
     }
+}
+
+/// The allocator's exported counters as `name=value` pairs.
+fn counter_line(stats: &tl_net::AllocStats) -> String {
+    let pairs: Vec<String> = stats
+        .counters()
+        .iter()
+        .map(|(name, v)| format!("{name}={v}"))
+        .collect();
+    pairs.join(" ")
 }
 
 /// Validate a Chrome `trace_event` file without external tooling: it must
@@ -677,10 +705,7 @@ fn main() {
                 "cpu engine share of event handling: {:.1}%",
                 100.0 * rep.share_of("cpu.engine", "engine.handlers").unwrap_or(0.0)
             );
-            println!(
-                "allocator kernel counters: rounds={} freeze_rounds={} links_touched={}",
-                alloc.rounds, alloc.freeze_rounds, alloc.links_touched,
-            );
+            println!("allocator counters: {}", counter_line(&alloc));
             if let Some(dir) = &args.json_dir {
                 std::fs::create_dir_all(dir).expect("create json dir");
                 write_atomic(&dir.join("profile.json"), rep.to_json().as_bytes())
@@ -700,24 +725,13 @@ fn main() {
                 let t = std::time::Instant::now();
                 let out = run_table1(cfg, Table1Index(8), policy);
                 let wall = t.elapsed();
-                let s = out.alloc_stats;
                 println!(
-                    "  {:<8} events={} sim_wall={:.2?} | alloc: invocations={} \
-                     full_solves={} components_solved={} components_retained={} \
-                     rounds={} flows_touched={} alloc_wall={:.2?}\n\
-                     \x20          kernel: freeze_rounds={} links_touched={}",
+                    "  {:<8} events={} sim_wall={:.2?} alloc_wall={:.2?}\n           {}",
                     policy.label(),
                     out.events,
                     wall,
-                    s.invocations,
-                    s.full_solves,
-                    s.components_solved,
-                    s.components_retained,
-                    s.rounds,
-                    s.flows_touched,
-                    std::time::Duration::from_nanos(s.wall_nanos),
-                    s.freeze_rounds,
-                    s.links_touched,
+                    std::time::Duration::from_nanos(out.alloc_stats.wall_nanos),
+                    counter_line(&out.alloc_stats),
                 );
             }
             if args.trace_out.is_some() || args.metrics_out.is_some() {

@@ -95,10 +95,8 @@ impl ExperimentConfig {
             seed: self.seed,
             active_window: None,
             max_sim_time: SimTime::from_secs(14 * 24 * 3600),
-            trace: false,
+            telemetry: tl_telemetry::TelemetryConfig::disabled(),
             model_update_rate_cap: None,
-            sample_interval: None,
-            metrics_interval: None,
             core_capacity: None,
             host_spec_overrides: Vec::new(),
             faults: tl_dl::FaultPlan::default(),

@@ -162,9 +162,12 @@ pub fn run(
 /// Run one instrumented simulation (the 4:1 TLs-One cell) with the
 /// engine's self-profiler on and return the per-subsystem wall-time
 /// report plus the allocator's counters (so kernel-level regressions —
-/// freeze rounds, heap pops, stale-key skips — are diagnosable alongside
-/// the wall-time shares). Wall-clock values vary run to run; the report
-/// *shape* (slots, counts) and the allocator counters are deterministic.
+/// rounds, freeze rounds, links touched — are diagnosable alongside the
+/// wall-time shares; `repro --profile` prints [`AllocStats::counters`]).
+/// Wall-clock values vary run to run; the report *shape* (slots, counts)
+/// and the allocator counters are deterministic.
+///
+/// [`AllocStats::counters`]: tl_net::AllocStats::counters
 pub fn profile_cell(
     cfg: &ExperimentConfig,
     quick: bool,

@@ -63,9 +63,10 @@ fn run_one(
     Simulation::new(sim_cfg)
         .jobs(setups)
         .policy_ref(policy.as_mut())
-        .telemetry(TelemetryConfig {
-            events,
-            metrics_interval: None,
+        .telemetry(if events {
+            TelemetryConfig::events()
+        } else {
+            TelemetryConfig::disabled()
         })
         .run()
 }

@@ -122,7 +122,7 @@ pub fn run_cell(cfg: &ExperimentConfig, hosts: u32, jobs: u32, policy: PolicyKin
 /// [`run_cell`] with the engine self-profiler on; the per-subsystem
 /// wall-time report lands in [`SimOutput::profile`]. Used to check the
 /// profiler's allocator share against the `alloc_wall_ms` counter this
-/// sweep records (`BENCH_scale.json`).
+/// sweep records.
 pub fn run_cell_profiled(
     cfg: &ExperimentConfig,
     hosts: u32,
@@ -514,11 +514,12 @@ mod tests {
     }
 
     #[test]
-    #[ignore = "multi-second release-mode validation of BENCH_scale.json's allocator share; run with cargo test --release -- --ignored"]
+    #[ignore = "multi-second release-mode validation of the allocator share at 500x200; run with cargo test --release -- --ignored"]
     fn profiled_share_matches_bench_scale_at_500x200() {
-        // BENCH_scale.json records alloc_wall 1.60 s of 2.31 s total wall
-        // (~70%) at the largest cell. The profiler must reproduce that
-        // picture from inside the engine.
+        // The allocator is most of the handler time at the largest cell
+        // (`alloc.share` 0.62–0.76 on the flagship workloads in the
+        // "Baselines" tables of crates/bench/src/bin/tl-benchmark/README.md).
+        // The profiler must reproduce that picture from inside the engine.
         let cfg = ExperimentConfig {
             iterations: ITERS,
             ..ExperimentConfig::default()
@@ -537,7 +538,7 @@ mod tests {
         );
         assert!(
             (0.5..0.95).contains(&share),
-            "allocator share {share:.3} far from BENCH_scale.json's ~0.70"
+            "allocator share {share:.3} far from the benchmark's ~0.6-0.75"
         );
     }
 

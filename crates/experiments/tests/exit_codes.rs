@@ -96,6 +96,65 @@ fn faults_with_a_non_star_pattern_exits_2() {
 }
 
 #[test]
+fn flags_an_experiment_ignores_exit_2() {
+    // An output or size flag the chosen experiment would ignore is a
+    // usage error naming the experiments that honour it, never a silent
+    // exit 0 with no file written.
+    let dir = temp_dir("ignored-flags");
+    let out_file = dir.join("out.json");
+    let out_path = out_file.to_str().unwrap();
+    for (experiment, flag, honoured_by) in [
+        ("table1", "--metrics-out", "perf"),
+        ("fig4", "--metrics-out", "perf"),
+        ("all", "--metrics-out", "perf"),
+        ("table1", "--trace-out", "all, fig4, faults, validate, perf"),
+        ("fig2", "--trace-out", "all, fig4, faults, validate, perf"),
+        ("table1", "--xl", "scale"),
+        ("fabric", "--xl", "scale"),
+    ] {
+        let mut cmd = repro();
+        cmd.args(["--experiment", experiment, "--iterations", "3", flag]);
+        if flag != "--xl" {
+            cmd.arg(out_path);
+        }
+        let out = cmd.output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{experiment} {flag}: {stderr}");
+        assert!(
+            stderr.contains(flag) && stderr.contains(honoured_by),
+            "{experiment} {flag}: {stderr}"
+        );
+        assert!(!out_file.exists(), "{experiment} {flag} wrote a file");
+    }
+
+    // Where a flag is honoured it still works.
+    let out = repro()
+        .args(["--experiment", "perf", "--iterations", "3", "--metrics-out", out_path])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(0));
+    assert!(std::fs::read_to_string(&out_file).unwrap().contains("alloc.invocations"));
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn perf_and_profile_print_the_counter_table() {
+    // Both reports print every exported allocator counter, by the names
+    // `AllocStats::counters` gives them: once per policy for `perf`, once
+    // for the profiled cell.
+    let out = repro()
+        .args(["--experiment", "perf", "--iterations", "3", "--profile"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(0));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    for (name, _) in tl_net::AllocStats::default().counters() {
+        let printed = stdout.matches(&format!("{name}=")).count();
+        assert_eq!(printed, 4, "{name} printed {printed} times:\n{stdout}");
+    }
+}
+
+#[test]
 fn check_trace_rejects_invalid_utf8_with_exit_2() {
     let dir = temp_dir("utf8");
     let path = dir.join("trace.json");

@@ -109,6 +109,23 @@ struct KernelTally {
 }
 
 impl AllocStats {
+    /// The deterministic counters under their exported names, in export
+    /// order: the one list the telemetry registry, `repro --experiment
+    /// perf` and `repro --profile` all read. `wall_nanos` stays out, since
+    /// exported metrics must not depend on the machine that produced them.
+    pub fn counters(&self) -> [(&'static str, u64); 8] {
+        [
+            ("alloc.invocations", self.invocations),
+            ("alloc.full_solves", self.full_solves),
+            ("alloc.components_solved", self.components_solved),
+            ("alloc.components_retained", self.components_retained),
+            ("alloc.rounds", self.rounds),
+            ("alloc.freeze_rounds", self.freeze_rounds),
+            ("alloc.links_touched", self.links_touched),
+            ("alloc.flows_touched", self.flows_touched),
+        ]
+    }
+
     fn absorb(&mut self, t: KernelTally) {
         self.rounds += t.rounds;
         self.freeze_rounds += t.freeze_rounds;
@@ -1980,6 +1997,38 @@ mod tests {
         let rates = a.allocate(&t, &flows);
         assert_eq!(a.stats().components_solved, 32);
         check_against_oracle(&t, &flows, &rates).unwrap();
+    }
+
+    #[test]
+    fn counters_name_every_deterministic_field_in_export_order() {
+        let stats = AllocStats {
+            invocations: 1,
+            full_solves: 2,
+            components_solved: 3,
+            components_retained: 4,
+            rounds: 5,
+            flows_touched: 8,
+            wall_nanos: 99,
+            freeze_rounds: 6,
+            links_touched: 7,
+        };
+        let table = stats.counters();
+        // Each exported name is `alloc.` plus its field's name, and the
+        // values come out in export order; wall time is never exported.
+        assert_eq!(
+            table.map(|(name, _)| name),
+            [
+                "alloc.invocations",
+                "alloc.full_solves",
+                "alloc.components_solved",
+                "alloc.components_retained",
+                "alloc.rounds",
+                "alloc.freeze_rounds",
+                "alloc.links_touched",
+                "alloc.flows_touched",
+            ]
+        );
+        assert_eq!(table.map(|(_, v)| v), [1, 2, 3, 4, 5, 6, 7, 8]);
     }
 
     #[test]

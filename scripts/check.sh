@@ -53,6 +53,11 @@ if [[ "${1:-}" != "fast" ]]; then
     # step instead of hanging it (the largest trace, ~10 MB, parses in
     # about a second).
     trace_budget=60
+    # Every committed artifact a gate below compares byte for byte, one
+    # results/ path a line; the coverage step at the end reads it.
+    compared_list="$tmp/compared.txt"
+    : > "$compared_list"
+    gate() { cmp "$1" "$2" && echo "$2" >> "$compared_list"; }
     ./target/release/repro --experiment fig4 --trace-out "$tmp/trace.json" > /dev/null
     timeout "$trace_budget" ./target/release/repro --check-trace "$tmp/trace.json"
 
@@ -73,7 +78,7 @@ if [[ "${1:-}" != "fast" ]]; then
     # divergence) must match the committed copy byte for byte.
     echo "==> differential validation (fluid vs packet) vs committed results/json/validate.json"
     ./target/release/repro --experiment validate --json "$tmp/validate" > /dev/null
-    cmp "$tmp/validate/validate.json" results/json/validate.json
+    gate "$tmp/validate/validate.json" results/json/validate.json
 
     # Scale smoke: the smallest grid cell of the scale sweep under all
     # three policies (repro asserts every job completes).
@@ -87,7 +92,7 @@ if [[ "${1:-}" != "fast" ]]; then
     # test.
     echo "==> scale sweep vs committed results/json/scale.canonical.json"
     ./target/release/repro --experiment scale --json "$tmp/scale" > /dev/null
-    cmp "$tmp/scale/scale.canonical.json" results/json/scale.canonical.json
+    gate "$tmp/scale/scale.canonical.json" results/json/scale.canonical.json
 
     # Paper-artifact oracle: regenerate every paper table and figure at the
     # default 300 iterations and compare each CSV and JSON that has a
@@ -105,7 +110,7 @@ if [[ "${1:-}" != "fast" ]]; then
         case "$name" in fig2.json | fig5a.json) continue ;; esac
         ref="results/${name##*.}/$name"
         [[ -f "$ref" ]] || continue
-        cmp "$f" "$ref"
+        gate "$f" "$ref"
         compared=$((compared + 1))
     done
     [[ "$compared" -ge 14 ]] || {
@@ -123,11 +128,41 @@ if [[ "${1:-}" != "fast" ]]; then
         name="$(basename "$f")"
         ref="results/${name##*.}/$name"
         [[ -f "$ref" ]] || continue
-        cmp "$f" "$ref"
+        gate "$f" "$ref"
         compared=$((compared + 1))
     done
     [[ "$compared" -ge 30 ]] || {
         echo "expected 30 ablation files with committed copies, compared $compared"; exit 1
+    }
+
+    # Fabric and explain artifacts: regenerate both at their default size
+    # (well under a second together) and compare the three files with
+    # committed copies byte for byte.
+    echo "==> fabric and explain CSVs and JSONs vs committed results/"
+    ./target/release/repro --experiment fabric --csv "$tmp/fe" --json "$tmp/fe" > /dev/null 2>&1
+    ./target/release/repro --experiment explain --csv "$tmp/fe" --json "$tmp/fe" > /dev/null 2>&1
+    gate "$tmp/fe/fabric.json" results/json/fabric.json
+    gate "$tmp/fe/explain.csv" results/csv/explain.csv
+    gate "$tmp/fe/explain.json" results/json/explain.json
+
+    # Artifact coverage: every file under results/ is compared by a gate
+    # above or excluded here, each exclusion with its reason:
+    #   scale.json, profile.json - wall-clock values, different every run;
+    #   fig2.json, fig5a.json    - the known ~1 ns JCT drift (paper step);
+    #   ABLATIONS.md, *.log      - prose summary and console transcripts,
+    #                              not files a repro flag writes.
+    echo "==> every committed artifact is compared or excluded"
+    uncovered=""
+    while IFS= read -r f; do
+        case "$f" in
+            results/json/scale.json | results/json/profile.json) ;;
+            results/json/fig2.json | results/json/fig5a.json) ;;
+            results/ABLATIONS.md | results/*.log) ;;
+            *) grep -qxF "$f" "$compared_list" || uncovered="$uncovered $f" ;;
+        esac
+    done < <(find results -type f | sort)
+    [[ -z "$uncovered" ]] || {
+        echo "committed artifacts neither compared nor excluded:$uncovered"; exit 1
     }
 
     # Fabric smoke: the full policy x oversubscription x pattern grid on

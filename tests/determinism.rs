@@ -123,7 +123,7 @@ fn faulted_run(plan: FaultPlan, loss: BarrierLossPolicy) -> SimOutput {
             per_sample_core_secs: 0.01,
             ..Default::default()
         },
-        trace: true,
+        telemetry: tl_telemetry::TelemetryConfig::events(),
         faults: plan,
         barrier_loss: loss,
         ..Default::default()

@@ -77,7 +77,7 @@ fn traced_run(plan: FaultPlan, loss: BarrierLossPolicy, model_mb: u64) -> (SimOu
             per_sample_core_secs: 0.01,
             ..Default::default()
         },
-        trace: true,
+        telemetry: tl_telemetry::TelemetryConfig::events(),
         faults: plan,
         barrier_loss: loss,
         ..Default::default()
