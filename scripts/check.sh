@@ -94,6 +94,16 @@ if [[ "${1:-}" != "fast" ]]; then
     ./target/release/repro --experiment scale --json "$tmp/scale" > /dev/null
     gate "$tmp/scale/scale.canonical.json" results/json/scale.canonical.json
 
+    # Allocator-counter oracle: the engine-driven perf run (~4 s) under
+    # FIFO, TLs-One and TLs-RR, with its wall-clock fields and closing
+    # timing line stripped, must print all eight allocator counters
+    # exactly as committed in results/perf_counters.txt.
+    echo "==> allocator counters vs committed results/perf_counters.txt"
+    ./target/release/repro --experiment perf \
+        | sed -E 's/ sim_wall=[^ ]+ alloc_wall=[^ ]+//' | grep -v '^done in' \
+        > "$tmp/perf_counters.txt"
+    gate "$tmp/perf_counters.txt" results/perf_counters.txt
+
     # Paper-artifact oracle: regenerate every paper table and figure at the
     # default 300 iterations and compare each CSV and JSON that has a
     # committed copy in results/ byte for byte. All eight paper CSVs and
