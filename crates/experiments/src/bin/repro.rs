@@ -213,16 +213,20 @@ fn parse_args() -> Args {
         }
         i += 1;
     }
-    // Applied after the loop so `--iterations`/`--full` (which rebuild the
-    // config) cannot clobber an earlier `--topology`/`--pattern`.
-    if let Some(t) = topology {
-        cfg.topology = t;
-    }
-    if let Some(p) = pattern {
-        cfg.pattern = p;
-    }
     // Flags only some experiments honour: anywhere else they would exit 0
-    // with nothing written.
+    // with the flag silently ignored. Each list names the dispatch blocks
+    // in `main` that read the flag. `SHAPED` blocks build their cells from
+    // the `--topology`/`--pattern` config (table1 and fig4 are fixed;
+    // validate, fabric, explain and the ablations set their own).
+    // `SWEEPS` blocks run a grid through the orchestrator, whose ledger
+    // `--resume` reads.
+    const SHAPED: &[&str] = &[
+        "all", "fig2", "fig3", "fig5a", "fig5b", "fig6", "table2", "faults", "scale", "perf",
+    ];
+    const SWEEPS: &[&str] = &[
+        "all", "fig2", "fig3", "fig5a", "fig5b", "fig6", "table2", "faults", "validate", "scale",
+        "fabric", "explain", "ablations",
+    ];
     for (flag, given, honoured_by) in [
         ("--metrics-out", metrics_out.is_some(), &["perf"][..]),
         (
@@ -231,6 +235,12 @@ fn parse_args() -> Args {
             &["all", "fig4", "faults", "validate", "perf"][..],
         ),
         ("--xl", xl, &["scale"][..]),
+        // `--profile` runs a cell of its own sized by `--quick`, next to
+        // any experiment.
+        ("--quick", quick && !profile, &["scale", "fabric", "explain"][..]),
+        ("--topology", topology.is_some(), SHAPED),
+        ("--pattern", pattern.is_some(), SHAPED),
+        ("--resume", resume, SWEEPS),
     ] {
         if given && !honoured_by.contains(&experiment.as_str()) {
             usage_error(&format!(
@@ -238,6 +248,17 @@ fn parse_args() -> Args {
                 honoured_by.join(", ")
             ));
         }
+    }
+    if xl && topology.is_some() {
+        usage_error("--xl runs its own leaf-spine fabric; --topology does not apply");
+    }
+    // Applied after the loop so `--iterations`/`--full` (which rebuild the
+    // config) cannot clobber an earlier `--topology`/`--pattern`.
+    if let Some(t) = topology {
+        cfg.topology = t;
+    }
+    if let Some(p) = pattern {
+        cfg.pattern = p;
     }
     if experiment == "faults" && cfg.pattern != tl_dl::TrafficPattern::PsStar {
         usage_error("--experiment faults models fault injection for the ps-star pattern only");

@@ -56,6 +56,21 @@ fn usage_errors_exit_2() {
     assert_eq!(out.status.code(), Some(2), "table2 --iterations 2");
     assert!(String::from_utf8_lossy(&out.stderr).contains("runs too short for an active window"));
 
+    // A flag the chosen experiment never reads is refused, not ignored.
+    let ledger = temp_dir("ignored-flag");
+    for args in [
+        &["--experiment", "table1", "--quick"][..],
+        &["--experiment", "fig4", "--topology", "leaf-spine:3x7"][..],
+        &["--experiment", "scale", "--xl", "--topology", "leaf-spine:3x7"][..],
+        &["--experiment", "table1", "--resume", "--json", ledger.to_str().unwrap()][..],
+    ] {
+        let out = repro().args(args).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(args[2]), "{args:?}: {stderr}");
+    }
+    let _ = std::fs::remove_dir_all(&ledger);
+
     // The max-min kernel is no longer selectable.
     let out = repro().args(["--kernel", "legacy"]).output().unwrap();
     assert_eq!(out.status.code(), Some(2));

@@ -224,8 +224,8 @@ impl FluidNet {
     }
 
     /// Attach an invariant checker: every rate refresh then validates NIC
-    /// capacity conservation and strict-priority band ordering. Costs
-    /// nothing when the checker is disabled.
+    /// capacity conservation, strict-priority band ordering and max-min
+    /// optimality. Costs nothing when the checker is disabled.
     pub fn set_invariants(&mut self, invariants: InvariantChecker) {
         self.invariants = invariants;
     }
@@ -736,6 +736,10 @@ impl FluidNet {
     ///   be starved while a *lower*-priority flow shares its egress if
     ///   something else explains the starvation (its destination ingress,
     ///   a fabric link on its route, or the fabric core is saturated).
+    /// * **`net.maxmin`** — the allocation is max-min optimal under strict
+    ///   egress priority: the certificate of [`crate::maxmin::certify`]
+    ///   (feasibility, a saturated bottleneck for every flow below its
+    ///   ceiling, and band order at every egress) holds.
     fn check_allocation(&mut self) {
         let at = self.last_advance;
         let n = self.topo.num_hosts();
@@ -800,6 +804,15 @@ impl FluidNet {
             .topo
             .core_capacity()
             .is_some_and(|c| total >= c.bytes_per_sec() * (1.0 - REL));
+        // The lowest-priority band each egress still runs, in one pass.
+        let mut top_running: Vec<Option<Band>> = vec![None; n];
+        for &slot in &self.active {
+            let f = self.state(slot);
+            if f.spec.src != f.spec.dst && f.rate >= RATE_EPS {
+                let e = f.spec.src.0 as usize;
+                top_running[e] = top_running[e].max(Some(f.spec.band));
+            }
+        }
         for &slot in &self.active {
             let f = self.state(slot);
             if f.spec.src == f.spec.dst || f.rate >= RATE_EPS || f.max_rate.is_finite() {
@@ -809,15 +822,7 @@ impl FluidNet {
             // priority that is only legitimate if every same-egress flow
             // still running has equal or higher priority, or `f` is
             // blocked elsewhere (saturated destination ingress / core).
-            let preempted_by_lower = self.active.iter().any(|&other| {
-                let g = self.state(other);
-                other != slot
-                    && g.spec.src == f.spec.src
-                    && g.spec.dst != g.spec.src
-                    && g.spec.band > f.spec.band
-                    && g.rate >= RATE_EPS
-            });
-            if preempted_by_lower {
+            if top_running[f.spec.src.0 as usize] > Some(f.spec.band) {
                 let dst = f.spec.dst.0 as usize;
                 let i_cap = self.topo.ingress(f.spec.dst).bytes_per_sec();
                 let fabric_saturated = self
@@ -841,6 +846,9 @@ impl FluidNet {
                     });
                 }
             }
+        }
+        if let Err(detail) = crate::maxmin::certify(&self.topo, &self.demands, &self.rates) {
+            self.invariants.violation(at, "net.maxmin", || detail);
         }
     }
 }
