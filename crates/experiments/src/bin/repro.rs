@@ -739,21 +739,26 @@ fn main() {
     if args.experiment == "perf" {
         // One grid-search simulation per policy, reporting the engine's
         // allocator performance counters (SimOutput::alloc_stats).
+        // Placement #8 gives every PS a host of its own, so its three
+        // policies solve identically; placement #1 colocates every PS on
+        // one host, where strict-priority band admission does the work.
         use tl_experiments::{run_table1, PolicyKind};
         isolated!("perf", {
-            println!("allocator perf counters, Table I placement #8:");
-            for policy in PolicyKind::all() {
-                let t = std::time::Instant::now();
-                let out = run_table1(cfg, Table1Index(8), policy);
-                let wall = t.elapsed();
-                println!(
-                    "  {:<8} events={} sim_wall={:.2?} alloc_wall={:.2?}\n           {}",
-                    policy.label(),
-                    out.events,
-                    wall,
-                    std::time::Duration::from_nanos(out.alloc_stats.wall_nanos),
-                    counter_line(&out.alloc_stats),
-                );
+            for placement in [8, 1] {
+                println!("allocator perf counters, Table I placement #{placement}:");
+                for policy in PolicyKind::all() {
+                    let t = std::time::Instant::now();
+                    let out = run_table1(cfg, Table1Index(placement), policy);
+                    let wall = t.elapsed();
+                    println!(
+                        "  {:<8} events={} sim_wall={:.2?} alloc_wall={:.2?}\n           {}",
+                        policy.label(),
+                        out.events,
+                        wall,
+                        std::time::Duration::from_nanos(out.alloc_stats.wall_nanos),
+                        counter_line(&out.alloc_stats),
+                    );
+                }
             }
             if args.trace_out.is_some() || args.metrics_out.is_some() {
                 // One instrumented TLs-RR run for the requested exports.

@@ -155,8 +155,8 @@ fn flags_an_experiment_ignores_exit_2() {
 #[test]
 fn perf_and_profile_print_the_counter_table() {
     // Both reports print every exported allocator counter, by the names
-    // `AllocStats::counters` gives them: once per policy for `perf`, once
-    // for the profiled cell.
+    // `AllocStats::counters` gives them: once per policy at each of its two
+    // placements for `perf`, once for the profiled cell.
     let out = repro()
         .args(["--experiment", "perf", "--iterations", "3", "--profile"])
         .output()
@@ -165,7 +165,7 @@ fn perf_and_profile_print_the_counter_table() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     for (name, _) in tl_net::AllocStats::default().counters() {
         let printed = stdout.matches(&format!("{name}=")).count();
-        assert_eq!(printed, 4, "{name} printed {printed} times:\n{stdout}");
+        assert_eq!(printed, 7, "{name} printed {printed} times:\n{stdout}");
     }
 }
 
