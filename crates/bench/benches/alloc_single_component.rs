@@ -48,9 +48,9 @@ fn bench_full_solve(c: &mut Criterion) {
     g.finish();
 }
 
-/// The steady-state hot path: the whole component dirty with structure
-/// cached — what a TLs-RR rotation or any arrival/departure in the cell
-/// costs, since every flow shares the one component.
+/// The steady-state hot path: the whole component dirty with its
+/// structure kept — what a TLs-RR rotation or any arrival/departure in the
+/// cell costs, since every flow shares the one component.
 fn bench_dirty_resolve(c: &mut Criterion) {
     let mut g = c.benchmark_group("alloc_single_component/dirty_resolve");
     g.sample_size(10);
@@ -59,10 +59,12 @@ fn bench_dirty_resolve(c: &mut Criterion) {
     g.throughput(Throughput::Elements(flows.len() as u64));
     g.bench_function("solve", |b| {
         let mut alloc = MaxMinAllocator::new();
-        let mut rates = Vec::new();
-        alloc.allocate_into(&topo, &flows, &mut rates);
+        for &f in &flows {
+            alloc.push(&topo, f);
+        }
+        let mut rates = vec![0.0; flows.len()];
         b.iter(|| {
-            alloc.allocate_dirty_reuse(&topo, black_box(&flows), &dirty, &mut rates, true);
+            alloc.solve(&topo, black_box(&dirty), &mut rates);
             black_box(rates.len())
         });
     });

@@ -184,33 +184,36 @@ fn bench_churn(c: &mut Criterion) {
     // 4:1 oversubscription, every host streaming cross-rack, one rack's
     // flows churning bands each iteration. Fabric links couple flows that
     // share no host, so dirtiness must spill across the uplink — this
-    // meters `allocate_dirty_reuse` with the fabric-aware dirty check.
+    // meters the incremental `solve` with the fabric-aware dirty check.
     g.bench_function("dirty_reuse_leaf_spine_4x16", |b| {
         let topo = tl_net::TopologyBuilder::leaf_spine(4, 16, 4.0)
             .link(Bandwidth::from_gbps(10.0))
             .build();
         let n = 64u32;
-        let mut flows: Vec<FlowDemand> = (0..n)
-            .map(|h| {
+        let mut alloc = MaxMinAllocator::new();
+        for h in 0..n {
+            alloc.push(
+                &topo,
                 FlowDemand::new(
                     HostId(h),
                     HostId((h + 16) % n), // next rack over
                     Band((h % 6) as u8),
                     1.0 + h as f64 * 0.01,
-                )
-            })
-            .collect();
-        let mut alloc = MaxMinAllocator::new();
-        let mut rates = Vec::new();
-        alloc.allocate_into(&topo, &flows, &mut rates);
+                ),
+            );
+        }
+        let all: Vec<u32> = (0..n).collect();
+        let mut rates = vec![0.0; n as usize];
+        alloc.solve(&topo, &all, &mut rates);
         let dirty: Vec<u32> = (0..16).collect();
         let mut round = 0u8;
         b.iter(|| {
             round = round.wrapping_add(1);
-            for f in &mut flows[..16] {
-                f.band = Band((f.band.0 + round) % 6);
+            for k in 0..16 {
+                let band = Band((alloc.flows()[k].band.0 + round) % 6);
+                alloc.set_band(k, band);
             }
-            alloc.allocate_dirty_reuse(&topo, black_box(&flows), &dirty, &mut rates, true);
+            alloc.solve(&topo, black_box(&dirty), &mut rates);
             black_box(rates[0])
         });
     });

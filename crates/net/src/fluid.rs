@@ -10,11 +10,11 @@
 //! append-only between completions), so floating-point summation order —
 //! and therefore results — are stable across runs.
 //!
-//! Rate refreshes are incremental: every mutation records the hosts it
-//! touched, and the next refresh re-solves only the connected components
-//! of the flow graph containing a touched host (see
-//! [`MaxMinAllocator::allocate_dirty_into`]). The result is bit-identical
-//! to a from-scratch allocation.
+//! Rate refreshes are incremental: the allocator owns the live flow list
+//! and keeps its connected components across calls, every mutation
+//! records the hosts it touched, and the next refresh re-solves only the
+//! components containing a touched host (see [`MaxMinAllocator::solve`]).
+//! The result is bit-identical to a from-scratch allocation.
 //!
 //! Next-event queries are indexed rather than scanned: every rate change
 //! re-keys the flow's slot in a [`DepletionIndex`], and
@@ -152,18 +152,14 @@ pub struct FluidNet {
     /// Flows harvested by `advance` at their exact depletion instant,
     /// buffered until the next `take_completions` call.
     pending_done: Vec<CompletedFlow>,
+    // The allocator's live flow list runs in lock-step with `active`
+    // (same order): its flow `k` and `rates[k]` describe the flow in slot
+    // `active[k]`. Starts push, completions/aborts remove in one compacting
+    // batch, and band changes go through `set_band`.
     allocator: MaxMinAllocator,
-    // Persistent allocator inputs maintained in lock-step with `active`
-    // (same order): `demands[k]`/`rates[k]` describe the flow in slot
-    // `active[k]`. Starts append, completions/aborts compact in place, and
-    // band changes patch `demands[k].band` — so a refresh hands the
-    // allocator ready-made vectors instead of rebuilding them per call.
-    demands: Vec<FlowDemand>,
     rates: Vec<f64>,
-    // True when `active`'s membership or order changed since the last
-    // refresh; while false, the allocator may reuse its cached component
-    // structure (band/weight/capacity changes don't alter connectivity).
-    structure_dirty: bool,
+    // Positions a completion or abort batch removes, in ascending order.
+    removed: Vec<u32>,
     // Depletion instants keyed by flow slot, one live entry per flow with
     // a meaningful rate.
     depletion: DepletionIndex,
@@ -203,9 +199,8 @@ impl FluidNet {
             next_cache: None,
             pending_done: Vec::new(),
             allocator: MaxMinAllocator::new(),
-            demands: Vec::new(),
             rates: Vec::new(),
-            structure_dirty: false,
+            removed: Vec::new(),
             depletion: DepletionIndex::new(),
             egress_bytes: vec![0.0; n],
             ingress_bytes: vec![0.0; n],
@@ -230,9 +225,10 @@ impl FluidNet {
         self.invariants = invariants;
     }
 
-    /// Attach a self-profiling handle; every allocator solve is then
-    /// wall-timed under the `alloc.solve` slot. Costs one branch per
-    /// refresh when the profiler is disabled.
+    /// Attach a self-profiling handle; every allocator solve and every
+    /// departure batch handed to the allocator is then wall-timed under
+    /// the `alloc.solve` slot. Costs one branch per call when the profiler
+    /// is disabled.
     pub fn set_profiler(&mut self, profiler: Profiler) {
         self.profiler = profiler;
     }
@@ -350,16 +346,18 @@ impl FluidNet {
             }
         };
         self.active.push(slot);
-        self.demands.push(FlowDemand {
-            src: spec.src,
-            dst: spec.dst,
-            band: spec.band,
-            weight: spec.weight,
-            max_rate,
-        });
+        self.allocator.push(
+            &self.topo,
+            FlowDemand {
+                src: spec.src,
+                dst: spec.dst,
+                band: spec.band,
+                weight: spec.weight,
+                max_rate,
+            },
+        );
         self.rates.push(0.0);
         self.depletion.reserve_keys(self.flows.len());
-        self.structure_dirty = true;
         self.mark_dirty(spec.src);
         self.mark_dirty(spec.dst);
         self.pending_cause = ShareChangeCause::NewCompetitor;
@@ -406,8 +404,9 @@ impl FluidNet {
     ) -> Vec<(FlowId, u64)> {
         self.advance(now);
         let mut aborted = Vec::new();
-        // In-place compaction keeps `active`/`demands`/`rates` in lock-step
-        // and preserves creation order for the survivors.
+        // In-place compaction keeps `active`/`rates` in lock-step with the
+        // allocator's list and preserves creation order for the survivors.
+        self.removed.clear();
         let mut w = 0usize;
         for r in 0..self.active.len() {
             let slot = self.active[r];
@@ -421,19 +420,18 @@ impl FluidNet {
                 self.dirty.mark(spec.src.0 as usize);
                 self.dirty.mark(spec.dst.0 as usize);
                 self.depletion.invalidate(slot);
+                self.removed.push(r as u32);
                 aborted.push((id, spec.tag));
             } else {
                 self.active[w] = slot;
-                self.demands[w] = self.demands[r];
                 self.rates[w] = self.rates[r];
                 w += 1;
             }
         }
         if !aborted.is_empty() {
             self.active.truncate(w);
-            self.demands.truncate(w);
             self.rates.truncate(w);
-            self.structure_dirty = true;
+            self.remove_from_allocator();
             self.next_cache = None;
             self.pending_cause = ShareChangeCause::Fault;
         }
@@ -455,7 +453,7 @@ impl FluidNet {
                 .expect("active flow missing");
             if f.spec.tag == tag && f.spec.band != band {
                 f.spec.band = band;
-                self.demands[k].band = band;
+                self.allocator.set_band(k, band);
                 changed += 1;
                 // Bands are egress-scoped; marking the sender dirties the
                 // flow's whole component.
@@ -544,9 +542,11 @@ impl FluidNet {
     /// active set, stamped finished at `at`, into the pending buffer.
     fn harvest_completions(&mut self, at: SimTime) {
         let before = self.pending_done.len();
-        // In-place compaction keeps `active`/`demands`/`rates` in lock-step
-        // and preserves creation order for the survivors (order is
-        // load-bearing: it fixes the allocator's fp summation order).
+        // In-place compaction keeps `active`/`rates` in lock-step with the
+        // allocator's list and preserves creation order for the survivors
+        // (order is load-bearing: it fixes the allocator's fp summation
+        // order).
+        self.removed.clear();
         let mut w = 0usize;
         for r in 0..self.active.len() {
             let slot = self.active[r];
@@ -569,9 +569,9 @@ impl FluidNet {
                 self.dirty.mark(f.spec.dst.0 as usize);
                 self.free.push(slot);
                 self.depletion.invalidate(slot);
+                self.removed.push(r as u32);
             } else {
                 self.active[w] = slot;
-                self.demands[w] = self.demands[r];
                 self.rates[w] = self.rates[r];
                 w += 1;
             }
@@ -580,9 +580,8 @@ impl FluidNet {
             return;
         }
         self.active.truncate(w);
-        self.demands.truncate(w);
         self.rates.truncate(w);
-        self.structure_dirty = true;
+        self.remove_from_allocator();
         self.next_cache = None;
         self.pending_cause = ShareChangeCause::CompetitorFinished;
         if self.telemetry.is_enabled() {
@@ -642,27 +641,30 @@ impl FluidNet {
         std::mem::take(&mut self.pending_done)
     }
 
+    /// Hand the batch in `removed` to the allocator, which compacts its
+    /// list the same way and re-splits only components a departure cut.
+    fn remove_from_allocator(&mut self) {
+        let timer = self.profiler.start();
+        self.allocator.remove(&self.topo, &self.removed);
+        self.profiler.stop("alloc.solve", timer);
+    }
+
     fn refresh_rates(&mut self) {
         if self.dirty.is_empty() {
             return;
         }
-        debug_assert_eq!(self.demands.len(), self.active.len());
+        debug_assert_eq!(self.allocator.flows().len(), self.active.len());
         debug_assert_eq!(self.rates.len(), self.active.len());
         let events_on = self.telemetry.is_enabled();
         let stats_before = events_on.then(|| self.allocator.stats());
-        // `demands`/`rates` are maintained incrementally (see the field
-        // docs), so nothing is rebuilt here; `rates` seeds the allocator
-        // with the previous allocation, kept verbatim for clean components.
+        // The allocator's flow list and `rates` are maintained
+        // incrementally (see the field docs), so nothing is rebuilt here;
+        // `rates` seeds the allocator with the previous allocation, kept
+        // verbatim for clean components.
         let solve_timer = self.profiler.start();
-        self.allocator.allocate_dirty_reuse(
-            &self.topo,
-            &self.demands,
-            self.dirty.as_slice(),
-            &mut self.rates,
-            !self.structure_dirty,
-        );
+        self.allocator
+            .solve(&self.topo, self.dirty.as_slice(), &mut self.rates);
         self.profiler.stop("alloc.solve", solve_timer);
-        self.structure_dirty = false;
         if let Some(before) = stats_before {
             let after = self.allocator.stats();
             self.telemetry.emit(
@@ -847,7 +849,8 @@ impl FluidNet {
                 }
             }
         }
-        if let Err(detail) = crate::maxmin::certify(&self.topo, &self.demands, &self.rates) {
+        if let Err(detail) = crate::maxmin::certify(&self.topo, self.allocator.flows(), &self.rates)
+        {
             self.invariants.violation(at, "net.maxmin", || detail);
         }
     }

@@ -48,6 +48,16 @@
 //! every flow each round, because every weight sum is still added and
 //! subtracted in creation order. [`certify`] checks an allocation's
 //! optimality without solving anything.
+//!
+//! Connected components of the host + fabric-link graph are independent
+//! subproblems. [`MaxMinAllocator`] owns the live flow list and keeps its
+//! components across calls: an arrival joins (or merges) the components
+//! it touches, a departure re-splits its component only when it may cut
+//! it, and [`MaxMinAllocator::solve`] re-solves only the components a
+//! change touched. No call rebuilds the components over every flow.
+
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::topology::Topology;
 use crate::types::{Band, HostId, LinkId};
@@ -108,7 +118,9 @@ pub struct AllocStats {
     pub rounds: u64,
     /// Flows belonging to re-solved components (one count per solve).
     pub flows_touched: u64,
-    /// Wall-clock time spent inside the solver, in nanoseconds.
+    /// Wall-clock time spent inside `solve` and `allocate_into` calls, in
+    /// nanoseconds. A departure batch's upkeep ([`MaxMinAllocator::remove`])
+    /// is not included.
     pub wall_nanos: u64,
     /// Rounds that froze at least one flow.
     pub freeze_rounds: u64,
@@ -626,48 +638,133 @@ fn solve_component(
     tally
 }
 
-/// Reusable allocator scratch space. Allocation runs on every network
-/// event, so all working buffers are kept and reused across calls, and the
-/// solve is decomposed by connected component of the flow/link graph: a
-/// partial call ([`MaxMinAllocator::allocate_dirty_into`]) re-solves only
-/// components containing a changed ("dirty") host and keeps cached rates
-/// everywhere else. The full and partial paths run the identical
-/// per-component solve, so their results are bit-for-bit equal.
+/// Sentinel for "no component": an idle node (no live flow touches it).
+const NONE: u32 = u32::MAX;
+
+/// One connected component: its flows, as positions in the live flow list
+/// in creation order (ascending), and the nodes they span.
 #[derive(Debug, Default)]
-pub struct MaxMinAllocator {
-    scratch: SolveScratch,
-    // Union-find over hosts + fabric links, rebuilt per structure change
-    // and kept for O(α) host→component lookups between rebuilds.
-    parent: Vec<u32>,
-    // Nodes linked under another root since the last rebuild — exactly
-    // the nodes with `parent[x] != x` — so a rebuild resets only them
-    // instead of every host.
-    uf_linked: Vec<u32>,
-    // Dense component ids in order of first appearance along `flows`,
-    // keyed by union-find root (always a host; roots are minima).
-    host_comp: Vec<u32>,
-    host_comp_stamp: Vec<u64>,
-    comp_stamp: u64,
-    // CSR layout: component `c` owns flow indices
-    // `comp_flows[comp_start[c]..comp_start[c+1]]`, creation order.
-    comp_start: Vec<u32>,
-    comp_flows: Vec<u32>,
-    comp_of: Vec<u32>,
-    // Reusable counting-sort cursor for the CSR build.
-    cursor: Vec<u32>,
-    // Component count of the CSR currently in the buffers, tagged with the
-    // flow count it was built for; lets a caller that knows the flow list
-    // is unchanged skip the per-call union-find + CSR rebuild.
-    cached_structure: Option<(usize, usize)>,
-    // Flow indices whose rates the last call (re)wrote — i.e. members of
-    // re-solved components — in ascending order. Callers use it to update
-    // only the affected downstream state (see `FluidNet::refresh_rates`).
-    touched: Vec<u32>,
-    // Per-component dirty flags for the current call.
-    comp_dirty: Vec<bool>,
-    // Dense rate output of the component being solved, in its flow order.
-    comp_rates: Vec<f64>,
-    stats: AllocStats,
+struct Comp {
+    flows: Vec<u32>,
+    nodes: Vec<u32>,
+    // Index of this component in `Components::live`.
+    live_slot: u32,
+    // A departure may have cut it; re-split at the end of the batch.
+    stale: bool,
+    // Marked for the current solve.
+    dirty: bool,
+}
+
+/// A live flow list and the connected components of its host + fabric-link
+/// graph, kept across calls. Nodes are hosts `0..n`, then fabric links
+/// `n..n+F`; a flow joins its endpoints and the links of its route, and a
+/// loopback flow sits at its host alone. A configured aggregate core
+/// couples every flow, so a core topology keeps one component and no
+/// node labels.
+///
+/// Arrivals join at the next settle: the new flow is the youngest, so it
+/// is appended, and a bridging arrival merges the components it touches,
+/// relabelling the smaller into the larger and merging their flow lists in
+/// creation order. Departures settle in O(1) when they cannot cut (see
+/// [`Components::remove`]); any other departure re-splits only its own
+/// component with a local union-find.
+#[derive(Debug, Default)]
+struct Components {
+    demands: Vec<FlowDemand>,
+    // Flows `0..joined` belong to the components; the rest were pushed
+    // since and join at the next settle, so an arrival costs nothing until
+    // a solve needs it.
+    joined: usize,
+    // Component id per node, `NONE` while idle; sized when flows first join.
+    label: Vec<u32>,
+    // Index of each labelled node in its component's `nodes`.
+    node_slot: Vec<u32>,
+    // Live flows per host, counting both endpoints (a loopback flow once).
+    host_flows: Vec<u32>,
+    // Live flows per ordered (src, dst) pair.
+    pairs: HashMap<u64, u32, BuildHasherDefault<PairHasher>>,
+    // Component slab, its free slots, and the live ids.
+    comps: Vec<Comp>,
+    free: Vec<u32>,
+    live: Vec<u32>,
+    // Components marked for the current solve.
+    dirty: Vec<u32>,
+    core: bool,
+    // Components a departure batch left stale, and the batch's map from
+    // old to new positions above its first departure.
+    stale: Vec<u32>,
+    remap: Vec<u32>,
+    // Re-split scratch: stamp-validated union-find parents and group ids
+    // per node, each group's component id, and the re-split component's
+    // flows and nodes.
+    uf: Vec<u32>,
+    group: Vec<u32>,
+    seen: Vec<u64>,
+    stamp: u64,
+    group_comp: Vec<u32>,
+    spare_flows: Vec<u32>,
+    spare_nodes: Vec<u32>,
+}
+
+/// An ordered host pair as one map key.
+fn pair_key(src: u32, dst: u32) -> u64 {
+    (u64::from(src) << 32) | u64::from(dst)
+}
+
+/// Multiplicative hash for [`pair_key`]s: the pair map is probed on every
+/// arrival and departure, where SipHash's DoS resistance buys nothing.
+#[derive(Debug, Default)]
+struct PairHasher(u64);
+
+impl Hasher for PairHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        self.0 = (self.0 ^ x).wrapping_mul(0xf135_7aea_2e62_a9c5);
+    }
+
+    fn finish(&self) -> u64 {
+        // The product's high bits mix every key bit; the table indexes by
+        // the low ones.
+        self.0.rotate_left(26)
+    }
+}
+
+/// The nodes a flow joins: `[src, dst, uplink, downlink]`, `NONE` where
+/// absent (a loopback flow has only its host).
+fn flow_nodes(topo: &Topology, f: &FlowDemand) -> [u32; 4] {
+    if f.src == f.dst {
+        return [f.src.0, NONE, NONE, NONE];
+    }
+    let n = topo.num_hosts() as u32;
+    let [up, down] = topo.route(f.src, f.dst);
+    [
+        f.src.0,
+        f.dst.0,
+        up.map_or(NONE, |l| n + l.0),
+        down.map_or(NONE, |l| n + l.0),
+    ]
+}
+
+/// Merge ascending `src` into ascending `dst`, in place from the back:
+/// entries of `dst` below `src`'s first entry never move.
+fn merge_sorted_into(dst: &mut Vec<u32>, src: &[u32]) {
+    let (mut i, mut j) = (dst.len(), src.len());
+    dst.resize(i + j, 0);
+    while j > 0 {
+        let k = i + j - 1;
+        if i > 0 && dst[i - 1] > src[j - 1] {
+            dst[k] = dst[i - 1];
+            i -= 1;
+        } else {
+            dst[k] = src[j - 1];
+            j -= 1;
+        }
+    }
 }
 
 fn uf_find(parent: &mut [u32], mut x: u32) -> u32 {
@@ -679,8 +776,407 @@ fn uf_find(parent: &mut [u32], mut x: u32) -> u32 {
     x
 }
 
+impl Components {
+    /// Size the node tables for `topo` (they only grow) and note whether
+    /// it has an aggregate core.
+    fn fit(&mut self, topo: &Topology) {
+        let n = topo.num_hosts();
+        let nodes = n + topo.num_fabric_links();
+        if self.label.len() < nodes {
+            self.label.resize(nodes, NONE);
+            self.node_slot.resize(nodes, 0);
+            self.uf.resize(nodes, 0);
+            self.group.resize(nodes, 0);
+            self.seen.resize(nodes, 0);
+        }
+        if self.host_flows.len() < n {
+            self.host_flows.resize(n, 0);
+        }
+        self.core = topo.core_capacity().is_some();
+    }
+
+    /// Drop every flow and component, keeping the buffers.
+    fn clear(&mut self) {
+        for &c in &self.live {
+            let comp = &mut self.comps[c as usize];
+            for &x in &comp.nodes {
+                self.label[x as usize] = NONE;
+            }
+            comp.nodes.clear();
+            comp.flows.clear();
+        }
+        self.free.append(&mut self.live);
+        for f in &self.demands[..self.joined] {
+            self.host_flows[f.src.0 as usize] = 0;
+            self.host_flows[f.dst.0 as usize] = 0;
+        }
+        self.demands.clear();
+        self.joined = 0;
+        self.pairs.clear();
+    }
+
+    fn new_comp(&mut self) -> u32 {
+        let c = self.free.pop().unwrap_or_else(|| {
+            self.comps.push(Comp::default());
+            (self.comps.len() - 1) as u32
+        });
+        let comp = &mut self.comps[c as usize];
+        comp.live_slot = self.live.len() as u32;
+        comp.stale = false;
+        self.live.push(c);
+        c
+    }
+
+    /// Retire an empty component.
+    fn release(&mut self, c: u32) {
+        let comp = &mut self.comps[c as usize];
+        debug_assert!(comp.flows.is_empty() && comp.nodes.is_empty());
+        comp.stale = false;
+        let slot = comp.live_slot as usize;
+        self.live.swap_remove(slot);
+        if let Some(&moved) = self.live.get(slot) {
+            self.comps[moved as usize].live_slot = slot as u32;
+        }
+        self.free.push(c);
+    }
+
+    fn attach(&mut self, x: u32, c: u32) {
+        let nodes = &mut self.comps[c as usize].nodes;
+        self.label[x as usize] = c;
+        self.node_slot[x as usize] = nodes.len() as u32;
+        nodes.push(x);
+    }
+
+    fn detach(&mut self, x: u32) {
+        let (c, slot) = (self.label[x as usize], self.node_slot[x as usize] as usize);
+        let nodes = &mut self.comps[c as usize].nodes;
+        nodes.swap_remove(slot);
+        if let Some(&moved) = nodes.get(slot) {
+            self.node_slot[moved as usize] = slot as u32;
+        }
+        self.label[x as usize] = NONE;
+    }
+
+    fn size(&self, c: u32) -> usize {
+        let comp = &self.comps[c as usize];
+        comp.flows.len() + comp.nodes.len()
+    }
+
+    /// Fold component `from` into `into`: relabel its nodes and merge its
+    /// flows into `into`'s list, which stays in creation order as the
+    /// kernel's sums and every list operation here assume.
+    fn merge(&mut self, from: u32, into: u32) {
+        let mut nodes = std::mem::take(&mut self.comps[from as usize].nodes);
+        for &x in &nodes {
+            self.attach(x, into);
+        }
+        nodes.clear();
+        self.comps[from as usize].nodes = nodes;
+        let mut flows = std::mem::take(&mut self.comps[from as usize].flows);
+        merge_sorted_into(&mut self.comps[into as usize].flows, &flows);
+        flows.clear();
+        self.comps[from as usize].flows = flows;
+        self.release(from);
+    }
+
+    /// Append an arriving flow. It joins the components at the next
+    /// [`Components::settle`].
+    fn push(&mut self, topo: &Topology, f: FlowDemand) {
+        assert!(
+            topo.contains(f.src) && topo.contains(f.dst),
+            "flow references host outside topology"
+        );
+        debug_assert!(
+            f.weight > 0.0 && f.weight.is_finite(),
+            "flow weight must be positive and finite"
+        );
+        self.demands.push(f);
+    }
+
+    /// Join every flow pushed since the last call to the components.
+    fn settle(&mut self, topo: &Topology) {
+        if self.joined < self.demands.len() {
+            self.fit(topo);
+        }
+        while self.joined < self.demands.len() {
+            self.join(topo, self.joined as u32);
+            self.joined += 1;
+        }
+    }
+
+    /// Join the flow at `pos`, the youngest joined so far.
+    fn join(&mut self, topo: &Topology, pos: u32) {
+        let f = self.demands[pos as usize];
+        self.host_flows[f.src.0 as usize] += 1;
+        if f.dst != f.src {
+            self.host_flows[f.dst.0 as usize] += 1;
+        }
+        *self.pairs.entry(pair_key(f.src.0, f.dst.0)).or_insert(0) += 1;
+        if self.core {
+            let c = match self.live.first() {
+                Some(&c) => c,
+                None => self.new_comp(),
+            };
+            self.comps[c as usize].flows.push(pos);
+            return;
+        }
+        let nodes = flow_nodes(topo, &f);
+        let mut target = NONE;
+        for &x in nodes.iter().filter(|&&x| x != NONE) {
+            let c = self.label[x as usize];
+            if c != NONE && (target == NONE || self.size(c) > self.size(target)) {
+                target = c;
+            }
+        }
+        if target == NONE {
+            target = self.new_comp();
+        }
+        for &x in nodes.iter().filter(|&&x| x != NONE) {
+            match self.label[x as usize] {
+                NONE => self.attach(x, target),
+                c if c != target => self.merge(c, target),
+                _ => {}
+            }
+        }
+        // The youngest flow: appending keeps creation order.
+        self.comps[target as usize].flows.push(pos);
+    }
+
+    /// Remove the flows at `positions` (ascending, distinct) and compact
+    /// the list in place, keeping the survivors' creation order.
+    ///
+    /// Departures are taken one at a time against the flows still live,
+    /// and settle without a re-split when they cannot cut their component:
+    /// a loopback flow joins nothing; another live flow has the same
+    /// ordered (src, dst) pair — or, for a flow with no fabric route, the
+    /// reverse pair — and so the same edges; or the flow has no fabric
+    /// route and one endpoint is left with no flow, a leaf that is then
+    /// detached. A departure that fits none of these marks its component
+    /// stale, and each stale component is re-split once, after the batch.
+    fn remove(&mut self, topo: &Topology, positions: &[u32]) {
+        let Some(&first) = positions.first() else {
+            return;
+        };
+        // Flows never joined leave nothing behind but their positions.
+        let joined = positions.partition_point(|&p| (p as usize) < self.joined);
+        for &p in &positions[..joined] {
+            let f = self.demands[p as usize];
+            let (s, d) = (f.src.0, f.dst.0);
+            self.host_flows[s as usize] -= 1;
+            if d != s {
+                self.host_flows[d as usize] -= 1;
+            }
+            let same_pair = match self.pairs.get_mut(&pair_key(s, d)) {
+                Some(k) if *k > 1 => {
+                    *k -= 1;
+                    true
+                }
+                _ => {
+                    self.pairs.remove(&pair_key(s, d));
+                    false
+                }
+            };
+            if self.core {
+                continue;
+            }
+            let c = self.label[s as usize];
+            if self.comps[c as usize].stale {
+                continue;
+            }
+            let settled = s == d || same_pair || {
+                let unrouted = topo.route(f.src, f.dst) == [None, None];
+                unrouted
+                    && (self.pairs.contains_key(&pair_key(d, s))
+                        || self.host_flows[s as usize] == 0
+                        || self.host_flows[d as usize] == 0)
+            };
+            if !settled {
+                self.comps[c as usize].stale = true;
+                self.stale.push(c);
+                continue;
+            }
+            for x in [s, d] {
+                if self.host_flows[x as usize] == 0 && self.label[x as usize] != NONE {
+                    self.detach(x);
+                }
+            }
+        }
+
+        // Compact: the survivors above `first` shift down, and every
+        // component list drops the departed positions and renumbers the rest.
+        self.remap.clear();
+        let mut w = first as usize;
+        let mut gone = positions.iter().peekable();
+        for p in first as usize..self.demands.len() {
+            if gone.next_if(|&&q| q as usize == p).is_some() {
+                self.remap.push(NONE);
+            } else {
+                self.remap.push(w as u32);
+                self.demands[w] = self.demands[p];
+                w += 1;
+            }
+        }
+        self.demands.truncate(w);
+        self.joined -= joined;
+        for i in (0..self.live.len()).rev() {
+            let c = self.live[i];
+            let comp = &mut self.comps[c as usize];
+            let start = comp.flows.partition_point(|&p| p < first);
+            let mut kept = start;
+            for k in start..comp.flows.len() {
+                let q = self.remap[(comp.flows[k] - first) as usize];
+                if q != NONE {
+                    comp.flows[kept] = q;
+                    kept += 1;
+                }
+            }
+            comp.flows.truncate(kept);
+            if kept == 0 {
+                for &x in &comp.nodes {
+                    self.label[x as usize] = NONE;
+                }
+                comp.nodes.clear();
+                self.release(c);
+            }
+        }
+        let mut stale = std::mem::take(&mut self.stale);
+        for &c in &stale {
+            // A released component is no longer stale; its slot may even
+            // hold a component the re-splits below created.
+            if self.comps[c as usize].stale {
+                self.comps[c as usize].stale = false;
+                self.resplit(topo, c);
+            }
+        }
+        stale.clear();
+        self.stale = stale;
+    }
+
+    /// Recompute the connected components among component `c`'s surviving
+    /// flows with a union-find over its nodes only. The first group keeps
+    /// id `c`; nodes no surviving flow touches go idle.
+    fn resplit(&mut self, topo: &Topology, c: u32) {
+        // `seen` is `stamp` on the nodes the survivors touch and
+        // `stamp + 1` on the union-find roots that have a group id.
+        self.stamp += 2;
+        let stamp = self.stamp;
+        std::mem::swap(&mut self.comps[c as usize].flows, &mut self.spare_flows);
+        std::mem::swap(&mut self.comps[c as usize].nodes, &mut self.spare_nodes);
+        let (uf, seen) = (&mut self.uf, &mut self.seen);
+        for &p in &self.spare_flows {
+            // The sender comes first and is always present.
+            let nodes = flow_nodes(topo, &self.demands[p as usize]);
+            for x in nodes.into_iter().filter(|&x| x != NONE) {
+                if seen[x as usize] != stamp {
+                    seen[x as usize] = stamp;
+                    uf[x as usize] = x;
+                }
+                let (a, b) = (uf_find(uf, nodes[0]), uf_find(uf, x));
+                uf[a.max(b) as usize] = a.min(b);
+            }
+        }
+        // Deal the survivors out to their groups in creation order.
+        self.group_comp.clear();
+        for k in 0..self.spare_flows.len() {
+            let p = self.spare_flows[k];
+            let r = uf_find(&mut self.uf, self.demands[p as usize].src.0) as usize;
+            if self.seen[r] == stamp {
+                self.seen[r] = stamp + 1;
+                self.group[r] = self.group_comp.len() as u32;
+                let id = if self.group_comp.is_empty() {
+                    c
+                } else {
+                    self.new_comp()
+                };
+                self.group_comp.push(id);
+            }
+            let id = self.group_comp[self.group[r] as usize];
+            self.comps[id as usize].flows.push(p);
+        }
+        self.spare_flows.clear();
+        for k in 0..self.spare_nodes.len() {
+            let x = self.spare_nodes[k];
+            if self.seen[x as usize] >= stamp {
+                let r = uf_find(&mut self.uf, x) as usize;
+                self.attach(x, self.group_comp[self.group[r] as usize]);
+            } else {
+                self.label[x as usize] = NONE;
+            }
+        }
+        self.spare_nodes.clear();
+    }
+
+    /// Mark the components a change at the listed hosts can affect: each
+    /// host's own component, and — since two flows can share a rack link
+    /// without sharing a host — the components of its rack links. An idle
+    /// node belongs to no component. Marking is idempotent.
+    fn mark_dirty(&mut self, topo: &Topology, hosts: &[u32]) {
+        if self.core {
+            // The shared core couples every flow: bandwidth freed at any
+            // host can raise any other flow's rate.
+            if !hosts.is_empty() {
+                self.mark_all();
+            }
+            return;
+        }
+        let n = topo.num_hosts() as u32;
+        let has_fabric = topo.num_fabric_links() > 0;
+        for &h in hosts {
+            self.mark(self.label[h as usize]);
+            if has_fabric {
+                for l in topo.host_fabric_links(HostId(h)).into_iter().flatten() {
+                    self.mark(self.label[(n + l.0) as usize]);
+                }
+            }
+        }
+    }
+
+    fn mark_all(&mut self) {
+        for i in 0..self.live.len() {
+            self.mark(self.live[i]);
+        }
+    }
+
+    fn mark(&mut self, c: u32) {
+        if c != NONE && !self.comps[c as usize].dirty {
+            self.comps[c as usize].dirty = true;
+            self.dirty.push(c);
+        }
+    }
+}
+
+/// Reusable allocator state. Allocation runs on every network event, so
+/// all working buffers are kept and reused across calls, and the solve is
+/// decomposed by connected component of the flow/link graph.
+///
+/// The allocator owns the live flow list, in creation order, and keeps its
+/// components across calls: the caller reports arrivals
+/// ([`MaxMinAllocator::push`]), departures ([`MaxMinAllocator::remove`])
+/// and band changes ([`MaxMinAllocator::set_band`]), then
+/// [`MaxMinAllocator::solve`] re-solves only the components containing a
+/// changed ("dirty") host and keeps cached rates everywhere else. No call
+/// rebuilds the components over all flows. The one-shot
+/// [`MaxMinAllocator::allocate_into`] solves a given flow list from
+/// scratch with the same per-component kernel, so both paths are bit for
+/// bit equal.
+#[derive(Debug, Default)]
+pub struct MaxMinAllocator {
+    scratch: SolveScratch,
+    // The live flow list and its components.
+    live: Components,
+    // Components of the last one-shot flow list.
+    oneshot: Components,
+    // Flow indices whose rates the last call (re)wrote — i.e. members of
+    // re-solved components — in ascending order. Callers use it to update
+    // only the affected downstream state (see `FluidNet::refresh_rates`).
+    touched: Vec<u32>,
+    // Dense rate output of the component being solved, in its flow order.
+    comp_rates: Vec<f64>,
+    stats: AllocStats,
+}
+
 impl MaxMinAllocator {
-    /// Create an allocator (no per-topology state; reusable across calls).
+    /// Create an allocator with an empty live flow list.
     pub fn new() -> Self {
         Self::default()
     }
@@ -695,21 +1191,83 @@ impl MaxMinAllocator {
         self.stats = AllocStats::default();
     }
 
-    /// Flow indices written by the most recent allocate call (members of
+    /// Flow indices written by the most recent solve (members of
     /// re-solved components), in ascending order. Flows outside this set
     /// kept their previous rates bit-for-bit, so callers can limit
     /// write-back, telemetry diffing, and completion re-keying to exactly
     /// these indices.
     ///
-    /// The indices refer to the `flows` slice of that same call — after
-    /// any membership change (departure compaction, arrival) the caller
-    /// must consume them before mutating its flow list, or they go stale.
+    /// The indices are positions in the flow list of that call — after a
+    /// [`MaxMinAllocator::remove`] or [`MaxMinAllocator::push`] they may
+    /// be stale, so consume them first.
     pub fn last_touched(&self) -> &[u32] {
         &self.touched
     }
 
-    /// Compute rates (bytes/sec) for `flows`, writing into `rates`
-    /// (resized to `flows.len()`). Every component is (re)solved.
+    /// The live flow list, in creation order.
+    pub fn flows(&self) -> &[FlowDemand] {
+        &self.live.demands
+    }
+
+    /// Append an arriving flow to the live list. It joins the components
+    /// at the next [`MaxMinAllocator::solve`], so a burst of arrivals costs
+    /// nothing until rates are needed. Every call on one allocator must see
+    /// the same topology; capacities may change.
+    ///
+    /// Panics if the flow references a host outside `topo`.
+    pub fn push(&mut self, topo: &Topology, demand: FlowDemand) {
+        self.live.push(topo, demand);
+    }
+
+    /// Remove the live flows at `positions` (ascending, distinct) and
+    /// compact the list, keeping the survivors in creation order. Only the
+    /// components a departure may have cut are re-split.
+    pub fn remove(&mut self, topo: &Topology, positions: &[u32]) {
+        debug_assert!(
+            positions.windows(2).all(|w| w[0] < w[1]),
+            "positions must ascend"
+        );
+        self.live.remove(topo, positions);
+    }
+
+    /// Move live flow `k` to `band`. Connectivity does not depend on bands.
+    pub fn set_band(&mut self, k: usize, band: Band) {
+        self.live.demands[k].band = band;
+    }
+
+    /// Re-solve only the components of the live flow list that contain a
+    /// host listed in `dirty_hosts` (host ids; order and duplicates do not
+    /// matter), or share a rack link with one. For every flow of an
+    /// untouched component, `rates[i]` is left exactly as passed in (the
+    /// caller supplies the previous allocation, `0.0` for new flows).
+    /// Bit-identical to [`MaxMinAllocator::allocate_into`] over the same
+    /// list, provided every input change to a component lists one of its
+    /// hosts — the endpoints of each arrival and departure, the sender of
+    /// each band change.
+    pub fn solve(&mut self, topo: &Topology, dirty_hosts: &[u32], rates: &mut [f64]) {
+        let started = std::time::Instant::now();
+        assert_eq!(
+            rates.len(),
+            self.live.demands.len(),
+            "partial solve needs the previous rate for every flow"
+        );
+        assert!(
+            dirty_hosts.iter().all(|&h| topo.contains(HostId(h))),
+            "dirty host outside topology"
+        );
+        self.stats.invocations += 1;
+        self.touched.clear();
+        if !self.live.demands.is_empty() {
+            self.live.settle(topo);
+            self.live.mark_dirty(topo, dirty_hosts);
+            self.solve_marked(topo, rates, false);
+        }
+        self.stats.wall_nanos += started.elapsed().as_nanos() as u64;
+    }
+
+    /// Compute rates (bytes/sec) for `flows` from scratch, writing into
+    /// `rates` (resized to `flows.len()`). Every component is solved. The
+    /// live flow list is not touched.
     ///
     /// Panics if any flow references a host outside `topo` or has a
     /// non-positive weight.
@@ -720,84 +1278,18 @@ impl MaxMinAllocator {
         self.stats.invocations += 1;
         self.stats.full_solves += 1;
         self.touched.clear();
-        // Full solves are rare (once per structure reset), so the API-level
-        // validation lives here in release builds; the per-event dirty path
-        // checks the same invariants under debug assertions only.
-        for f in flows {
+        self.oneshot.clear();
+        for &f in flows {
             assert!(
                 f.weight > 0.0 && f.weight.is_finite(),
                 "flow weight must be positive, got {}",
                 f.weight
             );
-            assert!(
-                topo.contains(f.src) && topo.contains(f.dst),
-                "flow references host outside topology"
-            );
+            self.oneshot.push(topo, f);
         }
-        if !flows.is_empty() {
-            let comp_count = self.build_components(topo, flows);
-            self.solve_components(topo, flows, rates, comp_count, None);
-        }
-        self.stats.wall_nanos += started.elapsed().as_nanos() as u64;
-    }
-
-    /// Re-solve only the components that contain a host listed in
-    /// `dirty_hosts` (host ids; order and duplicates do not matter); for
-    /// every flow of an untouched component, `rates[i]` is left exactly as
-    /// passed in (the caller supplies the previous allocation). Produces
-    /// bit-identical results to [`MaxMinAllocator::allocate_into`]
-    /// provided the rates of clean components are indeed unchanged — which
-    /// the dirty-host contract guarantees: any input change to a component
-    /// lists one of its hosts.
-    pub fn allocate_dirty_into(
-        &mut self,
-        topo: &Topology,
-        flows: &[FlowDemand],
-        dirty_hosts: &[u32],
-        rates: &mut [f64],
-    ) {
-        self.allocate_dirty_reuse(topo, flows, dirty_hosts, rates, false);
-    }
-
-    /// [`MaxMinAllocator::allocate_dirty_into`] with an optional shortcut:
-    /// when `structure_unchanged` is true the caller asserts that `flows`
-    /// has the same length, order, and endpoints as on the previous call to
-    /// this allocator, so the union-find + CSR component structure from
-    /// that call is still valid and is reused instead of rebuilt. Band,
-    /// weight, and `max_rate` changes do not affect connectivity and are
-    /// fine under the shortcut; any insertion, removal, or reordering of
-    /// flows is not — a same-tick departure + arrival that leaves the
-    /// count unchanged still changes membership and must pass `false`
-    /// (the count check below cannot catch it). The hint is ignored (and
-    /// the structure rebuilt) if the flow count disagrees with the cached
-    /// structure.
-    pub fn allocate_dirty_reuse(
-        &mut self,
-        topo: &Topology,
-        flows: &[FlowDemand],
-        dirty_hosts: &[u32],
-        rates: &mut [f64],
-        structure_unchanged: bool,
-    ) {
-        let started = std::time::Instant::now();
-        assert_eq!(
-            rates.len(),
-            flows.len(),
-            "partial solve needs the previous rate for every flow"
-        );
-        assert!(
-            dirty_hosts.iter().all(|&h| topo.contains(HostId(h))),
-            "dirty host outside topology"
-        );
-        self.stats.invocations += 1;
-        self.touched.clear();
-        if !flows.is_empty() {
-            let comp_count = match self.cached_structure {
-                Some((len, count)) if structure_unchanged && len == flows.len() => count,
-                _ => self.build_components(topo, flows),
-            };
-            self.solve_components(topo, flows, rates, comp_count, Some(dirty_hosts));
-        }
+        self.oneshot.settle(topo);
+        self.oneshot.mark_all();
+        self.solve_marked(topo, rates, true);
         self.stats.wall_nanos += started.elapsed().as_nanos() as u64;
     }
 
@@ -808,193 +1300,54 @@ impl MaxMinAllocator {
         rates
     }
 
-    /// Group flows into connected components of the host + fabric-link
-    /// graph (loopback flows join their host's component; flows sharing a
-    /// routed fabric link are coupled even when they share no host; a
-    /// configured aggregate core couples everything into one). Returns the
-    /// component count and fills the CSR buffers; component ids follow
-    /// first appearance in `flows`, and each component lists its flows in
-    /// creation order.
-    fn build_components(&mut self, topo: &Topology, flows: &[FlowDemand]) -> usize {
-        let n = topo.num_hosts();
-        let nf = topo.num_fabric_links();
-        // Validation is debug-only: this runs on every network event and
-        // the flow lists come from `FluidNet`, which already bounds-checks
-        // hosts at flow start. Out-of-range hosts still panic (index OOB)
-        // in release, just with a less specific message.
-        debug_assert!(
-            flows
-                .iter()
-                .all(|f| f.weight > 0.0 && f.weight.is_finite()),
-            "flow weight must be positive and finite"
-        );
-        debug_assert!(
-            flows.iter().all(|f| topo.contains(f.src) && topo.contains(f.dst)),
-            "flow references host outside topology"
-        );
-
-        self.comp_of.clear();
-        self.comp_of.resize(flows.len(), 0);
-        let comp_count = if topo.core_capacity().is_some() {
-            // The shared core couples every flow's rate to every other's:
-            // a single component (the "full solve" fallback).
-            1
+    /// Solve the marked components of the live (or one-shot) list one after
+    /// another; each writes only its own flows' rates.
+    fn solve_marked(&mut self, topo: &Topology, rates: &mut [f64], oneshot: bool) {
+        let comps = if oneshot {
+            &mut self.oneshot
         } else {
-            // Union-find nodes: hosts 0..n, then fabric links n..n+nf. A
-            // set containing a fabric node always contains a host (unions
-            // only arise from flows) and roots are minima, so every root
-            // is a host id.
-            if self.parent.len() == n + nf {
-                for &x in &self.uf_linked {
-                    self.parent[x as usize] = x;
-                }
-            } else {
-                self.parent.clear();
-                self.parent.extend(0..(n + nf) as u32);
-            }
-            self.uf_linked.clear();
-            for f in flows {
-                if f.src != f.dst {
-                    let a = uf_find(&mut self.parent, f.src.0);
-                    let b = uf_find(&mut self.parent, f.dst.0);
-                    if a != b {
-                        self.parent[a.max(b) as usize] = a.min(b);
-                        self.uf_linked.push(a.max(b));
-                    }
-                    for l in topo.route(f.src, f.dst).into_iter().flatten() {
-                        let a = uf_find(&mut self.parent, f.src.0);
-                        let b = uf_find(&mut self.parent, n as u32 + l.0);
-                        if a != b {
-                            self.parent[a.max(b) as usize] = a.min(b);
-                            self.uf_linked.push(a.max(b));
-                        }
-                    }
-                }
-            }
-            self.host_comp.resize(n.max(self.host_comp.len()), 0);
-            self.host_comp_stamp
-                .resize(n.max(self.host_comp_stamp.len()), 0);
-            self.comp_stamp += 1;
-            let mut count = 0u32;
-            for (i, f) in flows.iter().enumerate() {
-                let root = uf_find(&mut self.parent, f.src.0) as usize;
-                if self.host_comp_stamp[root] != self.comp_stamp {
-                    self.host_comp_stamp[root] = self.comp_stamp;
-                    self.host_comp[root] = count;
-                    count += 1;
-                }
-                self.comp_of[i] = self.host_comp[root];
-            }
-            count as usize
+            &mut self.live
         };
-
-        // CSR: counting sort by component id, stable in flow order.
-        self.comp_start.clear();
-        self.comp_start.resize(comp_count + 1, 0);
-        for &c in &self.comp_of {
-            self.comp_start[c as usize + 1] += 1;
-        }
-        for c in 0..comp_count {
-            self.comp_start[c + 1] += self.comp_start[c];
-        }
-        self.comp_flows.clear();
-        self.comp_flows.resize(flows.len(), 0);
-        self.cursor.clear();
-        self.cursor.extend_from_slice(&self.comp_start[..comp_count]);
-        for (i, &c) in self.comp_of.iter().enumerate() {
-            let slot = self.cursor[c as usize];
-            self.comp_flows[slot as usize] = i as u32;
-            self.cursor[c as usize] = slot + 1;
-        }
-        self.cached_structure = Some((flows.len(), comp_count));
-        comp_count
-    }
-
-    /// Mark the components reachable from the listed dirty hosts, in
-    /// O(listed·α) via the persistent union-find — neither the flows nor
-    /// the clean hosts are visited: a dirty host resolves to its component
-    /// through its root, and dirtiness is lifted onto the fabric tier by
-    /// probing the host's rack links — two flows can share a rack uplink
-    /// without sharing a host, so a host-only check would wrongly retain
-    /// the neighbour's component. Marking is idempotent, so duplicate ids
-    /// and list order do not matter.
-    fn mark_dirty_components(&mut self, topo: &Topology, dirty: &[u32], comp_count: usize) {
-        let n = topo.num_hosts();
-        if topo.core_capacity().is_some() {
-            // A core capacity couples every flow: bandwidth freed by a
-            // departed flow (whose hosts may appear in no surviving
-            // demand) can raise other flows' rates through the shared core
-            // link. Any dirtiness at all re-solves the single component.
-            if !dirty.is_empty() {
-                self.comp_dirty[..comp_count].fill(true);
-            }
-            return;
-        }
-        let has_fabric = topo.num_fabric_links() > 0;
-        for &h in dirty {
-            let root = uf_find(&mut self.parent, h) as usize;
-            // A root outside the host range or with a stale stamp belongs
-            // to no current component (e.g. both endpoints of a departed
-            // flow): nothing to re-solve there.
-            if root < n && self.host_comp_stamp[root] == self.comp_stamp {
-                self.comp_dirty[self.host_comp[root] as usize] = true;
-            }
-            if has_fabric {
-                for l in topo.host_fabric_links(HostId(h)).into_iter().flatten() {
-                    let root = uf_find(&mut self.parent, (n + l.0 as usize) as u32) as usize;
-                    if root < n && self.host_comp_stamp[root] == self.comp_stamp {
-                        self.comp_dirty[self.host_comp[root] as usize] = true;
-                    }
-                }
-            }
-        }
-    }
-
-    fn solve_components(
-        &mut self,
-        topo: &Topology,
-        flows: &[FlowDemand],
-        rates: &mut [f64],
-        comp_count: usize,
-        dirty_hosts: Option<&[u32]>,
-    ) {
         let n = topo.num_hosts();
         let num_links =
             2 * n + topo.num_fabric_links() + usize::from(topo.core_capacity().is_some());
-
-        self.comp_dirty.clear();
-        self.comp_dirty.resize(comp_count, dirty_hosts.is_none());
-        if let Some(dirty) = dirty_hosts {
-            self.mark_dirty_components(topo, dirty, comp_count);
-        }
-
-        // Dirty components are solved one after another in ascending id
-        // (canonical) order; each writes only its own flows' rates.
         let s = &mut self.scratch;
         s.ensure(num_links, n);
-        for (c, &dirty) in self.comp_dirty[..comp_count].iter().enumerate() {
-            if !dirty {
-                self.stats.components_retained += 1;
-                continue;
-            }
-            let (lo, hi) = (self.comp_start[c] as usize, self.comp_start[c + 1] as usize);
-            let idxs = &self.comp_flows[lo..hi];
+        self.stats.components_retained += (comps.live.len() - comps.dirty.len()) as u64;
+        for &c in &comps.dirty {
+            let comp = &mut comps.comps[c as usize];
+            comp.dirty = false;
+            let idxs = &comp.flows;
             self.stats.components_solved += 1;
             self.stats.flows_touched += idxs.len() as u64;
             self.touched.extend_from_slice(idxs);
             let out = &mut self.comp_rates;
             out.clear();
             out.resize(idxs.len(), 0.0);
-            let tally = solve_component(s, topo, flows, idxs, out);
+            let tally = solve_component(s, topo, &comps.demands, idxs, out);
             self.stats.absorb(tally);
             for (&i, &r) in idxs.iter().zip(out.iter()) {
                 rates[i as usize] = r;
             }
         }
-        // CSR order groups by component; downstream consumers iterate
-        // `touched` expecting ascending flow order (it keeps telemetry
-        // emission order identical to a full scan over the flow list).
-        self.touched.sort_unstable();
+        // Components are solved in marking order; downstream consumers
+        // iterate `touched` expecting ascending flow order (it keeps
+        // telemetry emission order identical to a full scan over the list).
+        if comps.dirty.len() > 1 {
+            self.touched.sort_unstable();
+        }
+        comps.dirty.clear();
+    }
+
+    /// The live list's components, each a list of flow positions.
+    #[cfg(test)]
+    fn partition(&mut self, topo: &Topology) -> Vec<Vec<u32>> {
+        self.live.settle(topo);
+        let c = &self.live;
+        c.live
+            .iter()
+            .map(|&id| c.comps[id as usize].flows.clone())
+            .collect()
     }
 }
 
@@ -1111,6 +1464,7 @@ pub(crate) fn certify(topo: &Topology, flows: &[FlowDemand], rates: &[f64]) -> R
 mod tests {
     use super::*;
     use crate::types::Bandwidth;
+    use std::collections::{BTreeMap, BTreeSet};
 
     fn topo(hosts: usize, gbps: f64) -> Topology {
         Topology::uniform(hosts, Bandwidth::from_gbps(gbps))
@@ -1489,21 +1843,35 @@ mod tests {
         let _ = a.allocate(&t, &[demand(0, 1, 0, 0.0)]);
     }
 
+    /// An allocator whose live list is `flows`, solved with every host
+    /// dirty, and its rates.
+    fn loaded(t: &Topology, flows: &[FlowDemand]) -> (MaxMinAllocator, Vec<f64>) {
+        let mut a = MaxMinAllocator::new();
+        for &f in flows {
+            a.push(t, f);
+        }
+        let mut rates = vec![0.0; flows.len()];
+        let hosts: Vec<u32> = (0..t.num_hosts() as u32).collect();
+        a.solve(t, &hosts, &mut rates);
+        (a, rates)
+    }
+
     #[test]
     fn last_touched_lists_resolved_flows_in_order() {
         let t = topo(6, 10.0);
-        let mut a = MaxMinAllocator::new();
         // Three disjoint components: (0,1), (2,3), (4,5).
         let flows = [
             demand(0, 1, 0, 1.0),
             demand(2, 3, 0, 1.0),
             demand(4, 5, 0, 1.0),
         ];
-        let mut rates = a.allocate(&t, &flows);
+        let mut a = MaxMinAllocator::new();
+        a.allocate(&t, &flows);
         assert_eq!(a.last_touched(), &[0, 1, 2], "full solve touches all");
 
-        let dirty = [2];
-        a.allocate_dirty_into(&t, &flows, &dirty, &mut rates);
+        let (mut a, mut rates) = loaded(&t, &flows);
+        assert_eq!(a.last_touched(), &[0, 1, 2], "every host dirty touches all");
+        a.solve(&t, &[2], &mut rates);
         assert_eq!(a.last_touched(), &[1], "only the dirty component");
     }
 
@@ -1584,15 +1952,13 @@ mod tests {
         let t = crate::topology::TopologyBuilder::leaf_spine(2, 4, 2.0)
             .link(Bandwidth::from_gbps(10.0))
             .build();
-        let mut a = MaxMinAllocator::new();
         let flows = [
             demand(0, 4, 0, 1.0), // rack0 → rack1, via uplink 0
             demand(1, 5, 0, 1.0), // rack0 → rack1, via uplink 0
             demand(6, 7, 0, 1.0), // rack1-local
         ];
-        let mut rates = a.allocate(&t, &flows);
-        let dirty = [0];
-        a.allocate_dirty_into(&t, &flows, &dirty, &mut rates);
+        let (mut a, mut rates) = loaded(&t, &flows);
+        a.solve(&t, &[0], &mut rates);
         assert_eq!(
             a.last_touched(),
             &[0, 1],
@@ -1605,18 +1971,17 @@ mod tests {
         let t = crate::topology::TopologyBuilder::leaf_spine(3, 3, 2.0)
             .link(Bandwidth::from_gbps(10.0))
             .build();
-        let mut a = MaxMinAllocator::new();
         let mut flows = vec![
             demand(0, 3, 0, 1.2), // rack0 → rack1
             demand(1, 4, 1, 0.8), // rack0 → rack1
             demand(6, 8, 0, 1.0), // rack2-local
         ];
-        let mut rates = a.allocate(&t, &flows);
-        for f in &mut flows {
+        let (mut a, mut rates) = loaded(&t, &flows);
+        for (k, f) in flows.iter_mut().enumerate() {
             f.band = Band((f.band.0 + 1) % 3);
+            a.set_band(k, f.band);
         }
-        let dirty = [0, 1];
-        a.allocate_dirty_reuse(&t, &flows, &dirty, &mut rates, true);
+        a.solve(&t, &[0, 1], &mut rates);
         let fresh = MaxMinAllocator::new().allocate(&t, &flows);
         assert_eq!(rates, fresh, "fabric dirty-reuse diverged");
     }
@@ -1631,18 +1996,16 @@ mod tests {
         let t = crate::topology::TopologyBuilder::leaf_spine(2, 2, 4.0)
             .link(Bandwidth::from_gbps(10.0))
             .build();
-        let mut a = MaxMinAllocator::new();
         let both = [demand(0, 2, 0, 1.0), demand(1, 3, 0, 1.0)];
-        let rates = a.allocate(&t, &both);
+        let (mut a, rates) = loaded(&t, &both);
         // 4:1 oversubscription: uplink = 2·LINK/4 = LINK/2, split two ways.
         assert!((rates[0] - LINK / 4.0).abs() < 1.0, "got {}", rates[0]);
         assert!((rates[1] - LINK / 4.0).abs() < 1.0, "got {}", rates[1]);
 
-        let survivor = [both[1]];
+        a.remove(&t, &[0]);
         let mut partial = vec![rates[1]];
-        let dirty = [0, 2];
-        a.allocate_dirty_into(&t, &survivor, &dirty, &mut partial);
-        let fresh = MaxMinAllocator::new().allocate(&t, &survivor);
+        a.solve(&t, &[0, 2], &mut partial);
+        let fresh = MaxMinAllocator::new().allocate(&t, &[both[1]]);
         assert!(
             (fresh[0] - LINK / 2.0).abs() < 1.0,
             "survivor alone fills the uplink: {}",
@@ -1675,12 +2038,10 @@ mod tests {
             demand(2, 4, 0, 2.0),
             demand(5, 5, 0, 1.0),
         ];
-        let mut a = MaxMinAllocator::new();
-        let mut b = MaxMinAllocator::new();
-        let mut ra = a.allocate(&t, &flows);
-        let mut rb = b.allocate(&t, &flows);
-        a.allocate_dirty_into(&t, &flows, &[3, 2, 3, 3, 2], &mut ra);
-        b.allocate_dirty_into(&t, &flows, &[2, 3], &mut rb);
+        let (mut a, mut ra) = loaded(&t, &flows);
+        let (mut b, mut rb) = loaded(&t, &flows);
+        a.solve(&t, &[3, 2, 3, 3, 2], &mut ra);
+        b.solve(&t, &[2, 3], &mut rb);
         assert_eq!(a.last_touched(), &[1, 2]);
         assert_eq!(a.last_touched(), b.last_touched());
         assert_eq!(a.stats().components_solved, b.stats().components_solved);
@@ -1691,26 +2052,26 @@ mod tests {
     #[test]
     fn dirty_hosts_with_no_surviving_flows_solve_nothing() {
         // Flow 2→3 departs: its endpoints are listed dirty but appear in
-        // no surviving demand, so their union-find roots carry a stale
-        // stamp. No component may be marked for them — the neighbours'
-        // rates are kept verbatim — and the result still equals a full
-        // solve.
+        // no surviving demand, so they are idle and belong to no
+        // component. No component may be marked for them — the
+        // neighbours' rates are kept verbatim — and the result still
+        // equals a full solve.
         let t = topo(6, 10.0);
         let before = [
             demand(0, 1, 0, 1.0),
             demand(2, 3, 0, 1.0),
             demand(4, 5, 0, 1.0),
         ];
-        let mut a = MaxMinAllocator::new();
-        let rates = a.allocate(&t, &before);
+        let (mut a, rates) = loaded(&t, &before);
+        a.remove(&t, &[1]);
         let after = [before[0], before[2]];
         let mut partial = vec![rates[0], rates[2]];
-        a.allocate_dirty_reuse(&t, &after, &[2, 3], &mut partial, false);
+        a.solve(&t, &[2, 3], &mut partial);
         assert!(a.last_touched().is_empty(), "no live component was dirty");
         assert_matches_full_solve(&t, &after, &partial);
         // The same departure with a live neighbour listed re-solves only
         // that neighbour's component.
-        a.allocate_dirty_reuse(&t, &after, &[3, 4, 2], &mut partial, true);
+        a.solve(&t, &[3, 4, 2], &mut partial);
         assert_eq!(a.last_touched(), &[1]);
         assert_matches_full_solve(&t, &after, &partial);
     }
@@ -1724,10 +2085,10 @@ mod tests {
             .link(Bandwidth::from_gbps(10.0))
             .build();
         let mut flows = [demand(1, 5, 0, 1.0), demand(6, 7, 0, 1.0)];
-        let mut a = MaxMinAllocator::new();
-        let mut rates = a.allocate(&t, &flows);
+        let (mut a, mut rates) = loaded(&t, &flows);
         flows[0].band = Band(1);
-        a.allocate_dirty_reuse(&t, &flows, &[0], &mut rates, true);
+        a.set_band(0, Band(1));
+        a.solve(&t, &[0], &mut rates);
         assert_eq!(a.last_touched(), &[0], "lifted via the shared uplink");
         assert_matches_full_solve(&t, &flows, &rates);
     }
@@ -1736,43 +2097,42 @@ mod tests {
     #[should_panic(expected = "dirty host outside topology")]
     fn rejects_dirty_host_outside_topology() {
         let t = topo(2, 10.0);
-        let flows = [demand(0, 1, 0, 1.0)];
-        let mut a = MaxMinAllocator::new();
-        let mut rates = a.allocate(&t, &flows);
-        a.allocate_dirty_into(&t, &flows, &[2], &mut rates);
+        let (mut a, mut rates) = loaded(&t, &[demand(0, 1, 0, 1.0)]);
+        a.solve(&t, &[2], &mut rates);
     }
 
     #[test]
     fn structure_reuse_matches_rebuild_bit_for_bit() {
         let t = topo(6, 10.0);
-        let mut a = MaxMinAllocator::new();
         let mut flows = vec![
             demand(0, 1, 0, 1.3),
             demand(0, 2, 1, 0.7),
             demand(0, 3, 0, 2.0),
             demand(4, 5, 0, 1.0),
         ];
-        let mut rates = a.allocate(&t, &flows);
+        let (mut a, mut rates) = loaded(&t, &flows);
 
-        // A band rotation changes no endpoints: the reuse path must agree
-        // exactly with a from-scratch allocator seeing the same demands.
-        for f in &mut flows {
+        // A band rotation changes no endpoints: the kept structure must
+        // agree exactly with a from-scratch allocator seeing the same
+        // demands.
+        for (k, f) in flows.iter_mut().enumerate() {
             f.band = Band((f.band.0 + 1) % 3);
+            a.set_band(k, f.band);
         }
-        let dirty = [0];
-        a.allocate_dirty_reuse(&t, &flows, &dirty, &mut rates, true);
+        a.solve(&t, &[0], &mut rates);
 
         let fresh = MaxMinAllocator::new().allocate(&t, &flows);
         assert_eq!(rates[..3], fresh[..3], "reused structure diverged");
         assert_eq!(a.last_touched(), &[0, 1, 2]);
 
-        // A stale hint with a different flow count is ignored, not trusted.
+        // An arrival that bridges the two components merges them.
         flows.push(demand(1, 4, 0, 1.0));
+        a.push(&t, flows[4]);
         rates.push(0.0);
-        let dirty = [1, 4];
-        a.allocate_dirty_reuse(&t, &flows, &dirty, &mut rates, true);
+        a.solve(&t, &[1, 4], &mut rates);
+        assert_eq!(a.partition(&t), [vec![0, 1, 2, 3, 4]]);
         let fresh = MaxMinAllocator::new().allocate(&t, &flows);
-        assert_eq!(rates, fresh, "count mismatch must force a rebuild");
+        assert_eq!(rates, fresh, "merged structure diverged");
     }
 
     /// One simulated event batch of churn: departures and arrivals applied
@@ -1842,50 +2202,89 @@ mod tests {
         schedule
     }
 
-    /// Apply one tick's ops to (flows, rates) in lockstep, returning the
-    /// dirty-host list — raw, so a host touched twice is listed twice —
-    /// and whether membership changed.
+    /// Apply one tick's ops to the allocator's live list and to `flows`,
+    /// a mirror of it, with `rates` in lockstep, and return the dirty-host
+    /// list — raw, so a host touched twice is listed twice. A run of
+    /// consecutive removals reaches the allocator as one compacting batch,
+    /// the way the fluid engine hands over a harvest.
     fn apply_ops(
+        a: &mut MaxMinAllocator,
+        t: &Topology,
         ops: &[ChurnOp],
         flows: &mut Vec<FlowDemand>,
         rates: &mut Vec<f64>,
-    ) -> (Vec<u32>, bool) {
+    ) -> Vec<u32> {
         let mut dirty = Vec::new();
-        let mut structural = false;
-        for op in ops {
-            match *op {
-                ChurnOp::Remove(k) => {
-                    let k = k.min(flows.len() - 1);
-                    let f = flows.remove(k);
-                    rates.remove(k);
-                    dirty.extend([f.src.0, f.dst.0]);
-                    structural = true;
+        let mut i = 0;
+        while i < ops.len() {
+            match ops[i] {
+                ChurnOp::Remove(_) => {
+                    // Each index refers to the list as the earlier removals
+                    // of the run left it.
+                    let mut left: Vec<u32> = (0..flows.len() as u32).collect();
+                    let mut batch = Vec::new();
+                    while let Some(&ChurnOp::Remove(k)) = ops.get(i) {
+                        batch.push(left.remove(k.min(left.len() - 1)));
+                        i += 1;
+                    }
+                    batch.sort_unstable();
+                    remove_batch(a, t, &batch, flows, rates, &mut dirty);
+                    continue;
                 }
                 ChurnOp::Add(f) => {
                     dirty.extend([f.src.0, f.dst.0]);
+                    a.push(t, f);
                     flows.push(f);
                     rates.push(0.0);
-                    structural = true;
                 }
                 ChurnOp::Rotate(k) => {
                     let k = k.min(flows.len() - 1);
                     flows[k].band = Band((flows[k].band.0 + 1) % 3);
+                    a.set_band(k, flows[k].band);
                     dirty.push(flows[k].src.0);
                 }
             }
+            i += 1;
         }
-        (dirty, structural)
+        assert_eq!(a.flows(), &flows[..], "the mirror diverged");
+        dirty
+    }
+
+    /// Remove the flows at ascending `batch` from the allocator, from
+    /// `flows` and from `rates`, listing their endpoints in `dirty`.
+    fn remove_batch(
+        a: &mut MaxMinAllocator,
+        t: &Topology,
+        batch: &[u32],
+        flows: &mut Vec<FlowDemand>,
+        rates: &mut Vec<f64>,
+        dirty: &mut Vec<u32>,
+    ) {
+        for &p in batch {
+            dirty.extend([flows[p as usize].src.0, flows[p as usize].dst.0]);
+        }
+        a.remove(t, batch);
+        let gone = |k: usize| batch.binary_search(&(k as u32)).is_ok();
+        let mut k = 0;
+        flows.retain(|_| {
+            k += 1;
+            !gone(k - 1)
+        });
+        let mut k = 0;
+        rates.retain(|_| {
+            k += 1;
+            !gone(k - 1)
+        });
     }
 
     #[test]
     fn same_tick_departure_and_arrival_matches_full_solve() {
-        // The staleness class PR 1 and PR 6 each hit once: departures and
-        // arrivals in the same event batch split/reshape components while
-        // possibly leaving the flow *count* unchanged (so the reuse-hint
-        // length check alone cannot save a caller that wrongly passes
-        // `structure_unchanged = true`). The incremental path, driven the
-        // way the fluid engine drives it, must match a from-scratch solve
-        // bit for bit at every step.
+        // The staleness class that twice slipped through earlier versions:
+        // departures and arrivals in the same event batch split and
+        // reshape components while possibly leaving the flow *count*
+        // unchanged. The incremental path, driven the way the fluid
+        // engine drives it, must match a from-scratch solve bit for bit
+        // at every step.
         let t = crate::topology::TopologyBuilder::leaf_spine(3, 4, 2.0)
             .link(Bandwidth::from_gbps(10.0))
             .build();
@@ -1897,8 +2296,8 @@ mod tests {
             for (step, ops) in churn_schedule(seed, hosts as u32, 40, 8, 0, false)
                 .iter()
                 .enumerate() {
-                let (dirty, structural) = apply_ops(ops, &mut flows, &mut rates);
-                a.allocate_dirty_reuse(&t, &flows, &dirty, &mut rates, !structural);
+                let dirty = apply_ops(&mut a, &t, ops, &mut flows, &mut rates);
+                a.solve(&t, &dirty, &mut rates);
                 let fresh = MaxMinAllocator::new().allocate(&t, &flows);
                 assert_eq!(
                     rates, fresh,
@@ -1907,6 +2306,377 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The allocator's components, each a list of flow positions, in a
+    /// canonical order.
+    fn parts(a: &mut MaxMinAllocator, t: &Topology) -> Vec<Vec<u32>> {
+        let mut p = a.partition(t);
+        p.sort();
+        p
+    }
+
+    #[test]
+    fn bridge_departure_splits_and_one_side_resolves_alone() {
+        // 1→2 is the only edge between {0, 1} and {2, 3}. Its departure
+        // leaves both endpoints with flows, so the component re-splits in
+        // two; a later change on one side re-solves that side only.
+        let t = topo(5, 10.0);
+        let flows = [
+            demand(0, 1, 0, 1.0),
+            demand(1, 2, 0, 1.5),
+            demand(2, 3, 0, 0.7),
+            demand(3, 2, 1, 1.3),
+        ];
+        let (mut a, rates) = loaded(&t, &flows);
+        assert_eq!(parts(&mut a, &t), [vec![0, 1, 2, 3]]);
+        a.remove(&t, &[1]);
+        assert_eq!(parts(&mut a, &t), [vec![0], vec![1, 2]]);
+        let mut rates = vec![rates[0], rates[2], rates[3]];
+        a.solve(&t, &[1, 2], &mut rates);
+        assert_matches_full_solve(&t, a.flows(), &rates);
+
+        a.set_band(2, Band(0));
+        let before = a.stats();
+        a.solve(&t, &[3], &mut rates);
+        let after = a.stats();
+        assert_eq!(a.last_touched(), &[1, 2]);
+        assert_eq!(after.components_solved - before.components_solved, 1);
+        assert_eq!(after.components_retained - before.components_retained, 1);
+        assert_matches_full_solve(&t, a.flows(), &rates);
+    }
+
+    #[test]
+    fn idle_host_solves_nothing_and_rejoins_only_its_new_peer() {
+        // Host 0's only flow departs: host 0 goes idle, and marking it
+        // dirty solves nothing. A new flow from host 0 into the component
+        // of 2→3 joins that component alone; 1→5, which shared host 0's
+        // old component, is not pulled in.
+        let t = topo(6, 10.0);
+        let flows = [
+            demand(0, 1, 0, 1.0),
+            demand(1, 5, 0, 0.6),
+            demand(2, 3, 0, 1.4),
+        ];
+        let (mut a, rates) = loaded(&t, &flows);
+        assert_eq!(parts(&mut a, &t), [vec![0, 1], vec![2]]);
+        a.remove(&t, &[0]);
+        let mut rates = vec![rates[1], rates[2]];
+        let before = a.stats();
+        a.solve(&t, &[0], &mut rates);
+        let after = a.stats();
+        assert!(a.last_touched().is_empty(), "an idle host has no component");
+        assert_eq!(after.components_solved, before.components_solved);
+        assert_eq!(after.components_retained - before.components_retained, 2);
+        a.solve(&t, &[1], &mut rates);
+        assert_matches_full_solve(&t, a.flows(), &rates);
+
+        a.push(&t, demand(0, 2, 0, 0.9));
+        rates.push(0.0);
+        assert_eq!(parts(&mut a, &t), [vec![0], vec![1, 2]]);
+        let before = a.stats();
+        a.solve(&t, &[0, 2], &mut rates);
+        let after = a.stats();
+        assert_eq!(a.last_touched(), &[1, 2]);
+        assert_eq!(after.components_solved - before.components_solved, 1);
+        assert_eq!(after.components_retained - before.components_retained, 1);
+        assert_matches_full_solve(&t, a.flows(), &rates);
+    }
+
+    #[test]
+    fn arrival_merges_interleaved_components_in_creation_order() {
+        // Host 0's fan-out (0.7, 0.2, 0.1) and the pair 2→3 were created
+        // interleaved. 0→3 joins them; the merged component must list its
+        // flows in creation order, so host 0's egress sums its weights as
+        // ((0.7 + 0.2) + 0.1) + 0.3, one ulp from the reverse order. The
+        // egress binds first, so every rate there is θ·w with θ = LINK /
+        // that sum.
+        let t = topo(6, 10.0);
+        let flows = [
+            demand(0, 1, 0, 0.7),
+            demand(2, 3, 0, 0.1),
+            demand(0, 4, 0, 0.2),
+            demand(2, 3, 0, 0.1),
+            demand(0, 5, 0, 0.1),
+            demand(0, 3, 0, 0.3),
+        ];
+        let sum = ((0.7 + 0.2) + 0.1) + 0.3;
+        assert_ne!(
+            sum,
+            ((0.1 + 0.2) + 0.7) + 0.3,
+            "weights no longer tell the orders apart"
+        );
+        let (mut a, rates) = loaded(&t, &flows[..5]);
+        assert_eq!(parts(&mut a, &t), [vec![0, 2, 4], vec![1, 3]]);
+        a.push(&t, flows[5]);
+        assert_eq!(a.partition(&t), [vec![0, 1, 2, 3, 4, 5]]);
+        let mut rates = [rates, vec![0.0]].concat();
+        a.solve(&t, &[0, 3], &mut rates);
+        assert_matches_full_solve(&t, &flows, &rates);
+        let theta = LINK / sum;
+        for k in [0, 2, 4, 5] {
+            assert_eq!(
+                rates[k].to_bits(),
+                (theta * flows[k].weight).to_bits(),
+                "flow {k}"
+            );
+        }
+    }
+
+    #[test]
+    fn departure_leaving_only_a_loopback_flow_splits_it_off() {
+        // Host 0 keeps only its loopback flow once 0→1 departs: the
+        // loopback flow no longer joins anything and forms a component of
+        // its own.
+        let t = topo(3, 10.0);
+        let flows = [
+            demand(0, 0, 0, 1.0),
+            demand(0, 1, 0, 1.0),
+            demand(1, 2, 0, 1.0),
+        ];
+        let (mut a, rates) = loaded(&t, &flows);
+        assert_eq!(parts(&mut a, &t), [vec![0, 1, 2]]);
+        a.remove(&t, &[1]);
+        assert_eq!(parts(&mut a, &t), [vec![0], vec![1]]);
+        let mut rates = vec![rates[0], rates[2]];
+        a.solve(&t, &[0], &mut rates);
+        assert_eq!(a.last_touched(), &[0]);
+        a.solve(&t, &[1], &mut rates);
+        assert_eq!(a.last_touched(), &[1]);
+        assert_matches_full_solve(&t, a.flows(), &rates);
+    }
+
+    // --- Structural oracle --------------------------------------------------
+    //
+    // The components the allocator keeps across calls must be exactly the
+    // connected components of the host + fabric-link graph. The reference
+    // below recomputes them from scratch with a union-find of its own.
+
+    /// The connected components of `flows` on `t` as sets of positions: a
+    /// flow joins its endpoints and its route's fabric links, a loopback
+    /// flow sits at its host, and an aggregate core joins everything.
+    fn reference_partition(t: &Topology, flows: &[FlowDemand]) -> BTreeSet<BTreeSet<u32>> {
+        fn root(parent: &mut [usize], x: usize) -> usize {
+            let p = parent[x];
+            if p == x {
+                return x;
+            }
+            let r = root(parent, p);
+            parent[x] = r;
+            r
+        }
+        let n = t.num_hosts();
+        let mut parent: Vec<usize> = (0..n + t.num_fabric_links()).collect();
+        for f in flows.iter().filter(|f| f.src != f.dst) {
+            let route = t.route(f.src, f.dst).into_iter().flatten();
+            for x in route.map(|l| n + l.0 as usize).chain([f.dst.0 as usize]) {
+                let (a, b) = (root(&mut parent, f.src.0 as usize), root(&mut parent, x));
+                parent[a] = b;
+            }
+        }
+        let mut groups: BTreeMap<usize, BTreeSet<u32>> = BTreeMap::new();
+        for (i, f) in flows.iter().enumerate() {
+            let key = match t.core_capacity() {
+                Some(_) => 0,
+                None => root(&mut parent, f.src.0 as usize),
+            };
+            groups.entry(key).or_default().insert(i as u32);
+        }
+        groups.into_values().collect()
+    }
+
+    /// The allocator's components as sets, each checked to list its flows
+    /// in creation order.
+    fn incremental_partition(a: &mut MaxMinAllocator, t: &Topology) -> BTreeSet<BTreeSet<u32>> {
+        let mut out = BTreeSet::new();
+        for c in a.partition(t) {
+            assert!(
+                c.windows(2).all(|w| w[0] < w[1]),
+                "component out of creation order: {c:?}"
+            );
+            out.insert(c.into_iter().collect());
+        }
+        out
+    }
+
+    /// Whether a departure batch cut a component: two survivors that
+    /// shared a component `before` no longer share one `after`. `batch`
+    /// holds the departed positions of the list `before` describes.
+    fn cut(
+        before: &BTreeSet<BTreeSet<u32>>,
+        after: &BTreeSet<BTreeSet<u32>>,
+        batch: &[u32],
+    ) -> bool {
+        let comp_of: BTreeMap<u32, usize> = after
+            .iter()
+            .enumerate()
+            .flat_map(|(c, set)| set.iter().map(move |&p| (p, c)))
+            .collect();
+        before.iter().any(|set| {
+            let sides: BTreeSet<usize> = set
+                .iter()
+                .filter(|p| !batch.contains(p))
+                .map(|&p| comp_of[&(p - batch.iter().filter(|&&q| q < p).count() as u32)])
+                .collect();
+            sides.len() > 1
+        })
+    }
+
+    /// Whether two live flows share a fabric link but no host.
+    fn fabric_only_coupling(t: &Topology, flows: &[FlowDemand]) -> bool {
+        let links = |f: &FlowDemand| {
+            t.route(f.src, f.dst)
+                .into_iter()
+                .flatten()
+                .collect::<Vec<_>>()
+        };
+        flows.iter().enumerate().any(|(i, f)| {
+            flows[i + 1..].iter().any(|g| {
+                let hosts = [f.src, f.dst];
+                !hosts.contains(&g.src)
+                    && !hosts.contains(&g.dst)
+                    && links(f).iter().any(|l| links(g).contains(l))
+            })
+        })
+    }
+
+    /// The churn cases a structural script exercised.
+    #[derive(Debug, Default)]
+    struct Coverage {
+        /// Departure batches that cut a component.
+        bridges: u32,
+        /// States with two flows coupled by a fabric link alone.
+        fabric_only: u32,
+        /// Batches with one departure and one arrival (count kept).
+        swaps: u32,
+        /// Loopback arrivals.
+        loopbacks: u32,
+        /// Arrivals at a host whose last flow had just departed.
+        returns: u32,
+    }
+
+    /// One raw structural op: `(kind, (src, dst), index, count)`, reduced
+    /// modulo the live sizes when applied. Kinds 0–1 are an arrival, 2 an
+    /// arrival on a live flow's (src, dst) pair, 3 and 9 one on its reverse
+    /// pair (a PS's update and a worker's gradient), 4 a loopback arrival,
+    /// 5–6 a batch of up to three departures, 7 a departure and an arrival
+    /// in one batch, 8 a departure followed by an arrival at the departed
+    /// flow's sender, 10 an arrival that departs before any solve.
+    type StructOp = (u8, (u32, u32), usize, usize);
+
+    /// Drive an allocator through `ops` on `t`. After every op its
+    /// components must equal the reference partition and its rates a full
+    /// solve's, bit for bit. Returns what the script exercised.
+    fn structural_churn(t: &Topology, ops: &[StructOp]) -> Result<Coverage, String> {
+        let hosts = t.num_hosts() as u32;
+        let mut a = MaxMinAllocator::new();
+        let (mut flows, mut rates): (Vec<FlowDemand>, Vec<f64>) = (Vec::new(), Vec::new());
+        let mut cov = Coverage::default();
+        for (step, &(kind, (s, d), idx, count)) in ops.iter().enumerate() {
+            let (s, d) = (s % hosts, d % hosts);
+            let w = 1.0 + (idx % 4) as f64 * 0.3;
+            let mut batch = Vec::new();
+            let mut arrival = None;
+            let live = flows.get(idx % flows.len().max(1)).copied();
+            match (kind, live) {
+                (2, Some(f)) => arrival = Some(demand(f.src.0, f.dst.0, 0, w)),
+                (3 | 9, Some(f)) => arrival = Some(demand(f.dst.0, f.src.0, 0, w)),
+                (0..=3 | 9, _) => arrival = Some(demand(s, d, (idx % 3) as u8, w)),
+                (4, _) => arrival = Some(demand(s, s, 0, w)),
+                (_, None) => continue,
+                (10, _) => {
+                    // An arrival that departs before any solve joined it,
+                    // in one batch with an older flow.
+                    let f = demand(s, d, 0, w);
+                    a.push(t, f);
+                    flows.push(f);
+                    rates.push(0.0);
+                    batch.extend([(idx % (flows.len() - 1)) as u32, (flows.len() - 1) as u32]);
+                }
+                (5..=6, _) => {
+                    let mut left: Vec<u32> = (0..flows.len() as u32).collect();
+                    for j in 0..=(count % 3).min(flows.len() - 1) {
+                        batch.push(left.remove((idx + 7 * j) % left.len()));
+                    }
+                }
+                (7, _) => {
+                    batch.push((idx % flows.len()) as u32);
+                    arrival = Some(demand(s, d, 0, w));
+                    cov.swaps += 1;
+                }
+                (_, Some(f)) => {
+                    batch.push((idx % flows.len()) as u32);
+                    arrival = Some(demand(f.src.0, d, 1, w));
+                }
+            }
+            batch.sort_unstable();
+            let before = reference_partition(t, &flows);
+            let mut dirty = Vec::new();
+            remove_batch(&mut a, t, &batch, &mut flows, &mut rates, &mut dirty);
+            if cut(&before, &reference_partition(t, &flows), &batch) {
+                cov.bridges += 1;
+            }
+            if let Some(f) = arrival {
+                cov.loopbacks += u32::from(f.src == f.dst);
+                let idle = !flows.iter().any(|g| g.src == f.src || g.dst == f.src);
+                cov.returns += u32::from(kind == 8 && idle);
+                dirty.extend([f.src.0, f.dst.0]);
+                a.push(t, f);
+                flows.push(f);
+                rates.push(0.0);
+            }
+            let (got, want) = (incremental_partition(&mut a, t), reference_partition(t, &flows));
+            if got != want {
+                return Err(format!("step {step}: components {got:?}, want {want:?}"));
+            }
+            cov.fabric_only += u32::from(fabric_only_coupling(t, &flows));
+            a.solve(t, &dirty, &mut rates);
+            let fresh = MaxMinAllocator::new().allocate(t, &flows);
+            let bits = |r: &[f64]| r.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            if bits(&rates) != bits(&fresh) {
+                return Err(format!(
+                    "step {step}: rates {rates:?}, full solve {fresh:?}"
+                ));
+            }
+        }
+        Ok(cov)
+    }
+
+    #[test]
+    fn structural_churn_exercises_every_named_case() {
+        // The generator behind the structural proptest, run on fixed
+        // seeds, produces each case the component structure must get
+        // right.
+        use rand::{Rng, SeedableRng};
+        let mut total = Coverage::default();
+        for seed in 0..6u64 {
+            let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
+            let t = arb_topology((seed % 3) as u8, 3, 3, 2);
+            let ops: Vec<StructOp> = (0..60)
+                .map(|_| {
+                    let hosts = (rng.gen_range(0..64), rng.gen_range(0..64));
+                    (
+                        rng.gen_range(0..11),
+                        hosts,
+                        rng.gen_range(0..64),
+                        rng.gen_range(0..3),
+                    )
+                })
+                .collect();
+            let cov = structural_churn(&t, &ops).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+            total.bridges += cov.bridges;
+            total.fabric_only += cov.fabric_only;
+            total.swaps += cov.swaps;
+            total.loopbacks += cov.loopbacks;
+            total.returns += cov.returns;
+        }
+        let c = &total;
+        assert!(
+            [c.bridges, c.fabric_only, c.swaps, c.loopbacks, c.returns]
+                .iter()
+                .all(|&k| k > 0),
+            "a case went unexercised: {c:?}"
+        );
     }
 
     // --- Independent oracle -------------------------------------------------
@@ -2218,11 +2988,10 @@ mod tests {
         // touched flows are exactly their twelve in ascending order, and
         // with no input changed every rate comes back bit for bit.
         let (t, flows) = rack_local_grid();
-        let mut a = MaxMinAllocator::new();
-        let full = a.allocate(&t, &flows);
+        let (mut a, full) = loaded(&t, &flows);
         a.reset_stats();
         let mut rates = full.clone();
-        a.allocate_dirty_reuse(&t, &flows, &[3 * 8 + 2, 17 * 8, 3 * 8 + 5], &mut rates, true);
+        a.solve(&t, &[3 * 8 + 2, 17 * 8, 3 * 8 + 5], &mut rates);
         let s = a.stats();
         assert_eq!((s.invocations, s.full_solves), (1, 0));
         assert_eq!((s.components_solved, s.components_retained), (2, 30));
@@ -2247,8 +3016,8 @@ mod tests {
             let mut flows: Vec<FlowDemand> = Vec::new();
             let mut rates: Vec<f64> = Vec::new();
             for (step, ops) in churn_schedule(seed, hosts, 50, 30, 8, caps).iter().enumerate() {
-                let (dirty, structural) = apply_ops(ops, &mut flows, &mut rates);
-                a.allocate_dirty_reuse(&t, &flows, &dirty, &mut rates, !structural);
+                let dirty = apply_ops(&mut a, &t, ops, &mut flows, &mut rates);
+                a.solve(&t, &dirty, &mut rates);
                 if let Err(e) = check_against_oracle(&t, &flows, &rates) {
                     panic!("seed {seed} step {step}: {e}");
                 }
@@ -2285,14 +3054,15 @@ mod tests {
         let mut hash = 0xcbf2_9ce4_8422_2325;
         for _ in 0..ticks {
             let mut dirty = Vec::new();
-            let mut structural = false;
+            // Each drawn index refers to the list as the earlier draws left
+            // it; the allocator takes the tick's departures as one batch.
+            let mut left: Vec<u32> = (0..flows.len() as u32).collect();
+            let mut batch = Vec::new();
             for _ in 0..rng.gen_range(0..=flows.len() / 20 + 1).min(flows.len()) {
-                let k = rng.gen_range(0..flows.len());
-                let f = flows.remove(k);
-                rates.remove(k);
-                dirty.extend([f.src.0, f.dst.0]);
-                structural = true;
+                batch.push(left.remove(rng.gen_range(0..left.len())));
             }
+            batch.sort_unstable();
+            remove_batch(&mut alloc, t, &batch, &mut flows, &mut rates, &mut dirty);
             for _ in 0..rng.gen_range(0..6) {
                 let ps = rng.gen_range(0..ps_hosts);
                 let peer = rng.gen_range(0..hosts);
@@ -2307,18 +3077,19 @@ mod tests {
                     f = f.with_max_rate(rng.gen_range(0.02..1.5) * LINK);
                 }
                 dirty.extend([src, dst]);
+                alloc.push(t, f);
                 flows.push(f);
                 rates.push(0.0);
-                structural = true;
             }
             if rng.gen_bool(0.3) {
                 let ps = rng.gen_range(0..ps_hosts);
-                for f in flows.iter_mut().filter(|f| f.src.0 == ps) {
+                for (k, f) in flows.iter_mut().enumerate().filter(|(_, f)| f.src.0 == ps) {
                     f.band = Band((f.band.0 + 1) % 6);
+                    alloc.set_band(k, f.band);
                 }
                 dirty.push(ps);
             }
-            alloc.allocate_dirty_reuse(t, &flows, &dirty, &mut rates, !structural);
+            alloc.solve(t, &dirty, &mut rates);
             for r in &rates {
                 fnv1a(&mut hash, r.to_bits());
             }
@@ -2512,9 +3283,10 @@ mod tests {
 
     proptest::proptest! {
         /// Under random churn, driven the way the fluid engine drives the
-        /// allocator (dirty hosts, structure reuse), every allocation
-        /// matches the reference water-filling and passes the certificate,
-        /// on single-switch, aggregate-core and leaf-spine topologies.
+        /// allocator (arrivals, departure batches, band changes, dirty
+        /// hosts), every allocation matches the reference water-filling
+        /// and passes the certificate, on single-switch, aggregate-core and
+        /// leaf-spine topologies.
         fn kernel_matches_reference_under_churn(
             shape in (0u8..3, 2u32..5, 2u32..5, 1u8..5),
             raw in arb_ops(),
@@ -2526,11 +3298,27 @@ mod tests {
             let mut flows: Vec<FlowDemand> = Vec::new();
             let mut rates: Vec<f64> = Vec::new();
             for (step, ops) in churn_from_raw(&raw, hosts).iter().enumerate() {
-                let (dirty, structural) = apply_ops(ops, &mut flows, &mut rates);
-                alloc.allocate_dirty_reuse(&t, &flows, &dirty, &mut rates, !structural);
+                let dirty = apply_ops(&mut alloc, &t, ops, &mut flows, &mut rates);
+                alloc.solve(&t, &dirty, &mut rates);
                 if let Err(e) = check_against_oracle(&t, &flows, &rates) {
                     proptest::prop_assert!(false, "topology {kind}/{a}x{b}@{oversub} step {step}: {e}");
                 }
+            }
+        }
+
+        /// After every structural op — arrivals, departure batches,
+        /// same-batch swaps, loopback flows, returns to an idle host — the
+        /// allocator's components equal an independent union-find's, and
+        /// its rates a full solve's bit for bit, on single-switch,
+        /// aggregate-core and leaf-spine topologies.
+        fn components_match_an_independent_union_find_under_churn(
+            shape in (0u8..3, 2u32..5, 2u32..5, 1u8..5),
+            ops in proptest::collection::vec((0u8..11, (0u32..64, 0u32..64), 0usize..64, 0usize..3), 1..40),
+        ) {
+            let (kind, a, b, oversub) = shape;
+            let t = arb_topology(kind, a, b, oversub);
+            if let Err(e) = structural_churn(&t, &ops) {
+                proptest::prop_assert!(false, "topology {kind}/{a}x{b}@{oversub} {e}");
             }
         }
 
